@@ -21,24 +21,6 @@ void RunningStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge_from(const RunningStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const noexcept {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
@@ -53,18 +35,6 @@ TimeBucketSeries::TimeBucketSeries(SimDuration bucket_width,
   const auto n = static_cast<std::size_t>((horizon + bucket_width - 1) /
                                           bucket_width);
   buckets_.resize(std::max<std::size_t>(n, 1));
-}
-
-void TimeBucketSeries::merge_from(const TimeBucketSeries& other) {
-  assert(width_ == other.width_ && buckets_.size() == other.buckets_.size() &&
-         "merging TimeBucketSeries requires identical geometry");
-  // Defensive clamp so a geometry mismatch cannot read out of bounds in
-  // NDEBUG builds (the assert above is the real contract).
-  const std::size_t n = std::min(buckets_.size(), other.buckets_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    buckets_[i].sum += other.buckets_[i].sum;
-    buckets_[i].events += other.buckets_[i].events;
-  }
 }
 
 double TimeBucketSeries::bucket_sum(std::size_t i) const {

@@ -21,16 +21,8 @@ class RunningStats {
  public:
   void add(double x) noexcept;
 
-  /// Folds another accumulator in (Chan et al. pairwise combination), as
-  /// if every sample of `other` had been add()ed here. Exact for count,
-  /// min, max and sum; mean/variance combine by the parallel Welford
-  /// update, so the result can differ from the sequential interleaving by
-  /// floating-point rounding only.
-  void merge_from(const RunningStats& other) noexcept;
-
   /// Bit-exact equality of every accumulated moment (count, mean, M2,
-  /// min, max, sum) — the bar the deterministic sharded replay is held
-  /// to.
+  /// min, max, sum) — the bar the sharded replay is held to.
   [[nodiscard]] bool identical_to(const RunningStats& o) const noexcept {
     return count_ == o.count_ && mean_ == o.mean_ && m2_ == o.m2_ &&
            min_ == o.min_ && max_ == o.max_ && sum_ == o.sum_;
@@ -89,12 +81,6 @@ class TimeBucketSeries {
     buckets_[idx].sum += value * static_cast<double>(count);
     buckets_[idx].events += count;
   }
-
-  /// Bucket-wise accumulation of `other` into this series. Requires
-  /// identical geometry (width and bucket count) — the per-shard metrics
-  /// of the sharded runtime are constructed from one horizon, so merging
-  /// them is exact.
-  void merge_from(const TimeBucketSeries& other);
 
   /// Bit-exact equality: same geometry and identical sum/event pairs in
   /// every bucket.

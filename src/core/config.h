@@ -180,14 +180,15 @@ struct RuleConfig {
   bool operator==(const RuleConfig&) const = default;
 };
 
-/// Batched hot-path datapath (the replay() fast path).
+/// Flow batching in replay(): how many flows one simulator event handles.
 struct BatchConfig {
-  /// Trace flows handled per simulator event during replay(). Values <= 1
-  /// keep the legacy one-event-per-flow datapath. A batch never extends
-  /// past the next pending control-plane event (stats window, DGM round,
-  /// scheduled migration), so batched and single-packet modes produce
-  /// identical forwarding decisions and metrics — batching only amortises
-  /// event scheduling and per-decision allocation across the batch.
+  /// Trace flows handled per simulator event during replay() (values
+  /// <= 1 mean one flow per event). Every flow of a batch goes through
+  /// the same per-flow decide-and-handle code, in trace order, and a
+  /// batch never extends past the next pending control-plane event
+  /// (stats window, DGM round, scheduled migration), so every batch size
+  /// produces identical forwarding decisions and metrics — batching only
+  /// amortises event scheduling across the batch.
   std::size_t flow_batch_size = 64;
 
   bool operator==(const BatchConfig&) const = default;
@@ -195,23 +196,10 @@ struct BatchConfig {
 
 /// Sharded parallel replay (the src/runtime subsystem): partitions the
 /// network by edge group into shards, each driven by its own worker
-/// thread, synchronized at bounded-lag windows.
-enum class RuntimeMode {
-  /// Barrier at every lag window + stable merge order: metrics are
-  /// bit-identical to the single-threaded Network::replay (enforced by
-  /// tests/runtime_test.cpp). Parallelism covers the per-switch decide
-  /// pipeline; all side effects commit on the coordinator in global flow
-  /// order.
-  kDeterministic,
-  /// Lax synchronization for throughput: shards decide AND handle their
-  /// local flows into per-shard metrics; only controller-bound flows
-  /// cross to the coordinator (via arena-backed SPSC mailboxes) at window
-  /// boundaries. Still reproducible run-to-run from Config.seed, but not
-  /// bit-identical to sequential replay — controller interleaving may
-  /// differ by up to one sync window.
-  kFast,
-};
-
+/// thread, synchronized at bounded-lag windows. Workers only pre-decide;
+/// all side effects commit on the coordinator in global flow order, so
+/// metrics are bit-identical to the single-threaded Network::replay
+/// (enforced by tests/runtime_test.cpp).
 struct RuntimeConfig {
   /// Number of replay shards. 1 = the classic single-threaded datapath
   /// (no worker threads); > 1 makes Network::replay delegate to
@@ -224,11 +212,9 @@ struct RuntimeConfig {
   /// 2 x control_link + controller_service, the soonest a flow's control
   /// side effect can land back at any switch — deferring cross-shard
   /// visibility within that window matches what the channels could have
-  /// delivered anyway. Deterministic mode repairs ordering exactly at the
-  /// merge, so there a larger window only trades barrier frequency for
-  /// scratch memory.
+  /// delivered anyway. The merge repairs ordering exactly, so a larger
+  /// window only trades barrier frequency for scratch memory.
   SimDuration sync_window = 0;
-  RuntimeMode mode = RuntimeMode::kDeterministic;
 
   bool operator==(const RuntimeConfig&) const = default;
 };
@@ -250,7 +236,7 @@ struct Config {
   FibConfig fib;
   /// Reactive-rule TTL and flow-table capacity.
   RuleConfig rules;
-  /// Batched hot-path datapath (flow batching in replay()).
+  /// Flow batching in replay().
   BatchConfig batching;
   /// Sharded parallel replay (src/runtime); 1 shard = single-threaded.
   RuntimeConfig runtime;

@@ -89,106 +89,19 @@ class EdgeSwitch {
     const openflow::FlowRule* rule = nullptr;
     /// Valid for kIntraGroup: candidate peers, ascending id order. Views
     /// the switch's internal scratch buffer — valid until the next
-    /// decide()/decide_batch() call on this switch, which is exactly the
+    /// decide() call on this switch, which is exactly the
     /// consume-before-next-decide discipline of every call site and what
-    /// makes the single-packet path allocation-free too.
+    /// keeps decide() allocation-free after warm-up.
     std::span<const SwitchId> candidates;
   };
 
   /// Runs the Fig. 5 routine for `p` under `mode`. In OpenFlow mode only
   /// the flow table is consulted (the baseline has no L-FIB/G-FIB logic);
   /// in LazyCtrl mode the order is flow table -> L-FIB -> G-FIB ->
-  /// controller. Refreshes the TTL of a hit rule.
+  /// controller. Refreshes the TTL of a hit rule. This is the one
+  /// decision routine of the simulator: the sequential replay and the
+  /// sharded runtime's workers both call it one flow at a time.
   Decision decide(const net::Packet& p, SimTime now, ControlMode mode);
-
-  // --- batched forwarding pipeline ---
-  //
-  // decide_batch() is the zero-allocation form of decide() for a batch of
-  // packets entering this switch: stage 1 probes the flow table for every
-  // packet (in packet order, so TTL refreshes and lazy expiry happen in the
-  // same sequence as per-packet calls), stage 2 runs the L-FIB probe vector
-  // over the misses, stage 3 scans the G-FIB BloomBank with a precomputed
-  // per-packet hash (one mixing pass per packet, not per peer filter, plus
-  // a last-destination memo for bursts to one MAC), and whatever remains is
-  // marked for the bulk controller punt. Candidate peers land in one shared
-  // pool inside the DecisionBatch; after warm-up a batch performs no heap
-  // allocation.
-  //
-  // Each packet is decided at its own `created_at` timestamp. Because the
-  // switch tables are not mutated between the per-packet calls it replaces,
-  // decide_batch(batch)[i] is identical to decide(batch[i]) called in
-  // sequence — the equivalence the batched simulator mode relies on.
-
-  /// One decision of a batch. Unlike Decision, no rule pointer is exposed:
-  /// a flow-table mutation later in the same batch (install, lazy expiry
-  /// sweep) can reallocate the rule storage, so a stored pointer could
-  /// dangle before the batch is even consumed. A hit's TTL refresh happens
-  /// inside the stage-1 lookup; consumers needing rule details re-probe.
-  struct BatchDecision {
-    DecisionKind kind = DecisionKind::kToController;
-    std::uint32_t cand_begin = 0;  ///< kIntraGroup: range into the pool,
-    std::uint32_t cand_end = 0;    ///< ascending id order.
-  };
-
-  /// Reusable result storage for decide_batch: decisions plus the shared
-  /// candidate pool. clear() keeps capacity, so steady-state batches do
-  /// not allocate.
-  class DecisionBatch {
-   public:
-    void clear() noexcept {
-      decisions_.clear();
-      pool_.clear();
-    }
-    [[nodiscard]] std::size_t size() const noexcept {
-      return decisions_.size();
-    }
-    [[nodiscard]] const BatchDecision& operator[](std::size_t i) const {
-      return decisions_[i];
-    }
-    /// Candidate peers of decision `d`, ascending id order.
-    [[nodiscard]] std::span<const SwitchId> candidates(
-        const BatchDecision& d) const noexcept {
-      return {pool_.data() + d.cand_begin,
-              static_cast<std::size_t>(d.cand_end - d.cand_begin)};
-    }
-
-   private:
-    friend class EdgeSwitch;
-    std::vector<BatchDecision> decisions_;
-    std::vector<SwitchId> pool_;
-    std::vector<std::uint32_t> scratch_;  ///< unresolved packet offsets
-
-    // Batch-wide G-FIB scan memo: open-addressing map from destination
-    // MAC to its candidate range in pool_, so every distinct destination
-    // of a run is scanned exactly once no matter how its packets
-    // interleave — all repeats share the slice (or filter) loads of the
-    // first scan. Rebuilt per decide_batch call (the G-FIB differs per
-    // switch); table storage is reused, so steady state stays
-    // allocation-free.
-    struct MemoEntry {
-      std::uint64_t key;
-      std::uint32_t begin;
-      std::uint32_t end;
-    };
-    std::vector<MemoEntry> memo_entries_;
-    /// Generation-tagged open-addressing slots: (generation << 32) |
-    /// (entry index + 1). A slot from an older generation reads as empty,
-    /// so resetting the memo between decide_batch calls is one counter
-    /// bump instead of a table-wide memset (which showed up as per-packet
-    /// overhead on runs with no repeated destinations).
-    std::vector<std::uint64_t> memo_slots_;
-    std::uint32_t memo_gen_ = 0;
-  };
-
-  /// Decides every packet of `batch` (all ingressing at this switch) and
-  /// APPENDS one BatchDecision per packet to `out` — callers clear() the
-  /// DecisionBatch when starting a new batch. Append semantics let one
-  /// DecisionBatch accumulate the per-switch runs of a mixed-ingress batch
-  /// while every candidate span stays valid. Equivalent to calling
-  /// decide(p, p.created_at, mode) per packet; see the pipeline notes
-  /// above.
-  void decide_batch(std::span<const net::Packet> batch, ControlMode mode,
-                    DecisionBatch& out);
 
   // --- state advertisement counters (per stats window) ---
   /// Per-flow hot-path increment: a flat array indexed by peer id plus a
@@ -231,8 +144,8 @@ class EdgeSwitch {
   SimDuration rule_ttl_;
   std::vector<std::uint64_t> window_flows_;  ///< indexed by peer switch id
   std::vector<SwitchId> window_touched_;     ///< peers with non-zero counts
-  /// Candidate scratch of the single-packet decide(); Decision::candidates
-  /// views it, so decide() performs no allocation after warm-up.
+  /// Candidate scratch of decide(); Decision::candidates views it, so
+  /// decide() performs no allocation after warm-up.
   std::vector<SwitchId> decide_scratch_;
 };
 

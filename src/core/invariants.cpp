@@ -59,8 +59,7 @@ std::string u64s(std::uint64_t v) { return std::to_string(v); }
 /// translation unit.
 class InvariantChecker {
  public:
-  static InvariantReport run(const Network& net,
-                             const InvariantOptions& opts);
+  static InvariantReport run(const Network& net);
 
  private:
   static void check_metrics(const Network& net, Collector& out);
@@ -397,21 +396,16 @@ void InvariantChecker::check_wheels(const Network& net, Collector& out) {
   }
 }
 
-InvariantReport InvariantChecker::run(const Network& net,
-                                      const InvariantOptions& opts) {
+InvariantReport InvariantChecker::run(const Network& net) {
   InvariantReport report;
   Collector out(report);
-  if (opts.metrics) {
-    check_metrics(net, out);
-  }
-  if (opts.state) {
-    check_rules(net, out);
-    check_location_state(net, out);
-    if (net.config_.mode == ControlMode::kLazyCtrl && net.bootstrapped_) {
-      check_gfib(net, out);
-      if (net.config_.failover_enabled) {
-        check_wheels(net, out);
-      }
+  check_metrics(net, out);
+  check_rules(net, out);
+  check_location_state(net, out);
+  if (net.config_.mode == ControlMode::kLazyCtrl && net.bootstrapped_) {
+    check_gfib(net, out);
+    if (net.config_.failover_enabled) {
+      check_wheels(net, out);
     }
   }
   return report;
@@ -426,9 +420,8 @@ std::string InvariantReport::text() const {
   return joined;
 }
 
-InvariantReport check_invariants(const Network& net,
-                                 const InvariantOptions& opts) {
-  return InvariantChecker::run(net, opts);
+InvariantReport check_invariants(const Network& net) {
+  return InvariantChecker::run(net);
 }
 
 }  // namespace lazyctrl::core

@@ -11,18 +11,18 @@
 namespace lazyctrl::core {
 
 // The three X-macro lists below are the SINGLE source of truth for
-// RunMetrics' fields: the declarations, merge_from(), identical_to(),
-// diff_report() and the for_each_* registry enumeration all expand from
-// them, so a field added to a list is automatically merged in fast-mode
-// sharded replay, compared by the determinism gate, named in divergence
-// diffs and enumerable by obs::Registry. A field added by hand instead
-// fails the sizeof static_assert at the bottom of this header.
+// RunMetrics' fields: the declarations, identical_to(), diff_report() and
+// the for_each_* registry enumeration all expand from them, so a field
+// added to a list is automatically compared by the determinism gate,
+// named in divergence diffs and enumerable by obs::Registry. A field
+// added by hand instead fails the sizeof static_assert at the bottom of
+// this header.
 //
 // Declaration-order note: keep series first, counters second,
 // RunningStats last — diff_report reports the FIRST diverging field in
 // this order.
 
-/// TimeBucketSeries fields (merge bucket-wise, identical geometry).
+/// TimeBucketSeries fields.
 #define LAZYCTRL_METRICS_SERIES_FIELDS(X) \
   X(controller_requests)                  \
   X(packet_latency)                       \
@@ -30,7 +30,7 @@ namespace lazyctrl::core {
   X(flow_arrivals)                        \
   X(inter_group_arrivals)
 
-/// Plain uint64_t counters (merge by addition).
+/// Plain uint64_t counters.
 #define LAZYCTRL_METRICS_COUNTER_FIELDS(X) \
   X(flows_seen)                            \
   X(packets_accounted)                     \
@@ -62,7 +62,7 @@ namespace lazyctrl::core {
   X(ctrl_msgs_duped)                       \
   X(reconcile_repairs)
 
-/// RunningStats fields (merge pairwise).
+/// RunningStats fields.
 #define LAZYCTRL_METRICS_STATS_FIELDS(X) \
   X(first_packet_latency_ms)             \
   X(controller_queue_delay_ms)
@@ -135,21 +135,6 @@ struct RunMetrics {
   /// Controller queueing delay per request, milliseconds.
   RunningStats controller_queue_delay_ms;
 
-  /// Accumulates `other` into this record, as if both had been collected
-  /// into one: counters add, time series merge bucket-wise (identical
-  /// geometry required), RunningStats combine pairwise. The sharded
-  /// runtime's fast mode folds each shard's local metrics into the run
-  /// metrics with this at the end of replay.
-  void merge_from(const RunMetrics& other) {
-#define LAZYCTRL_X(f) f.merge_from(other.f);
-    LAZYCTRL_METRICS_SERIES_FIELDS(LAZYCTRL_X)
-    LAZYCTRL_METRICS_STATS_FIELDS(LAZYCTRL_X)
-#undef LAZYCTRL_X
-#define LAZYCTRL_X(f) f += other.f;
-    LAZYCTRL_METRICS_COUNTER_FIELDS(LAZYCTRL_X)
-#undef LAZYCTRL_X
-  }
-
   /// Bit-exact equality of EVERY field — the single definition of the
   /// deterministic sharded-replay acceptance check; the runtime tests and
   /// bench_parallel_scaling's gate both compare through this. When it
@@ -209,14 +194,13 @@ inline constexpr std::size_t kMetricsStatsFields =
 // Field-count lock: every RunMetrics member type is 8-byte aligned, so
 // the struct's size is exactly the sum of its parts — a field declared
 // in the struct but missing from its X-macro list (or vice versa) makes
-// this fail to compile instead of silently under-merging in parallel
-// runs or escaping the determinism gate.
+// this fail to compile instead of silently escaping the determinism gate.
 static_assert(sizeof(RunMetrics) ==
                   detail::kMetricsSeriesFields * sizeof(TimeBucketSeries) +
                       detail::kMetricsCounterFields * sizeof(std::uint64_t) +
                       detail::kMetricsStatsFields * sizeof(RunningStats),
               "RunMetrics field declared outside its X-macro list; add it "
-              "to LAZYCTRL_METRICS_{SERIES,COUNTER,STATS}_FIELDS so merge/"
+              "to LAZYCTRL_METRICS_{SERIES,COUNTER,STATS}_FIELDS so "
               "compare/diff/enumerate all see it");
 
 }  // namespace lazyctrl::core

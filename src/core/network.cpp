@@ -20,8 +20,7 @@ namespace {
 // edge stage is the ingress leg every path shares (host link + switch
 // pipeline); controller-path flows add the round-trip breakdown; the
 // remainder up to e2e is delivery (datapath + egress), derived by the
-// reader rather than stored. Callers gate on flow_attribution_enabled()
-// AND on being coordinator-side (defer == nullptr at decision sites).
+// reader rather than stored. Callers gate on flow_attribution_enabled().
 void record_flow_attribution(
     const workload::Flow& flow, SwitchId src_sw, SwitchId dst_sw,
     obs::FlowPathKind path, const LatencyModel& lat, SimDuration e2e,
@@ -409,8 +408,9 @@ SimDuration Network::controller_round_trip(SimTime now, SwitchId via,
 
 Network::PuntOutcome Network::controller_punt_with_retry(
     std::uint64_t flow_id, SimTime now, SwitchId via,
-    ControllerTripBreakdown* breakdown, RunMetrics& m) {
+    ControllerTripBreakdown* breakdown) {
   const ControllerConfig& ctrl = config_.controller;
+  RunMetrics& m = *metrics_;
   if (ctrl.loss_rate <= 0.0 && ctrl.dup_rate <= 0.0 && ctrl.queue_cap == 0) {
     // Perfect control plane: exactly the plain round trip (bit-identical
     // to the pre-fault-model behaviour).
@@ -516,9 +516,6 @@ void Network::install_reactive_rule(EdgeSwitch& sw, const net::Packet& pkt,
   rule.match.tenant = pkt.tenant;
   rule.match.dst_mac = pkt.dst_mac;
   if (exact_match) rule.match.src_mac = pkt.src_mac;  // OpenFlow baseline
-  if (active_batch_ != nullptr) {
-    active_batch_->installs.push_back(rule.match);
-  }
   if (span_install_log_ != nullptr) {
     (*span_install_log_)[sw.id().value()].push_back(rule.match);
   }
@@ -536,7 +533,8 @@ void Network::install_reactive_rule(EdgeSwitch& sw, const net::Packet& pkt,
 
 void Network::account_flow_latency(const workload::Flow& flow,
                                    SimDuration first_packet,
-                                   SimDuration steady_packet, RunMetrics& m) {
+                                   SimDuration steady_packet) {
+  RunMetrics& m = *metrics_;
   m.first_packet_latency_ms.add(to_milliseconds(first_packet));
   m.packet_latency.add(flow.start, to_milliseconds(first_packet));
   if (flow.packets > 1) {
@@ -581,110 +579,6 @@ void Network::on_flow(const workload::Flow& flow) {
   }
 }
 
-void Network::on_flow_batch(const std::vector<workload::Flow>& flows,
-                            std::size_t begin, std::size_t end) {
-  obs::ScopedTimer timer(obs::TraceEventType::kReplaySpan, flows[begin].start,
-                         end - begin, begin);
-  BatchScratch& b = *batch_;
-  b.packets.clear();
-  b.meta.clear();
-  const std::size_t n = end - begin;
-  const bool lazy = config_.mode == ControlMode::kLazyCtrl;
-
-  // Assemble: build the packet batch in the arena-backed staging buffer and
-  // classify each flow (same bookkeeping as the head of on_flow()).
-  for (std::size_t k = begin; k < end; ++k) {
-    const workload::Flow& flow = flows[k];
-    ++metrics_->flows_seen;
-    metrics_->flow_arrivals.add_event(flow.start);
-    const topo::HostInfo& src = topology_.host_info(flow.src);
-    const topo::HostInfo& dst = topology_.host_info(flow.dst);
-    b.packets.emplace_back(make_flow_packet(src, dst, flow));
-
-    BatchScratch::FlowMeta m{src.attached_switch, dst.attached_switch, false};
-    if (m.src_sw != m.dst_sw) {
-      switches_[m.src_sw.value()]->record_new_flow_to(m.dst_sw);
-    }
-    // Transition-window flows are handled without a decide() in sequential
-    // mode; deciding them here would add TTL-refresh side effects.
-    if (lazy && !host_pair_excluded(flow) &&
-        switches_[m.src_sw.value()]->in_transition(flow.start)) {
-      m.transition_special = true;
-    }
-    b.meta.push_back(m);
-  }
-
-  // Decide and handle run-by-run in global flow order (the controller
-  // queue is order-sensitive). A run is a maximal stretch of consecutive
-  // flows ingressing at the same switch; each run goes through the staged
-  // decide_batch pipeline just before it is handled, so installs from
-  // earlier runs are already visible. Within a run, a precomputed decision
-  // is stale iff a rule installed while handling an earlier flow of the
-  // same run matches the packet (or the flow table is bounded, where any
-  // install can evict) — those are re-decided sequentially.
-  active_batch_ = &b;
-  std::size_t k = 0;
-  while (k < n) {
-    const BatchScratch::FlowMeta& head = b.meta[k];
-    if (head.transition_special) {
-      const bool handled = handle_transition_flow(flows[begin + k],
-                                                  head.src_sw, head.dst_sw,
-                                                  b.packets[k], *metrics_,
-                                                  nullptr);
-      (void)handled;
-      assert(handled && "transition window cannot close mid-batch");
-      ++k;
-      continue;
-    }
-
-    std::size_t run_end = k + 1;
-    while (run_end < n && b.meta[run_end].src_sw == head.src_sw &&
-           !b.meta[run_end].transition_special) {
-      ++run_end;
-    }
-    EdgeSwitch& sw = *switches_[head.src_sw.value()];
-    b.decisions.clear();
-    b.installs.clear();
-    sw.decide_batch(
-        std::span<const net::Packet>(b.packets.data() + k, run_end - k),
-        config_.mode, b.decisions);
-
-    const bool bounded = sw.flow_table().capacity() != 0;
-    for (std::size_t r = k; r < run_end; ++r) {
-      const workload::Flow& flow = flows[begin + r];
-      const BatchScratch::FlowMeta& m = b.meta[r];
-      const net::Packet& pkt = b.packets[r];
-
-      bool stale = false;
-      for (const openflow::Match& match : b.installs) {
-        if (bounded || match.matches(pkt)) {
-          stale = true;
-          break;
-        }
-      }
-
-      DecisionView view;
-      EdgeSwitch::Decision fresh;
-      if (stale) {
-        fresh = sw.decide(pkt, flow.start, config_.mode);
-        view = DecisionView{fresh.kind, fresh.candidates};
-      } else {
-        const EdgeSwitch::BatchDecision& d = b.decisions[r - k];
-        view = DecisionView{d.kind, b.decisions.candidates(d)};
-      }
-      if (config_.mode == ControlMode::kOpenFlow) {
-        process_openflow_decision(flow, m.src_sw, m.dst_sw, pkt, view,
-                                  *metrics_, nullptr);
-      } else {
-        process_lazyctrl_decision(flow, m.src_sw, m.dst_sw, pkt, view,
-                                  *metrics_, nullptr);
-      }
-    }
-    k = run_end;
-  }
-  active_batch_ = nullptr;
-}
-
 void Network::handle_flow_openflow(const workload::Flow& flow,
                                    SwitchId src_sw, SwitchId dst_sw,
                                    const net::Packet& pkt) {
@@ -692,24 +586,19 @@ void Network::handle_flow_openflow(const workload::Flow& flow,
       switches_[src_sw.value()]->decide(pkt, flow.start,
                                         ControlMode::kOpenFlow);
   process_openflow_decision(flow, src_sw, dst_sw, pkt,
-                            DecisionView{d.kind, d.candidates}, *metrics_,
-                            nullptr);
+                            DecisionView{d.kind, d.candidates});
 }
 
 void Network::process_openflow_decision(const workload::Flow& flow,
                                         SwitchId src_sw, SwitchId dst_sw,
                                         const net::Packet& pkt,
-                                        const DecisionView& d, RunMetrics& m,
-                                        ControllerDefer* defer) {
+                                        const DecisionView& d) {
   const SimDuration steady = path_delays().steady(src_sw, dst_sw);
 
   if (d.kind == EdgeSwitch::DecisionKind::kFlowTableHit) {
-    ++m.flows_flow_table_hit;
-    account_flow_latency(flow, steady, steady, m);
-    // Attribution only coordinator-side (defer == nullptr): a fast-mode
-    // worker's shard-local hit flows are not attributed, mirroring the
-    // TraceRecorder coordinator-only threading contract.
-    if (obs::flow_attribution_enabled() && defer == nullptr) {
+    ++metrics_->flows_flow_table_hit;
+    account_flow_latency(flow, steady, steady);
+    if (obs::flow_attribution_enabled()) {
       record_flow_attribution(flow, src_sw, dst_sw,
                               obs::FlowPathKind::kFlowTableHit,
                               config_.latency, steady);
@@ -718,19 +607,13 @@ void Network::process_openflow_decision(const workload::Flow& flow,
   }
   // Every miss is a PacketIn; the controller resolves via C-LIB and
   // installs an exact-match rule (Floodlight learning-switch behaviour).
-  if (defer != nullptr &&
-      defer->defer(flow, src_sw, dst_sw, pkt,
-                   ControllerPathReason::kOpenFlowMiss)) {
-    return;
-  }
   finish_controller_flow(flow, src_sw, dst_sw, pkt,
-                         ControllerPathReason::kOpenFlowMiss, m);
+                         ControllerPathReason::kOpenFlowMiss);
 }
 
 bool Network::handle_transition_flow(const workload::Flow& flow,
                                      SwitchId src_sw, SwitchId dst_sw,
-                                     const net::Packet& pkt, RunMetrics& m,
-                                     ControllerDefer* defer) {
+                                     const net::Packet& pkt) {
   EdgeSwitch& sw = *switches_[src_sw.value()];
   if (host_pair_excluded(flow) || !sw.in_transition(flow.start)) return false;
 
@@ -738,22 +621,17 @@ bool Network::handle_transition_flow(const workload::Flow& flow,
 
   if (config_.grouping.preload_on_update) {
     // Preloaded temporary rule absorbs the transition.
-    ++m.flows_flow_table_hit;
-    account_flow_latency(flow, steady, steady, m);
-    if (obs::flow_attribution_enabled() && defer == nullptr) {
+    ++metrics_->flows_flow_table_hit;
+    account_flow_latency(flow, steady, steady);
+    if (obs::flow_attribution_enabled()) {
       record_flow_attribution(flow, src_sw, dst_sw,
                               obs::FlowPathKind::kFlowTableHit,
                               config_.latency, steady);
     }
     return true;
   }
-  if (defer != nullptr &&
-      defer->defer(flow, src_sw, dst_sw, pkt,
-                   ControllerPathReason::kTransitionPunt)) {
-    return true;
-  }
   finish_controller_flow(flow, src_sw, dst_sw, pkt,
-                         ControllerPathReason::kTransitionPunt, m);
+                         ControllerPathReason::kTransitionPunt);
   return true;
 }
 
@@ -761,46 +639,38 @@ void Network::handle_flow_lazyctrl(const workload::Flow& flow,
                                    SwitchId src_sw, SwitchId dst_sw,
                                    const net::Packet& pkt) {
   // Grouping transition window (appendix B preload).
-  if (handle_transition_flow(flow, src_sw, dst_sw, pkt, *metrics_, nullptr)) {
-    return;
-  }
+  if (handle_transition_flow(flow, src_sw, dst_sw, pkt)) return;
 
   EdgeSwitch::Decision d =
       switches_[src_sw.value()]->decide(pkt, flow.start,
                                         ControlMode::kLazyCtrl);
   process_lazyctrl_decision(flow, src_sw, dst_sw, pkt,
-                            DecisionView{d.kind, d.candidates}, *metrics_,
-                            nullptr);
+                            DecisionView{d.kind, d.candidates});
 }
 
 void Network::process_lazyctrl_decision(const workload::Flow& flow,
                                         SwitchId src_sw, SwitchId dst_sw,
                                         const net::Packet& pkt,
-                                        const DecisionView& d, RunMetrics& m,
-                                        ControllerDefer* defer) {
+                                        const DecisionView& d) {
   const PathDelays paths = path_delays();
   const SimDuration steady = paths.steady(src_sw, dst_sw);
+  RunMetrics& m = *metrics_;
 
   // Appendix B host exclusion: excluded hosts are controller-handled
   // (fine-grained control, with rule caching).
   if (host_pair_excluded(flow) &&
       d.kind != EdgeSwitch::DecisionKind::kFlowTableHit &&
       d.kind != EdgeSwitch::DecisionKind::kLocalDeliver) {
-    if (defer != nullptr &&
-        defer->defer(flow, src_sw, dst_sw, pkt,
-                     ControllerPathReason::kExcludedHosts)) {
-      return;
-    }
     finish_controller_flow(flow, src_sw, dst_sw, pkt,
-                           ControllerPathReason::kExcludedHosts, m);
+                           ControllerPathReason::kExcludedHosts);
     return;
   }
 
-  const bool attr = obs::flow_attribution_enabled() && defer == nullptr;
+  const bool attr = obs::flow_attribution_enabled();
   switch (d.kind) {
     case EdgeSwitch::DecisionKind::kFlowTableHit: {
       ++m.flows_flow_table_hit;
-      account_flow_latency(flow, steady, steady, m);
+      account_flow_latency(flow, steady, steady);
       if (attr) {
         record_flow_attribution(flow, src_sw, dst_sw,
                                 obs::FlowPathKind::kFlowTableHit,
@@ -810,7 +680,7 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
     }
     case EdgeSwitch::DecisionKind::kLocalDeliver: {
       ++m.flows_local_delivery;
-      account_flow_latency(flow, paths.local, paths.local, m);
+      account_flow_latency(flow, paths.local, paths.local);
       if (attr) {
         record_flow_attribution(flow, src_sw, dst_sw,
                                 obs::FlowPathKind::kLocalDeliver,
@@ -828,7 +698,7 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
         const std::uint64_t extras = d.candidates.size() - 1;
         m.bf_false_positive_copies += extras * flow.packets;
         m.bf_misforward_drops += extras * flow.packets;
-        account_flow_latency(flow, paths.cross, paths.cross, m);
+        account_flow_latency(flow, paths.cross, paths.cross);
         if (attr) {
           record_flow_attribution(flow, src_sw, dst_sw,
                                   obs::FlowPathKind::kIntraGroup,
@@ -842,24 +712,14 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
       // controller installs an exact rule and forwards the packet.
       m.bf_false_positive_copies += d.candidates.size();
       m.bf_misforward_drops += d.candidates.size();
-      if (defer != nullptr &&
-          defer->defer(flow, src_sw, dst_sw, pkt,
-                       ControllerPathReason::kPureFalsePositive)) {
-        return;
-      }
       finish_controller_flow(flow, src_sw, dst_sw, pkt,
-                             ControllerPathReason::kPureFalsePositive, m);
+                             ControllerPathReason::kPureFalsePositive);
       return;
     }
     case EdgeSwitch::DecisionKind::kToController: {
       // Inter-group flow: PacketIn, coarse (tenant, dst) rule installed.
-      if (defer != nullptr &&
-          defer->defer(flow, src_sw, dst_sw, pkt,
-                       ControllerPathReason::kInterGroupPunt)) {
-        return;
-      }
       finish_controller_flow(flow, src_sw, dst_sw, pkt,
-                             ControllerPathReason::kInterGroupPunt, m);
+                             ControllerPathReason::kInterGroupPunt);
       return;
     }
   }
@@ -868,8 +728,7 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
 void Network::finish_controller_flow(const workload::Flow& flow,
                                      SwitchId src_sw, SwitchId dst_sw,
                                      const net::Packet& pkt,
-                                     ControllerPathReason reason,
-                                     RunMetrics& m) {
+                                     ControllerPathReason reason) {
   obs::trace_instant(obs::TraceEventType::kFlowPunt, flow.start,
                      static_cast<std::uint64_t>(reason), src_sw.value());
   const SimTime now = flow.start;
@@ -877,9 +736,8 @@ void Network::finish_controller_flow(const workload::Flow& flow,
   const PathDelays paths = path_delays();
   const SimDuration steady = paths.steady(src_sw, dst_sw);
   EdgeSwitch& sw = *switches_[src_sw.value()];
+  RunMetrics& m = *metrics_;
 
-  // finish_controller_flow is always coordinator-side (it touches shared
-  // controller state), so attribution needs no defer gate here.
   const bool attr = obs::flow_attribution_enabled();
   ControllerTripBreakdown bd;
   ControllerTripBreakdown* bdp = attr ? &bd : nullptr;
@@ -894,7 +752,7 @@ void Network::finish_controller_flow(const workload::Flow& flow,
   const SwitchId via = pure_fp ? SwitchId::invalid() : src_sw;
 
   const PuntOutcome out =
-      controller_punt_with_retry(flow.id, now + report_at, via, bdp, m);
+      controller_punt_with_retry(flow.id, now + report_at, via, bdp);
 
   if (!out.delivered) {
     // The punt exhausted every retry. LazyCtrl degrades gracefully: the
@@ -907,7 +765,7 @@ void Network::finish_controller_flow(const workload::Flow& flow,
       m.peer_link_messages += sw.gfib().peer_count();
       const SimDuration first = report_at + out.delay + paths.cross +
                                 lat.datapath + lat.switch_processing;
-      account_flow_latency(flow, first, steady, m);
+      account_flow_latency(flow, first, steady);
       e2e = first;
       path = obs::FlowPathKind::kDegradedFlood;
     } else {
@@ -925,7 +783,7 @@ void Network::finish_controller_flow(const workload::Flow& flow,
   switch (reason) {
     case ControllerPathReason::kOpenFlowMiss: {
       install_reactive_rule(sw, pkt, dst_sw, /*exact_match=*/true, now);
-      account_flow_latency(flow, steady + ctrl, steady, m);
+      account_flow_latency(flow, steady + ctrl, steady);
       e2e = steady + ctrl;
       path = obs::FlowPathKind::kOpenFlowMiss;
       break;
@@ -933,7 +791,7 @@ void Network::finish_controller_flow(const workload::Flow& flow,
     case ControllerPathReason::kTransitionPunt: {
       ++m.transition_punts;
       install_reactive_rule(sw, pkt, dst_sw, /*exact_match=*/false, now);
-      account_flow_latency(flow, steady + ctrl, steady, m);
+      account_flow_latency(flow, steady + ctrl, steady);
       e2e = steady + ctrl;
       path = obs::FlowPathKind::kTransitionPunt;
       break;
@@ -943,7 +801,7 @@ void Network::finish_controller_flow(const workload::Flow& flow,
       install_reactive_rule(sw, pkt, dst_sw, /*exact_match=*/false, now);
       ++m.flows_inter_group;
       m.inter_group_arrivals.add_event(now);
-      account_flow_latency(flow, steady + ctrl, steady, m);
+      account_flow_latency(flow, steady + ctrl, steady);
       e2e = steady + ctrl;
       path = reason == ControllerPathReason::kExcludedHosts
                  ? obs::FlowPathKind::kExcludedHosts
@@ -954,7 +812,7 @@ void Network::finish_controller_flow(const workload::Flow& flow,
       install_reactive_rule(sw, pkt, dst_sw, /*exact_match=*/false, now);
       ++m.flows_inter_group;
       m.inter_group_arrivals.add_event(now);
-      account_flow_latency(flow, report_at + ctrl + lat.datapath, steady, m);
+      account_flow_latency(flow, report_at + ctrl + lat.datapath, steady);
       e2e = report_at + ctrl + lat.datapath;
       path = obs::FlowPathKind::kPureFalsePositive;
       break;
@@ -1330,7 +1188,7 @@ void Network::end_replay(const ReplayTimers& timers) {
 void Network::replay(const workload::Trace& trace) {
   if (config_.runtime.num_shards > 1) {
     // Sharded parallel replay (src/runtime): group-sharded worker threads
-    // under bounded-lag synchronization; see Config.runtime for the modes.
+    // under bounded-lag synchronization, bit-identical to this path.
     runtime::ShardedRuntime sharded(*this);
     sharded.replay(trace);
     return;
@@ -1338,10 +1196,9 @@ void Network::replay(const workload::Trace& trace) {
   const ReplayTimers timers = begin_replay(trace);
 
   // Cursor-driven flow injection (sim::schedule_cursor_chain): one
-  // pending event at a time. With flow_batch_size > 1 each event drains a
-  // whole run of consecutive flows through the batched datapath; the
-  // batch is fenced by the next pending control-plane event so results
-  // match single-flow injection exactly.
+  // pending event at a time, each handling a batch of consecutive flows
+  // fenced by the next pending control-plane event, so results do not
+  // depend on the batch size.
   if (!trace.flows.empty()) {
     sim::schedule_cursor_chain(simulator_, trace.flows.front().start,
                                flow_cursor_step(&trace.flows), &cursor_);
@@ -1354,28 +1211,25 @@ void Network::replay(const workload::Trace& trace) {
 sim::CursorStep Network::flow_cursor_step(
     const std::vector<workload::Flow>* flows) {
   const std::size_t batch_size = config_.batching.flow_batch_size;
-  if (batch_size <= 1) {
-    return [this, flows](std::size_t i)
-        -> std::optional<std::pair<std::size_t, SimTime>> {
-      on_flow((*flows)[i]);
-      if (i + 1 >= flows->size()) return std::nullopt;
-      return {{i + 1, (*flows)[i + 1].start}};
-    };
-  }
-  if (!batch_) batch_ = std::make_unique<BatchScratch>();
   return [this, flows, batch_size](std::size_t i)
       -> std::optional<std::pair<std::size_t, SimTime>> {
     // The event for flow i has already fired, so i is always safe to
     // process. Later flows join the batch only while they start
     // strictly before the next pending event: at a timestamp tie the
-    // sequential datapath would run that event first.
-    const SimTime fence = simulator_.next_event_time();
+    // one-flow-per-event injection would run that event first. Each flow
+    // is decided after every earlier flow's installs, exactly as if it
+    // had its own event.
     const std::size_t cap = std::min(flows->size(), i + batch_size);
     std::size_t batch_end = i + 1;
-    while (batch_end < cap && (*flows)[batch_end].start < fence) {
-      ++batch_end;
+    if (batch_end < cap) {
+      const SimTime fence = simulator_.next_event_time();
+      while (batch_end < cap && (*flows)[batch_end].start < fence) {
+        ++batch_end;
+      }
     }
-    on_flow_batch(*flows, i, batch_end);
+    obs::ScopedTimer timer(obs::TraceEventType::kReplaySpan,
+                           (*flows)[i].start, batch_end - i, i);
+    for (std::size_t k = i; k < batch_end; ++k) on_flow((*flows)[k]);
     if (batch_end >= flows->size()) return std::nullopt;
     return {{batch_end, (*flows)[batch_end].start}};
   };
@@ -1581,11 +1435,8 @@ void Network::register_stats(obs::Registry& r) {
   // Sharded-runtime span stats (all zero until a sharded replay ran).
   r.counter("runtime.spans", &runtime_obs_.spans);
   r.counter("runtime.flows", &runtime_obs_.flows);
-  r.counter("runtime.deferred_flows", &runtime_obs_.deferred_flows);
-  r.counter("runtime.drain_hits", &runtime_obs_.drain_hits);
   r.counter("runtime.redecided_flows", &runtime_obs_.redecided_flows);
   r.counter("runtime.repartitions", &runtime_obs_.repartitions);
-  r.counter("runtime.mailbox_high_water", &runtime_obs_.mailbox_high_water);
 
   // Wall-clock phase totals from the trace recorder (zero when tracing
   // was off for the run).

@@ -31,7 +31,7 @@
 #include "dgm/maintainer.h"
 #include "dgm/traffic_monitor.h"
 #include "graph/weighted_graph.h"
-#include "net/packet_arena.h"
+#include "net/packet.h"
 #include "openflow/flow_table.h"
 #include "sim/simulator.h"
 #include "topo/topology.h"
@@ -51,7 +51,6 @@ class Registry;
 
 namespace lazyctrl::core {
 
-struct InvariantOptions;
 struct InvariantReport;
 class InvariantChecker;
 
@@ -73,8 +72,8 @@ class Network : private dgm::GroupingHost {
   /// Replays a trace to its horizon, driving flow setup, state reports and
   /// (when enabled) dynamic regrouping. May be called once per Network.
   /// With config.runtime.num_shards > 1 the replay is delegated to the
-  /// sharded parallel runtime (src/runtime); in its deterministic mode the
-  /// resulting metrics are bit-identical to the single-threaded path.
+  /// sharded parallel runtime (src/runtime), whose metrics are
+  /// bit-identical to the single-threaded path.
   void replay(const workload::Trace& trace);
 
   /// Where a checkpointed flow-cursor chain should pick up again; built
@@ -108,9 +107,9 @@ class Network : private dgm::GroupingHost {
 
   /// Assembles the first data packet of `flow` from its resolved endpoint
   /// records — the single definition of the flow -> packet mapping. The
-  /// per-flow datapath, the batched assembly and the sharded runtime's
-  /// workers all build packets through this helper, so the deterministic
-  /// mode's bit-identity contract cannot drift field by field.
+  /// per-flow datapath and the sharded runtime's workers both build
+  /// packets through this helper, so the sharded replay's bit-identity
+  /// contract cannot drift field by field.
   [[nodiscard]] static net::Packet make_flow_packet(
       const topo::HostInfo& src, const topo::HostInfo& dst,
       const workload::Flow& flow) noexcept;
@@ -176,11 +175,8 @@ class Network : private dgm::GroupingHost {
     bool valid = false;
     std::uint64_t spans = 0;            ///< bounded-lag window spans
     std::uint64_t flows = 0;            ///< flows through the shard path
-    std::uint64_t deferred_flows = 0;   ///< controller-path deferrals
-    std::uint64_t drain_hits = 0;       ///< fast-mode mailbox drains
     std::uint64_t redecided_flows = 0;  ///< stale-decision replays
     std::uint64_t repartitions = 0;     ///< grouping-epoch repartitions
-    std::uint64_t mailbox_high_water = 0;  ///< max per-shard drain backlog
   };
   [[nodiscard]] const RuntimeObsStats& runtime_obs() const noexcept {
     return runtime_obs_;
@@ -285,9 +281,8 @@ class Network : private dgm::GroupingHost {
 
  private:
   /// The sharded parallel replay runtime drives the datapath through the
-  /// private seams below (begin/end_replay, the decision processors with
-  /// an explicit metrics sink, the controller-deferral hook and the span
-  /// install log) instead of a wide public surface.
+  /// private seams below (begin/end_replay, the decision processors and
+  /// the span install log) instead of a wide public surface.
   friend class lazyctrl::runtime::ShardedRuntime;
 
   /// The read-only conservation-invariant checker (core/invariants.h)
@@ -313,7 +308,7 @@ class Network : private dgm::GroupingHost {
     }
   };
   /// The ONE definition of the data-plane path delays every flow-handling
-  /// site (sequential, batched, sharded drain, cold cache) prices from.
+  /// site (replay datapath, cold cache) prices from.
   [[nodiscard]] PathDelays path_delays() const noexcept {
     const LatencyModel& lat = config_.latency;
     return {2 * lat.host_link + lat.switch_processing,
@@ -321,7 +316,8 @@ class Network : private dgm::GroupingHost {
   }
 
   /// A forwarding decision seen by the shared processing code: either a
-  /// single decide() result or one slot of a DecisionBatch.
+  /// live decide() result or a sharded worker's pre-decision (whose
+  /// candidates live in the shard's pool).
   struct DecisionView {
     EdgeSwitch::DecisionKind kind;
     std::span<const SwitchId> candidates;  ///< kIntraGroup only
@@ -329,27 +325,13 @@ class Network : private dgm::GroupingHost {
 
   /// Why a flow needs the central controller. The decision processors
   /// classify; finish_controller_flow() executes (round trip, reactive
-  /// rule, accounting). The split is the shard-boundary seam: a sharded
-  /// fast-mode worker defers the (reason-tagged) flow to the coordinator
-  /// instead of touching shared controller state.
+  /// rule, accounting).
   enum class ControllerPathReason : std::uint8_t {
     kOpenFlowMiss,       ///< baseline table miss -> exact-match rule
     kTransitionPunt,     ///< grouping transition window without preload
     kExcludedHosts,      ///< appendix-B excluded host pair
     kPureFalsePositive,  ///< G-FIB matched but dst outside the group
     kInterGroupPunt,     ///< Fig. 5 miss everywhere -> PacketIn
-  };
-
-  /// Deferral hook: when non-null and defer() returns true, the
-  /// controller path is NOT executed inline — the implementer owns
-  /// finishing the flow later (on the coordinator, in flow order).
-  struct ControllerDefer {
-    virtual bool defer(const workload::Flow& flow, SwitchId src_sw,
-                       SwitchId dst_sw, const net::Packet& pkt,
-                       ControllerPathReason reason) = 0;
-
-   protected:
-    ~ControllerDefer() = default;
   };
 
   /// Pending-timer handles of one replay, returned by begin_replay() and
@@ -368,52 +350,36 @@ class Network : private dgm::GroupingHost {
   ReplayTimers begin_replay(const workload::Trace& trace);
   void end_replay(const ReplayTimers& timers);
 
-  /// The flow-injection cursor step of the single-threaded replay
-  /// (per-flow or batched, per config.batching.flow_batch_size). Shared
-  /// by replay() and the checkpoint-resume path so both drive the exact
-  /// same datapath. `flows` must outlive the chain.
+  /// The flow-injection cursor step of the single-threaded replay: one
+  /// simulator event handles up to config.batching.flow_batch_size
+  /// consecutive flows through on_flow(), fenced by the next pending
+  /// event (a batch of one is just a batch). Shared by replay() and the
+  /// checkpoint-resume path so both drive the exact same datapath.
+  /// `flows` must outlive the chain.
   [[nodiscard]] sim::CursorStep flow_cursor_step(
       const std::vector<workload::Flow>* flows);
 
+  /// The per-flow datapath: ingress bookkeeping, decide(), handling.
   void on_flow(const workload::Flow& flow);
-  /// Batched datapath: handles trace flows [begin, end) inside ONE
-  /// simulator event. Per-switch decide_batch runs precompute decisions;
-  /// handling then replays them in global flow order (the controller
-  /// queue is order-sensitive), re-deciding the rare packet whose switch
-  /// installed a matching rule earlier in the same batch. Produces
-  /// decisions and metrics identical to per-flow on_flow() calls.
-  void on_flow_batch(const std::vector<workload::Flow>& flows,
-                     std::size_t begin, std::size_t end);
   void handle_flow_lazyctrl(const workload::Flow& flow, SwitchId src_sw,
                             SwitchId dst_sw, const net::Packet& pkt);
   void handle_flow_openflow(const workload::Flow& flow, SwitchId src_sw,
                             SwitchId dst_sw, const net::Packet& pkt);
-  // The decision processors take an explicit metrics sink `m` (the run
-  // metrics on the sequential path, a shard-local RunMetrics inside a
-  // fast-mode worker) and an optional controller-deferral hook. Any state
-  // they touch beyond `m` belongs to the ingress switch, which is owned
-  // by exactly one shard — the invariant making the parallel fast path
-  // race-free.
   /// The appendix-B transition-window pre-decide path. Returns true when
-  /// the flow was fully handled (preload hit, transition punt or punt
-  /// deferral).
+  /// the flow was fully handled (preload hit or transition punt).
   bool handle_transition_flow(const workload::Flow& flow, SwitchId src_sw,
-                              SwitchId dst_sw, const net::Packet& pkt,
-                              RunMetrics& m, ControllerDefer* defer);
+                              SwitchId dst_sw, const net::Packet& pkt);
   void process_openflow_decision(const workload::Flow& flow, SwitchId src_sw,
                                  SwitchId dst_sw, const net::Packet& pkt,
-                                 const DecisionView& d, RunMetrics& m,
-                                 ControllerDefer* defer);
+                                 const DecisionView& d);
   void process_lazyctrl_decision(const workload::Flow& flow, SwitchId src_sw,
                                  SwitchId dst_sw, const net::Packet& pkt,
-                                 const DecisionView& d, RunMetrics& m,
-                                 ControllerDefer* defer);
+                                 const DecisionView& d);
   /// Executes the controller path for a `reason`-classified flow:
   /// PacketIn round trip, reactive rule install, metric accounting.
-  /// Coordinator-thread only (touches CentralController state).
   void finish_controller_flow(const workload::Flow& flow, SwitchId src_sw,
                               SwitchId dst_sw, const net::Packet& pkt,
-                              ControllerPathReason reason, RunMetrics& m);
+                              ControllerPathReason reason);
   [[nodiscard]] bool host_pair_excluded(const workload::Flow& flow) const {
     return !excluded_hosts_.empty() &&
            (excluded_hosts_.contains(flow.src.value()) ||
@@ -451,8 +417,7 @@ class Network : private dgm::GroupingHost {
   /// attempt, so the conservation identities are unchanged by faults.
   PuntOutcome controller_punt_with_retry(std::uint64_t flow_id, SimTime now,
                                          SwitchId via,
-                                         ControllerTripBreakdown* breakdown,
-                                         RunMetrics& m);
+                                         ControllerTripBreakdown* breakdown);
 
   /// Installs the coarse inter-group rule (LazyCtrl) or the exact-match
   /// rule (OpenFlow) for a resolved flow.
@@ -461,7 +426,7 @@ class Network : private dgm::GroupingHost {
 
   void account_flow_latency(const workload::Flow& flow,
                             SimDuration first_packet,
-                            SimDuration steady_packet, RunMetrics& m);
+                            SimDuration steady_packet);
 
   /// Installs `grouping` (compacted) and rebuilds designated switches,
   /// G-FIBs and transition windows for every group whose member set
@@ -546,38 +511,16 @@ class Network : private dgm::GroupingHost {
   /// read by the snapshot codec to classify pending periodic events.
   ReplayTimers replay_timers_;
 
-  /// Live position of the flow-injection cursor chain (sequential,
-  /// batched and sharded replays all publish through it), so a snapshot
-  /// can describe — and a restore re-create — the chain's single pending
+  /// Live position of the flow-injection cursor chain (sequential and
+  /// sharded replays both publish through it), so a snapshot can
+  /// describe — and a restore re-create — the chain's single pending
   /// event.
   sim::CursorTracker cursor_;
 
-  /// Reusable zero-allocation working set of the batched datapath
-  /// (allocated once when replay() runs with flow_batch_size > 1).
-  struct BatchScratch {
-    struct FlowMeta {
-      SwitchId src_sw;
-      SwitchId dst_sw;
-      bool transition_special = false;  ///< handled without a decide()
-    };
-    net::PacketBatch packets;    ///< one packet per batch flow
-    std::vector<FlowMeta> meta;  ///< parallel to `packets`
-    EdgeSwitch::DecisionBatch decisions;  ///< one same-switch run at a time
-    /// Rules installed while handling the current run: any later packet of
-    /// the run matching one is re-decided (its precomputed decision is
-    /// stale), mirroring the sequential install/decide interleaving.
-    std::vector<openflow::Match> installs;
-  };
-  std::unique_ptr<BatchScratch> batch_;
-  /// Non-null while on_flow_batch() handles decisions: install_reactive_rule
-  /// records installs here for the staleness check.
-  BatchScratch* active_batch_ = nullptr;
-
   /// Non-null while the sharded runtime merges a window span: installs are
   /// recorded per ingress switch (outer index = switch id) so the merge
-  /// can re-decide any later packet of the span they cover — the
-  /// cross-run generalization of the BatchScratch::installs staleness
-  /// check.
+  /// can re-decide any later packet of the span whose worker pre-decision
+  /// an install made stale.
   std::vector<std::vector<openflow::Match>>* span_install_log_ = nullptr;
 
   /// Bumped by every apply_grouping(); the sharded runtime re-partitions

@@ -31,9 +31,8 @@
 // by default; the entire disabled cost at every emission site is one
 // relaxed load + predicted branch; enable() does all allocation;
 // recording never allocates and never touches simulation state.
-// Coordinator-thread only — fast-mode worker shards skip attribution
-// for their shard-local flows (controller-path flows still attribute at
-// the coordinator drain).
+// Coordinator-thread only — every flow is handled (and attributed) on
+// the coordinator; sharded workers only pre-decide.
 #pragma once
 
 #include <array>

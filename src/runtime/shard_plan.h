@@ -2,9 +2,8 @@
 //
 // Edge groups are the paper's unit of traffic locality, so they are the
 // unit of parallelism too: a plan never splits a group across shards —
-// every switch of a group decides (and, in fast mode, handles) its flows
-// on the same worker, which keeps designated-switch and G-FIB state
-// single-owner. Groups are packed onto shards with a greedy longest-
+// every switch of a group pre-decides its flows on the same worker, which
+// keeps designated-switch and G-FIB state single-owner. Groups are packed onto shards with a greedy longest-
 // processing-time heuristic weighted by member count; when the network is
 // ungrouped (OpenFlow baseline, or LazyCtrl before bootstrap), switches
 // are split into contiguous, equal ranges instead.

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
-#include <memory>
 #include <span>
 
-#include "obs/flow_latency.h"
 #include "obs/trace.h"
 #include "topo/topology.h"
 
@@ -30,36 +27,12 @@ net::Packet make_packet(const topo::Topology& topo,
 
 }  // namespace
 
-/// Fast-mode shard-boundary crossing: a worker classifying a flow as
-/// controller-bound parks the packet in its shard's arena and enqueues it
-/// for the coordinator instead of touching shared controller state.
-struct ShardedRuntime::DeferSink : core::Network::ControllerDefer {
-  Shard* shard = nullptr;
-
-  bool defer(const workload::Flow& /*flow*/, SwitchId /*src_sw*/,
-             SwitchId /*dst_sw*/, const net::Packet& pkt,
-             core::Network::ControllerPathReason reason) override {
-    net::Packet* retained = shard->arena.check_out(pkt);
-    const bool pushed = shard->mailbox.push(DeferredFlow{
-        shard->current_offset, static_cast<std::uint8_t>(reason), retained});
-    (void)pushed;
-    assert(pushed && "mailbox is sized to the span length up front");
-    return true;
-  }
-};
-
 ShardedRuntime::ShardedRuntime(core::Network& net)
     : net_(net),
       plan_(net.topology().switch_count(), net.controller().grouping(),
-            std::max<std::size_t>(net.config().runtime.num_shards, 1)) {
+            std::max<std::size_t>(net.config().runtime.num_shards, 1)),
+      shards_(plan_.shard_count()) {
   plan_epoch_ = net_.grouping_epoch_;
-  shards_.reserve(plan_.shard_count());
-  for (std::size_t s = 0; s < plan_.shard_count(); ++s) {
-    // Decorrelated per-shard randomness, all derived from the one master
-    // seed: parallel runs stay reproducible from Config.seed alone.
-    shards_.push_back(
-        std::make_unique<Shard>(Rng::stream(net_.config_.seed, s + 1)));
-  }
 }
 
 ShardedRuntime::~ShardedRuntime() { stop_workers(); }
@@ -95,7 +68,7 @@ void ShardedRuntime::stop_workers() {
 }
 
 void ShardedRuntime::worker_main(std::size_t shard_idx) {
-  Shard& shard = *shards_[shard_idx];
+  Shard& shard = shards_[shard_idx];
   std::uint64_t seen = 0;
   for (;;) {
     {
@@ -105,11 +78,7 @@ void ShardedRuntime::worker_main(std::size_t shard_idx) {
       if (shutdown_) return;
       seen = span_seq_;
     }
-    if (fast_) {
-      run_shard_fast(shard);
-    } else {
-      run_shard_deterministic(shard);
-    }
+    run_shard(shard);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (++done_count_ == workers_.size()) done_cv_.notify_one();
@@ -122,7 +91,6 @@ void ShardedRuntime::replay(const workload::Trace& trace) {
   replayed_ = true;
 
   const core::Config& cfg = net_.config_;
-  fast_ = cfg.runtime.mode == core::RuntimeMode::kFast;
   // Conservative bounded-lag default: the minimum cross-shard control
   // round trip. No flow's control-plane side effect can land back at a
   // switch sooner, so deferring cross-shard visibility within the window
@@ -134,11 +102,6 @@ void ShardedRuntime::replay(const workload::Trace& trace) {
 
   const core::Network::ReplayTimers timers = net_.begin_replay(trace);
   refresh_plan();
-  if (fast_) {
-    for (auto& shard : shards_) {
-      shard->metrics = std::make_unique<core::RunMetrics>(trace.horizon);
-    }
-  }
   spawn_workers();
 
   // Cursor-driven span injection (sim::schedule_cursor_chain), mirroring
@@ -162,9 +125,6 @@ void ShardedRuntime::resume(const workload::Trace& trace,
   replayed_ = true;
 
   const core::Config& cfg = net_.config_;
-  fast_ = cfg.runtime.mode == core::RuntimeMode::kFast;
-  assert(!fast_ &&
-         "checkpoint resume is deterministic-mode only (gated upstream)");
   sync_window_ = cfg.runtime.sync_window > 0
                      ? cfg.runtime.sync_window
                      : 2 * cfg.latency.control_link +
@@ -208,20 +168,11 @@ void ShardedRuntime::run_to_horizon(
   net_.end_replay(timers);
   stop_workers();
 
-  if (fast_) {
-    // Fold shard-local outcomes into the run metrics (fixed shard order:
-    // the merge itself is deterministic).
-    for (auto& shard : shards_) {
-      net_.metrics_->merge_from(*shard->metrics);
-    }
-  }
-
   // Copy stats into the Network before this (ephemeral) runtime dies, so
   // obs::Registry gauges registered on the network keep reading them.
   net_.runtime_obs_ = core::Network::RuntimeObsStats{
-      true,           stats_.spans,           stats_.flows,
-      stats_.deferred_flows, stats_.drain_hits, stats_.redecided_flows,
-      stats_.repartitions,   stats_.mailbox_high_water};
+      true, stats_.spans, stats_.flows, stats_.redecided_flows,
+      stats_.repartitions};
 }
 
 void ShardedRuntime::process_span(const std::vector<workload::Flow>& flows,
@@ -237,15 +188,15 @@ void ShardedRuntime::process_span(const std::vector<workload::Flow>& flows,
   dst_sw_.resize(n);
   shard_of_flow_.resize(n);
   pos_.resize(n);
-  for (auto& shard : shards_) shard->offsets.clear();
+  for (Shard& shard : shards_) shard.offsets.clear();
 
   const bool lazy = net_.config_.mode == core::ControlMode::kLazyCtrl;
 
   // Meta pass (coordinator): per-flow ingress bookkeeping in global flow
-  // order — exactly the assembly half of the sequential batched datapath —
-  // plus the shard assignment of every decidable flow. Transition-window
-  // flows are handled without a decide() in sequential mode, so they stay
-  // with the coordinator (kUnassigned).
+  // order — exactly the head of the sequential Network::on_flow — plus
+  // the shard assignment of every decidable flow. Transition-window flows
+  // are handled without a decide() in sequential mode, so they stay with
+  // the coordinator (kUnassigned).
   for (std::size_t k = 0; k < n; ++k) {
     const workload::Flow& flow = flows[begin + k];
     ++net_.metrics_->flows_seen;
@@ -264,29 +215,11 @@ void ShardedRuntime::process_span(const std::vector<workload::Flow>& flows,
         net_.switches_[src_sw_[k].value()]->in_transition(flow.start);
     if (transition_special) {
       pos_[k] = kUnassigned;
-      if (fast_) {
-        // Fast mode finishes transition flows right here (workers are not
-        // running yet, so the install of a transition punt is ordered
-        // before every parallel decide of this span).
-        const net::Packet pkt = make_packet(net_.topology_, flow);
-        const bool handled = net_.handle_transition_flow(
-            flow, src_sw_[k], dst_sw_[k], pkt, *net_.metrics_, nullptr);
-        (void)handled;
-        assert(handled && "transition window cannot close mid-span");
-      }
       continue;
     }
-    Shard& shard = *shards_[shard_of_flow_[k]];
+    Shard& shard = shards_[shard_of_flow_[k]];
     pos_[k] = static_cast<std::uint32_t>(shard.offsets.size());
     shard.offsets.push_back(static_cast<std::uint32_t>(k));
-  }
-
-  if (fast_) {
-    for (auto& shard : shards_) {
-      if (shard->mailbox.capacity() < shard->offsets.size()) {
-        shard->mailbox.reserve(shard->offsets.size());
-      }
-    }
   }
 
   // Parallel phase: publish the span and run the barrier.
@@ -306,88 +239,49 @@ void ShardedRuntime::process_span(const std::vector<workload::Flow>& flows,
     done_cv_.wait(lock, [this] { return done_count_ == workers_.size(); });
   }
 
-  if (fast_) {
-    drain_fast(flows, begin);
-  } else {
-    merge_deterministic(flows, begin, end);
-  }
+  merge(flows, begin, end);
 }
 
-void ShardedRuntime::run_shard_deterministic(Shard& shard) {
+void ShardedRuntime::run_shard(Shard& shard) {
   shard.packets.clear();
   shard.decisions.clear();
+  shard.candidates.clear();
   const std::vector<workload::Flow>& flows = *span_flows_;
   const core::ControlMode mode = net_.config_.mode;
-  const std::vector<std::uint32_t>& offs = shard.offsets;
 
-  // Maximal stretches of same-ingress flows go through the staged
-  // decide_batch pipeline; packets land contiguously in the shard batch,
-  // so decision i always describes packet i.
-  std::size_t i = 0;
-  while (i < offs.size()) {
-    const SwitchId sw_id = src_sw_[offs[i]];
-    std::size_t j = i + 1;
-    while (j < offs.size() && src_sw_[offs[j]] == sw_id) ++j;
-    for (std::size_t t = i; t < j; ++t) {
-      shard.packets.emplace_back(
-          make_packet(net_.topology_, flows[span_begin_ + offs[t]]));
+  // Owned flows are decided in span order, so every switch sees its flows
+  // in the sequential order (TTL refreshes and lazy expiry included); the
+  // one thing a pre-decision cannot see is an install made while merging
+  // an earlier flow of this span, which the merge repairs. decide()'s
+  // candidate view is overwritten by the next call, so candidates are
+  // copied into the shard's pool.
+  for (const std::uint32_t k : shard.offsets) {
+    const workload::Flow& flow = flows[span_begin_ + k];
+    const net::Packet& pkt =
+        shard.packets.emplace_back(make_packet(net_.topology_, flow));
+    core::EdgeSwitch& sw = *net_.switches_[src_sw_[k].value()];
+    if (sw.flow_table().capacity() != 0) {
+      // Not pre-decided: a bounded table evicts by its exact size at each
+      // install, and a lookup here would already sweep rules that expire
+      // later in the span, before the merge installs at earlier times.
+      // The merge decides these flows itself.
+      shard.decisions.push_back(
+          {core::EdgeSwitch::DecisionKind::kToController, 0, 0});
+      continue;
     }
-    net_.switches_[sw_id.value()]->decide_batch(
-        std::span<const net::Packet>(shard.packets.data() + i, j - i), mode,
-        shard.decisions);
-    i = j;
+    const core::EdgeSwitch::Decision d = sw.decide(pkt, flow.start, mode);
+    const auto cand_begin =
+        static_cast<std::uint32_t>(shard.candidates.size());
+    shard.candidates.insert(shard.candidates.end(), d.candidates.begin(),
+                            d.candidates.end());
+    shard.decisions.push_back(
+        {d.kind, cand_begin,
+         static_cast<std::uint32_t>(shard.candidates.size())});
   }
 }
 
-void ShardedRuntime::run_shard_fast(Shard& shard) {
-  shard.packets.clear();
-  const std::vector<workload::Flow>& flows = *span_flows_;
-  const core::ControlMode mode = net_.config_.mode;
-  const bool openflow = mode == core::ControlMode::kOpenFlow;
-  const std::vector<std::uint32_t>& offs = shard.offsets;
-  DeferSink sink;
-  sink.shard = &shard;
-
-  std::size_t i = 0;
-  while (i < offs.size()) {
-    const SwitchId sw_id = src_sw_[offs[i]];
-    std::size_t j = i + 1;
-    while (j < offs.size() && src_sw_[offs[j]] == sw_id) ++j;
-    for (std::size_t t = i; t < j; ++t) {
-      shard.packets.emplace_back(
-          make_packet(net_.topology_, flows[span_begin_ + offs[t]]));
-    }
-    shard.decisions.clear();
-    net_.switches_[sw_id.value()]->decide_batch(
-        std::span<const net::Packet>(shard.packets.data() + i, j - i), mode,
-        shard.decisions);
-
-    // Handle the stretch in place: local outcomes into the shard metrics,
-    // controller-bound flows through the deferral sink.
-    for (std::size_t t = i; t < j; ++t) {
-      const std::uint32_t k = offs[t];
-      const workload::Flow& flow = flows[span_begin_ + k];
-      shard.current_offset = k;
-      const core::EdgeSwitch::BatchDecision& d = shard.decisions[t - i];
-      const core::Network::DecisionView view{d.kind,
-                                             shard.decisions.candidates(d)};
-      if (openflow) {
-        net_.process_openflow_decision(flow, src_sw_[k], dst_sw_[k],
-                                       shard.packets[t], view,
-                                       *shard.metrics, &sink);
-      } else {
-        net_.process_lazyctrl_decision(flow, src_sw_[k], dst_sw_[k],
-                                       shard.packets[t], view,
-                                       *shard.metrics, &sink);
-      }
-    }
-    i = j;
-  }
-}
-
-void ShardedRuntime::merge_deterministic(
-    const std::vector<workload::Flow>& flows, std::size_t begin,
-    std::size_t end) {
+void ShardedRuntime::merge(const std::vector<workload::Flow>& flows,
+                           std::size_t begin, std::size_t end) {
   const std::size_t n = end - begin;
   const bool openflow = net_.config_.mode == core::ControlMode::kOpenFlow;
   if (install_log_.size() < net_.switches_.size()) {
@@ -399,34 +293,32 @@ void ShardedRuntime::merge_deterministic(
     const workload::Flow& flow = flows[begin + k];
     if (pos_[k] == kUnassigned) {
       const net::Packet pkt = make_packet(net_.topology_, flow);
-      const bool handled = net_.handle_transition_flow(
-          flow, src_sw_[k], dst_sw_[k], pkt, *net_.metrics_, nullptr);
+      const bool handled =
+          net_.handle_transition_flow(flow, src_sw_[k], dst_sw_[k], pkt);
       (void)handled;
       assert(handled && "transition window cannot close mid-span");
       continue;
     }
 
-    Shard& shard = *shards_[shard_of_flow_[k]];
+    const Shard& shard = shards_[shard_of_flow_[k]];
     const net::Packet& pkt = shard.packets[pos_[k]];
     core::EdgeSwitch& sw = *net_.switches_[src_sw_[k].value()];
 
     // Staleness: a rule installed while finishing an EARLIER flow of this
     // span at the same ingress switch invalidates the pre-decide (the
-    // sequential interleaving would have decided after the install; with
-    // a bounded table any install can additionally evict). Re-decide those
-    // sequentially — the cross-run generalization of the batched
-    // datapath's in-run install check. The scan is capped: once a switch
-    // has accumulated many span installs, every later packet there is
-    // treated as stale outright (the re-decide fallback is always exact),
-    // which bounds the check at O(span x kMaxInstallScan) instead of
-    // going quadratic on controller-heavy single-switch bursts.
+    // sequential interleaving would have decided after the install).
+    // Re-decide those sequentially, as well as every flow at a bounded
+    // table (never pre-decided, see run_shard). The scan is capped: once a
+    // switch has accumulated many span installs, every later packet there
+    // is treated as stale outright (the re-decide fallback is always
+    // exact), which bounds the check at O(span x kMaxInstallScan) instead
+    // of going quadratic on controller-heavy single-switch bursts.
     constexpr std::size_t kMaxInstallScan = 64;
-    bool stale = false;
+    bool stale = sw.flow_table().capacity() != 0;
     const std::vector<openflow::Match>& installs =
         install_log_[src_sw_[k].value()];
-    if (!installs.empty()) {
-      if (sw.flow_table().capacity() != 0 ||
-          installs.size() > kMaxInstallScan) {
+    if (!stale && !installs.empty()) {
+      if (installs.size() > kMaxInstallScan) {
         stale = true;
       } else {
         for (const openflow::Match& match : installs) {
@@ -439,22 +331,21 @@ void ShardedRuntime::merge_deterministic(
     }
 
     core::Network::DecisionView view;
-    core::EdgeSwitch::Decision fresh;
     if (stale) {
       ++stats_.redecided_flows;
-      fresh = sw.decide(pkt, flow.start, net_.config_.mode);
+      const core::EdgeSwitch::Decision fresh =
+          sw.decide(pkt, flow.start, net_.config_.mode);
       view = core::Network::DecisionView{fresh.kind, fresh.candidates};
     } else {
-      const core::EdgeSwitch::BatchDecision& d = shard.decisions[pos_[k]];
-      view = core::Network::DecisionView{d.kind,
-                                         shard.decisions.candidates(d)};
+      const PreDecision& d = shard.decisions[pos_[k]];
+      view = core::Network::DecisionView{
+          d.kind, std::span<const SwitchId>(shard.candidates)
+                      .subspan(d.cand_begin, d.cand_end - d.cand_begin)};
     }
     if (openflow) {
-      net_.process_openflow_decision(flow, src_sw_[k], dst_sw_[k], pkt, view,
-                                     *net_.metrics_, nullptr);
+      net_.process_openflow_decision(flow, src_sw_[k], dst_sw_[k], pkt, view);
     } else {
-      net_.process_lazyctrl_decision(flow, src_sw_[k], dst_sw_[k], pkt, view,
-                                     *net_.metrics_, nullptr);
+      net_.process_lazyctrl_decision(flow, src_sw_[k], dst_sw_[k], pkt, view);
     }
   }
 
@@ -464,67 +355,6 @@ void ShardedRuntime::merge_deterministic(
     install_log_[src_sw_[k].value()].clear();
   }
   net_.span_install_log_ = nullptr;
-}
-
-void ShardedRuntime::drain_fast(const std::vector<workload::Flow>& flows,
-                                std::size_t begin) {
-  drained_.clear();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    DeferredFlow entry;
-    std::uint64_t from_this_shard = 0;
-    while (shards_[s]->mailbox.pop(entry)) {
-      drained_.emplace_back(static_cast<std::uint32_t>(s), entry);
-      ++from_this_shard;
-    }
-    stats_.mailbox_high_water =
-        std::max(stats_.mailbox_high_water, from_this_shard);
-  }
-  if (drained_.empty()) return;
-  // Each mailbox is FIFO in flow order already; restoring GLOBAL flow
-  // order across shards is one sort on the span offset (unique per flow).
-  std::sort(drained_.begin(), drained_.end(),
-            [](const auto& a, const auto& b) {
-              return a.second.offset < b.second.offset;
-            });
-  stats_.deferred_flows += drained_.size();
-
-  const core::Network::PathDelays paths = net_.path_delays();
-
-  for (const auto& [shard_idx, entry] : drained_) {
-    const std::uint32_t k = entry.offset;
-    const workload::Flow& flow = flows[begin + k];
-    core::EdgeSwitch& sw = *net_.switches_[src_sw_[k].value()];
-    // A rule installed finishing an earlier deferred flow of this span can
-    // already cover this packet — count it as the flow-table hit the
-    // sequential interleaving would have produced instead of double-
-    // charging the controller.
-    if (sw.flow_table().lookup(*entry.pkt, flow.start) != nullptr) {
-      ++stats_.drain_hits;
-      ++net_.metrics_->flows_flow_table_hit;
-      const SimDuration steady = paths.steady(src_sw_[k], dst_sw_[k]);
-      net_.account_flow_latency(flow, steady, steady, *net_.metrics_);
-      // Coordinator-side hit: attribute like any other flow-table hit
-      // (the else branch records inside finish_controller_flow).
-      if (obs::flow_attribution_enabled()) {
-        obs::FlowRecord rec;
-        rec.flow_id = flow.id;
-        rec.start = flow.start;
-        rec.src_sw = src_sw_[k].value();
-        rec.dst_sw = dst_sw_[k].value();
-        rec.path = obs::FlowPathKind::kFlowTableHit;
-        rec.stages.edge = net_.config().latency.host_link +
-                          net_.config().latency.switch_processing;
-        rec.stages.e2e = steady;
-        obs::flow_recorder().record(rec);
-      }
-    } else {
-      net_.finish_controller_flow(
-          flow, src_sw_[k], dst_sw_[k], *entry.pkt,
-          static_cast<core::Network::ControllerPathReason>(entry.reason),
-          *net_.metrics_);
-    }
-    shards_[shard_idx]->arena.check_in(entry.pkt);
-  }
 }
 
 }  // namespace lazyctrl::runtime

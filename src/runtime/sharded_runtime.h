@@ -8,28 +8,19 @@
 // trace flows fenced by the next pending control-plane event
 // (Simulator::next_event_time()) and by the sync window derived from the
 // minimum cross-shard control-channel latency. Within a span every shard
-// drives the staged EdgeSwitch::decide_batch pipeline over its own
-// switches only (single-owner state, race-free by construction); shards
-// re-synchronize at the span barrier. The design follows the relaxed
-// barrier synchronization of parallel discrete-event simulators (Graphite
-// LCP-style lax/barrier quanta), specialized to the replay datapath.
+// pre-decides the flows entering its own switches with
+// EdgeSwitch::decide() (single-owner state, race-free by construction);
+// shards re-synchronize at the span barrier. The design follows the
+// relaxed barrier synchronization of parallel discrete-event simulators
+// (Graphite LCP-style lax/barrier quanta), specialized to the replay
+// datapath.
 //
-// Two modes (Config.runtime.mode):
-//
-//  * kDeterministic — workers only pre-decide; all side effects (rule
-//    installs, controller queueing, metrics) commit on the coordinator in
-//    global flow order at the barrier, with a per-switch install log that
-//    re-decides any packet a span install covers (the cross-run
-//    generalization of the sequential batched datapath's staleness
-//    check). Metrics are bit-identical to the single-threaded
-//    Network::replay — enforced by tests/runtime_test.cpp.
-//
-//  * kFast — workers decide AND handle their shard-local outcomes into
-//    per-shard RunMetrics; only controller-bound flows cross the shard
-//    boundary, parked in the shard's net::PacketArena and queued through
-//    an SPSC ShardMailbox that the coordinator drains in flow order at
-//    the barrier (lag bounded by one sync window). Reproducible
-//    run-to-run from Config.seed, not bit-identical to sequential.
+// Workers only pre-decide; all side effects (rule installs, controller
+// queueing, metrics) commit on the coordinator in global flow order at
+// the barrier, with a per-switch install log that re-decides any packet
+// whose pre-decision a span install made stale. Metrics are bit-identical
+// to the single-threaded Network::replay — enforced by
+// tests/runtime_test.cpp.
 //
 // Network::replay() delegates here when Config.runtime.num_shards > 1;
 // the runtime reuses all of Network's periodic machinery (stats windows,
@@ -43,19 +34,15 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/time.h"
 #include "core/edge_switch.h"
-#include "core/metrics.h"
 #include "core/network.h"
-#include "net/packet_arena.h"
+#include "net/packet.h"
 #include "openflow/flow_table.h"
-#include "runtime/shard_mailbox.h"
 #include "runtime/shard_plan.h"
 #include "workload/trace.h"
 
@@ -80,23 +67,15 @@ class ShardedRuntime {
   /// migration has already been re-attached and the simulator clock and
   /// counters restored, so this skips begin_replay(), re-creates the
   /// span-injection chain under its exact snapshot tuple (`rc`) and
-  /// drives the simulator to the horizon. Deterministic mode only — the
-  /// fast mode's shard-local metrics are not checkpointable.
+  /// drives the simulator to the horizon.
   void resume(const workload::Trace& trace,
               const core::Network::ResumeCursor& rc);
 
   struct Stats {
-    std::uint64_t spans = 0;             ///< window spans processed
-    std::uint64_t flows = 0;             ///< flows routed through spans
-    std::uint64_t deferred_flows = 0;    ///< fast: crossed a shard mailbox
-    std::uint64_t drain_hits = 0;        ///< fast: deferred flow re-probed
-                                         ///< into a flow-table hit
-    std::uint64_t redecided_flows = 0;   ///< deterministic: staleness
-                                         ///< repairs at the merge
-    std::uint64_t repartitions = 0;      ///< shard-plan rebuilds observed
-    std::uint64_t mailbox_high_water = 0;  ///< fast: max entries drained
-                                           ///< from one shard's mailbox at
-                                           ///< a single span barrier
+    std::uint64_t spans = 0;            ///< window spans processed
+    std::uint64_t flows = 0;            ///< flows routed through spans
+    std::uint64_t redecided_flows = 0;  ///< staleness repairs at the merge
+    std::uint64_t repartitions = 0;     ///< shard-plan rebuilds observed
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   /// Effective shard count (requested, clamped to groups/switches).
@@ -109,26 +88,22 @@ class ShardedRuntime {
   }
 
  private:
-  struct DeferSink;
+  /// A worker's pre-decision of one flow: the decide() kind plus the
+  /// flow's candidate range in the shard's pool (kIntraGroup only).
+  struct PreDecision {
+    core::EdgeSwitch::DecisionKind kind;
+    std::uint32_t cand_begin;
+    std::uint32_t cand_end;
+  };
 
   /// Per-shard worker state. Everything here is touched by the owning
   /// worker during a span and by the coordinator only between spans (the
   /// barrier mutex orders the two).
   struct Shard {
-    std::vector<std::uint32_t> offsets;  ///< span offsets owned, in order
-    net::PacketBatch packets;            ///< one packet per owned offset
-    core::EdgeSwitch::DecisionBatch decisions;  ///< aligned with packets
-    std::unique_ptr<core::RunMetrics> metrics;  ///< fast-mode local sink
-    net::PacketArena arena;              ///< fast-mode deferred packets
-    ShardMailbox mailbox;                ///< fast-mode crossings
-    /// Decorrelated per-shard stream of Config.seed. The datapath draws
-    /// no randomness on shard threads today (replay decisions are fully
-    /// deterministic), so this is the reserved generator any future
-    /// stochastic per-shard behaviour must use — never a shared Rng.
-    Rng rng;
-    std::uint32_t current_offset = 0;    ///< offset being handled (fast)
-
-    explicit Shard(Rng stream) : rng(stream) {}
+    std::vector<std::uint32_t> offsets;     ///< span offsets owned, in order
+    std::vector<net::Packet> packets;       ///< one packet per owned offset
+    std::vector<PreDecision> decisions;     ///< aligned with packets
+    std::vector<SwitchId> candidates;       ///< pool decisions index into
   };
 
   void spawn_workers();
@@ -140,8 +115,8 @@ class ShardedRuntime {
   [[nodiscard]] sim::CursorStep span_cursor_step(
       const std::vector<workload::Flow>* flows);
   /// Common tail of replay()/resume(): drive the simulator to the trace
-  /// horizon, release the periodic machinery, stop workers, fold
-  /// fast-mode shard metrics and publish runtime observability stats.
+  /// horizon, release the periodic machinery, stop workers and publish
+  /// runtime observability stats.
   void run_to_horizon(const workload::Trace& trace,
                       const core::Network::ReplayTimers& timers);
 
@@ -150,24 +125,21 @@ class ShardedRuntime {
   void refresh_plan();
 
   /// Handles trace flows [begin, end) as one bounded-lag span: meta pass,
-  /// parallel phase, barrier, merge/drain.
+  /// parallel pre-decide, barrier, ordered merge.
   void process_span(const std::vector<workload::Flow>& flows,
                     std::size_t begin, std::size_t end);
-  void run_shard_deterministic(Shard& shard);
-  void run_shard_fast(Shard& shard);
-  void merge_deterministic(const std::vector<workload::Flow>& flows,
-                           std::size_t begin, std::size_t end);
-  void drain_fast(const std::vector<workload::Flow>& flows,
-                  std::size_t begin);
+  void run_shard(Shard& shard);
+  void merge(const std::vector<workload::Flow>& flows, std::size_t begin,
+             std::size_t end);
 
   core::Network& net_;
   SimDuration sync_window_ = 0;
-  bool fast_ = false;
   bool replayed_ = false;
 
   ShardPlan plan_;
   std::uint64_t plan_epoch_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Sized once at construction: workers hold references into it.
+  std::vector<Shard> shards_;
 
   // --- span scratch (coordinator-owned, capacity reused across spans) ---
   static constexpr std::uint32_t kUnassigned = 0xFFFFFFFFu;
@@ -184,11 +156,8 @@ class ShardedRuntime {
   /// windows).
   std::vector<std::uint32_t> pos_;
   /// Per-switch matches installed while merging the current span
-  /// (deterministic mode; exposed to Network via span_install_log_).
+  /// (exposed to Network via span_install_log_).
   std::vector<std::vector<openflow::Match>> install_log_;
-  /// Drained mailbox entries, tagged with the owning shard for arena
-  /// check-in (fast mode).
-  std::vector<std::pair<std::uint32_t, DeferredFlow>> drained_;
 
   // --- worker pool (barrier-synchronized per span) ---
   std::vector<std::thread> workers_;

@@ -1,6 +1,7 @@
 #include "scenario/fuzz.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <unordered_set>
 #include <utility>
@@ -123,9 +124,6 @@ ScenarioSpec generate_scenario(std::uint64_t seed, const FuzzOptions& opt) {
     s.config.controller.reconcile_period =
         pick(rng, {1 * kMinute, 5 * kMinute});
   }
-  // Deterministic mode only: the fuzzer's oracle is the bit-identity
-  // rerun, which is exactly that mode's contract (fast mode promises
-  // reproducibility, covered by tests/runtime_test.cpp).
   s.config.runtime.num_shards = rng.next_bool(0.25) ? 2 : 1;
   s.bootstrap_history = rng.next_bool(0.7);
 
@@ -293,7 +291,46 @@ std::string FuzzRunResult::failure_text() const {
   if (!resume_error.empty()) {
     text += "  resume oracle: " + resume_error + "\n";
   }
+  if (!matrix_error.empty()) {
+    text += "  config matrix: " + matrix_error + "\n";
+  }
   return text;
+}
+
+std::string check_config_matrix(const ScenarioSpec& spec) {
+  std::optional<core::RunMetrics> reference;
+  std::string reference_name;
+  for (const core::GFibLayout layout :
+       {core::GFibLayout::kLinear, core::GFibLayout::kSliced}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+      for (const std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
+        ScenarioSpec point = spec;
+        point.config.fib.layout = layout;
+        point.config.runtime.num_shards = shards;
+        // Fuzzed traces are sparse: under the ~1 ms default sync window
+        // nearly every span would hold one flow and the merge's
+        // staleness repair would never run.
+        if (shards > 1) point.config.runtime.sync_window = kMinute;
+        point.config.batching.flow_batch_size = batch;
+        const std::string name =
+            std::string("fib.layout=") +
+            (layout == core::GFibLayout::kLinear ? "linear" : "sliced") +
+            " runtime.num_shards=" + std::to_string(shards) +
+            " batching.flow_batch_size=" + std::to_string(batch);
+        ScenarioRunner runner(point);
+        std::string error;
+        if (!runner.run(&error)) return name + ": run failed: " + error;
+        if (!reference.has_value()) {
+          reference = runner.metrics();
+          reference_name = name;
+        } else if (!runner.metrics().identical_to(*reference)) {
+          return "[" + reference_name + "] vs [" + name +
+                 "]: " + runner.metrics().diff_report(*reference);
+        }
+      }
+    }
+  }
+  return {};
 }
 
 FuzzRunResult run_scenario_with_checks(const ScenarioSpec& spec) {
@@ -375,6 +412,12 @@ FuzzRunResult run_scenario_with_checks(const ScenarioSpec& spec) {
     result.resume_error = "resumed run diverged from the run it forked: " +
                           resumed->metrics().diff_report(rerun.metrics());
   }
+
+  // Fourth oracle: the settings that only change how the simulation is
+  // executed (G-FIB memory layout, shard count, flow batching) must not
+  // change a single metric.
+  result.matrix_error = check_config_matrix(spec);
+  result.matrix_identical = result.matrix_error.empty();
   return result;
 }
 

@@ -11,7 +11,7 @@
 // semantic validation (property-tested over 200 seeds in
 // tests/fuzz_test.cpp).
 //
-// run_scenario_with_checks() is the fuzzing oracle — three runs:
+// run_scenario_with_checks() is the fuzzing oracle — four checks:
 //   1. an invariant-checked run (core/invariants.h evaluated at every
 //      event fence and at end of run),
 //   2. a rerun carrying a checkpoint fence at a deterministically drawn
@@ -20,7 +20,11 @@
 //   3. a resume: the snapshot from run 2 is restored into a fresh runner
 //      (src/ckpt rebuilds everything from the serialized bytes alone),
 //      finished with invariant checks on, and its final RunMetrics must
-//      be bit-identical to run 2's.
+//      be bit-identical to run 2's,
+//   4. the config matrix (check_config_matrix): the spec re-run under
+//      every combination of the settings that must not change results —
+//      fib.layout x runtime.num_shards x batching.flow_batch_size — with
+//      all RunMetrics bit-identical.
 // Any violation or divergence fails the seed; tools/lazyctrl_fuzz then
 // shrinks the spec with shrink_scenario() and serializes the minimal
 // repro as a `.scn` fit for examples/scenarios/regressions/, alongside
@@ -56,26 +60,43 @@ struct FuzzRunResult {
   bool deterministic = false;  ///< rerun RunMetrics were bit-identical
   bool resumable = false;      ///< checkpoint/restore round trip finished
                                ///< bit-identical to the rerun
+  bool matrix_identical = false;  ///< every config-matrix point matched
   std::vector<std::string> violations;  ///< invariant violations (both
                                         ///< runs 1 and 3 contribute)
   std::string error;  ///< validation error or determinism diff
   std::string resume_error;  ///< why the resume oracle failed ("" if not run)
+  std::string matrix_error;  ///< check_config_matrix() diagnosis ("" if
+                             ///< clean or not run)
   /// The snapshot the resume oracle exercised (empty when the rerun
   /// failed before the fence) and the sim time it was taken at.
   std::vector<std::uint8_t> snapshot;
   SimTime snapshot_at = 0;
 
   [[nodiscard]] bool ok() const noexcept {
-    return valid && deterministic && resumable && violations.empty();
+    return valid && deterministic && resumable && matrix_identical &&
+           violations.empty();
   }
   /// Multi-line human-readable failure summary ("" when ok()).
   [[nodiscard]] std::string failure_text() const;
 };
 
-/// Runs `spec` through all three oracles (invariant-checked run,
-/// checkpointed bit-identity rerun, restore-and-finish resume).
+/// Runs `spec` through all four oracles (invariant-checked run,
+/// checkpointed bit-identity rerun, restore-and-finish resume, config
+/// matrix).
 [[nodiscard]] FuzzRunResult run_scenario_with_checks(
     const ScenarioSpec& spec);
+
+/// The config-matrix equivalence oracle: runs `spec` under fib.layout in
+/// {linear, sliced} x runtime.num_shards in {1, 2} x
+/// batching.flow_batch_size in {1, 64} (8 runs) and requires every run's
+/// RunMetrics to be identical_to the first's. The 2-shard points use a
+/// one-minute runtime.sync_window, so spans on sparse fuzzed traces carry
+/// many flows and the sharded merge is actually exercised. Returns "" when
+/// clean;
+/// otherwise one line naming the diverging pair of configurations and
+/// the RunMetrics::diff_report of the first diverging field (or the run
+/// error of a point that failed to run).
+[[nodiscard]] std::string check_config_matrix(const ScenarioSpec& spec);
 
 /// Greedy event-deletion shrinker: repeatedly drops any event whose
 /// removal keeps `still_fails(candidate)` true, until no single deletion

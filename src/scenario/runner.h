@@ -12,8 +12,8 @@
 // Determinism contract: every scenario event commits coordinator-side
 // state and is fenced by Simulator::next_event_time() exactly like the
 // existing periodic machinery, so the same spec produces bit-identical
-// RunMetrics on every run and across `runtime.num_shards` settings in
-// deterministic mode (regression-tested in tests/scenario_test.cpp).
+// RunMetrics on every run and across `runtime.num_shards` settings
+// (regression-tested in tests/scenario_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -140,7 +140,7 @@ class ScenarioRunner {
   void build_trace();
   void apply_event(const ScenarioEvent& ev);
   /// Runs the invariant checker now, prefixing violations with `where`.
-  void run_invariant_check(const std::string& where, bool end_of_run);
+  void run_invariant_check(const std::string& where);
   void schedule_migration_burst(const ScenarioEvent& ev,
                                 std::uint64_t stream_id);
   /// Per-tenant activity windows [from, to) implied by the event script

@@ -466,17 +466,6 @@ bool set_config_key(ScenarioSpec& spec, const std::string& key,
     }
     return true;
   }
-  if (key == "runtime.mode") {
-    if (value == "deterministic") {
-      c.runtime.mode = core::RuntimeMode::kDeterministic;
-    } else if (value == "fast") {
-      c.runtime.mode = core::RuntimeMode::kFast;
-    } else {
-      *err = "runtime.mode expects deterministic | fast, got '" + value + "'";
-      return false;
-    }
-    return true;
-  }
   if (key == "runtime.sync_window") return dur(&c.runtime.sync_window);
 
   *err = "unknown [config] key '" + key + "'";
@@ -1015,11 +1004,6 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
       << "\n";
   out << "batching.flow_batch_size = " << c.batching.flow_batch_size << "\n";
   out << "runtime.num_shards = " << c.runtime.num_shards << "\n";
-  out << "runtime.mode = "
-      << (c.runtime.mode == core::RuntimeMode::kDeterministic
-              ? "deterministic"
-              : "fast")
-      << "\n";
   out << "runtime.sync_window = " << format_duration(c.runtime.sync_window)
       << "\n";
   out << "controller.servers = " << c.controller.servers << "\n";

@@ -2,8 +2,8 @@
 //
 // The PR series' claim is that after warm-up the per-flow forwarding path
 // performs NO heap allocation: the flow-table probe, L-FIB probe, G-FIB
-// scan (either layout), candidate staging and the single-packet decide()
-// all run out of reused buffers. This binary overrides the global
+// scan (either layout) and decide()'s candidate staging all run out of
+// reused buffers. This binary overrides the global
 // operator new/delete with a counting pass-through and asserts the count
 // stays flat across thousands of steady-state decisions — so a future
 // change that sneaks an allocation back in (a vector copy, a std::function
@@ -88,33 +88,53 @@ EdgeSwitch make_switch(GFibLayout layout) {
 
 class DatapathAllocTest : public ::testing::TestWithParam<GFibLayout> {};
 
-TEST_P(DatapathAllocTest, DecideBatchSteadyStateIsAllocationFree) {
+TEST_P(DatapathAllocTest, PreDecideBurstSteadyStateIsAllocationFree) {
+  // The sharded runtime's worker pattern: a 64-flow burst decided one
+  // flow at a time, every candidate set copied into a reused pool. The
+  // burst mixes all four outcomes — flow-table hits (TTL refresh on
+  // installed rules), local delivery, intra-group candidates and
+  // provable misses — so every decide() branch runs in steady state.
   EdgeSwitch sw = make_switch(GetParam());
+  for (std::uint32_t h = 0; h < 48 * 24; h += 5) {
+    openflow::FlowRule rule;
+    rule.priority = 10;
+    rule.match.tenant = TenantId{0};
+    rule.match.dst_mac = MacAddress::for_host(h);
+    rule.action.type = openflow::ActionType::kEncapTo;
+    sw.flow_table().install(rule);
+  }
   net::Packet p;
   p.tenant = TenantId{0};
   p.src_mac = MacAddress::for_host(0);
-  std::vector<net::Packet> batch(64, p);
-  EdgeSwitch::DecisionBatch out;
+  std::vector<EdgeSwitch::DecisionKind> kinds;
+  std::vector<SwitchId> pool;
+  kinds.reserve(64);
 
-  // Mixed outcomes: local delivery, intra-group candidates (with repeated
-  // destinations sharing memo hits), and provable misses -> bulk punt.
   std::uint32_t dst = 0;
-  auto run_batch = [&] {
-    for (auto& bp : batch) {
-      bp.dst_mac = MacAddress::for_host(dst % (48 * 24));
+  SimTime now = 0;
+  std::size_t hits = 0;
+  auto run_burst = [&] {
+    kinds.clear();
+    pool.clear();
+    for (int i = 0; i < 64; ++i) {
+      p.dst_mac = MacAddress::for_host(dst % (48 * 24));
       dst += 7;
+      const EdgeSwitch::Decision d =
+          sw.decide(p, now++, ControlMode::kLazyCtrl);
+      kinds.push_back(d.kind);
+      pool.insert(pool.end(), d.candidates.begin(), d.candidates.end());
+      hits += d.kind == EdgeSwitch::DecisionKind::kFlowTableHit;
     }
-    out.clear();
-    sw.decide_batch(batch, ControlMode::kLazyCtrl, out);
   };
 
-  for (int warm = 0; warm < 8; ++warm) run_batch();  // size every buffer
+  for (int warm = 0; warm < 32; ++warm) run_burst();  // size every buffer
 
   const std::uint64_t before = g_alloc_count.load();
-  for (int iter = 0; iter < 2000; ++iter) run_batch();
+  for (int iter = 0; iter < 2000; ++iter) run_burst();
   const std::uint64_t after = g_alloc_count.load();
   EXPECT_EQ(after - before, 0u)
-      << "decide_batch allocated in steady state";
+      << "per-flow pre-decide allocated in steady state";
+  EXPECT_GT(hits, 0u);  // the burst really exercised flow-table hits
 }
 
 TEST_P(DatapathAllocTest, SinglePacketDecideSteadyStateIsAllocationFree) {

@@ -63,7 +63,6 @@ controller.servers = 1
 )";
   out << "fib.layout = " << layout << "\n";
   out << "runtime.num_shards = " << shards << "\n";
-  out << "runtime.mode = deterministic\n";
   out << R"(
 [events]
 at=4m traffic_surge factor=2 duration=4m
@@ -210,18 +209,6 @@ TEST(CkptTest, RestoredRunnerContinuesSnapshotNumbering) {
       << "the resumed run's next snapshot differs from the uninterrupted one";
 }
 
-TEST(CkptTest, FastShardedConfigIsRejectedWithDiagnosis) {
-  auto spec = parse_or_die(spec_text("linear", 2));
-  spec.config.runtime.mode = core::RuntimeMode::kFast;
-  auto runner = std::make_unique<ScenarioRunner>(spec);
-  std::string err;
-  ASSERT_TRUE(runner->run(&err)) << err;
-  ASSERT_EQ(runner->snapshots().size(), 1u);
-  EXPECT_TRUE(runner->snapshots()[0].bytes.empty());
-  EXPECT_NE(runner->snapshots()[0].error.find("fast"), std::string::npos)
-      << runner->snapshots()[0].error;
-}
-
 // ---------------------------------------------------- fence purity
 
 TEST(CkptFencePurityTest, EveryExampleScenarioFenceIsClean) {
@@ -341,6 +328,17 @@ TEST(CkptRobustnessTest, VersionSkew) {
   auto bytes = valid_snapshot();
   const std::uint32_t future = kFormatVersion + 1;
   std::memcpy(bytes.data() + 4, &future, 4);
+  std::string err;
+  EXPECT_EQ(ScenarioRunner::restore(bytes, &err), nullptr);
+  EXPECT_NE(err.find("version"), std::string::npos) << err;
+}
+
+TEST(CkptRobustnessTest, PreviousFormatVersionIsRejected) {
+  // Version 1 snapshots embed a spec text with the removed runtime.mode
+  // key; the version gate must reject them up front.
+  auto bytes = valid_snapshot();
+  const std::uint32_t previous = kFormatVersion - 1;
+  std::memcpy(bytes.data() + 4, &previous, 4);
   std::string err;
   EXPECT_EQ(ScenarioRunner::restore(bytes, &err), nullptr);
   EXPECT_NE(err.find("version"), std::string::npos) << err;

@@ -130,113 +130,6 @@ TEST(EdgeSwitchTest, DesignatedFlag) {
   EXPECT_TRUE(sw.is_designated());
 }
 
-// --- batched pipeline ---
-
-TEST(EdgeSwitchBatchTest, MatchesPerPacketDecisions) {
-  // A mixed batch covering every decision kind must reproduce decide()
-  // exactly: same kinds, same candidate sets, same order.
-  EdgeSwitch sw = make_switch();
-  sw.flow_table().install(encap_rule(1, SwitchId{9}));
-  sw.lfib().learn(MacAddress::for_host(2), HostId{2}, TenantId{0});
-  sw.gfib().sync_peer(SwitchId{3}, {MacAddress::for_host(4)});
-  sw.gfib().sync_peer(SwitchId{7}, {MacAddress::for_host(4)});
-
-  std::vector<net::Packet> batch;
-  for (const std::uint32_t dst : {1u, 2u, 4u, 4u, 99u, 1u, 2u}) {
-    net::Packet p = packet_to(dst);
-    p.created_at = static_cast<SimTime>(batch.size());
-    batch.push_back(p);
-  }
-
-  // Reference decisions from an identically prepared switch.
-  EdgeSwitch ref = make_switch();
-  ref.flow_table().install(encap_rule(1, SwitchId{9}));
-  ref.lfib().learn(MacAddress::for_host(2), HostId{2}, TenantId{0});
-  ref.gfib().sync_peer(SwitchId{3}, {MacAddress::for_host(4)});
-  ref.gfib().sync_peer(SwitchId{7}, {MacAddress::for_host(4)});
-
-  EdgeSwitch::DecisionBatch out;
-  sw.decide_batch(batch, ControlMode::kLazyCtrl, out);
-  ASSERT_EQ(out.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto expected =
-        ref.decide(batch[i], batch[i].created_at, ControlMode::kLazyCtrl);
-    EXPECT_EQ(out[i].kind, expected.kind) << "packet " << i;
-    const auto cands = out.candidates(out[i]);
-    ASSERT_EQ(cands.size(), expected.candidates.size()) << "packet " << i;
-    for (std::size_t c = 0; c < cands.size(); ++c) {
-      EXPECT_EQ(cands[c], expected.candidates[c]);
-    }
-  }
-}
-
-TEST(EdgeSwitchBatchTest, OpenFlowModeSkipsFibs) {
-  EdgeSwitch sw = make_switch();
-  sw.lfib().learn(MacAddress::for_host(2), HostId{2}, TenantId{0});
-  std::vector<net::Packet> batch = {packet_to(2)};
-  EdgeSwitch::DecisionBatch out;
-  sw.decide_batch(batch, ControlMode::kOpenFlow, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].kind, EdgeSwitch::DecisionKind::kToController);
-}
-
-TEST(EdgeSwitchBatchTest, AppendsAcrossCallsUntilCleared) {
-  EdgeSwitch sw = make_switch();
-  sw.lfib().learn(MacAddress::for_host(2), HostId{2}, TenantId{0});
-  std::vector<net::Packet> batch = {packet_to(2)};
-  EdgeSwitch::DecisionBatch out;
-  sw.decide_batch(batch, ControlMode::kLazyCtrl, out);
-  sw.decide_batch(batch, ControlMode::kLazyCtrl, out);
-  EXPECT_EQ(out.size(), 2u);  // append semantics
-  out.clear();
-  sw.decide_batch(batch, ControlMode::kLazyCtrl, out);
-  EXPECT_EQ(out.size(), 1u);
-}
-
-TEST(EdgeSwitchBatchTest, BurstToOneDestinationSharesCandidates) {
-  EdgeSwitch sw = make_switch();
-  sw.gfib().sync_peer(SwitchId{3}, {MacAddress::for_host(4)});
-  std::vector<net::Packet> batch(16, packet_to(4));
-  EdgeSwitch::DecisionBatch out;
-  sw.decide_batch(batch, ControlMode::kLazyCtrl, out);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(out[i].kind, EdgeSwitch::DecisionKind::kIntraGroup);
-    ASSERT_EQ(out.candidates(out[i]).size(), 1u);
-    EXPECT_EQ(out.candidates(out[i])[0], SwitchId{3});
-  }
-}
-
-TEST(EdgeSwitchBatchTest, InterleavedRepeatsShareOneScan) {
-  // The batch-wide memo must collapse NON-consecutive repeats too: an
-  // A,B,A,B,... pattern performs one G-FIB scan per distinct destination
-  // (observable as identical candidate ranges in the shared pool) while
-  // still matching per-packet decide() results.
-  EdgeSwitch sw = make_switch();
-  sw.gfib().sync_peer(SwitchId{3}, {MacAddress::for_host(4)});
-  sw.gfib().sync_peer(SwitchId{7}, {MacAddress::for_host(5)});
-
-  std::vector<net::Packet> batch;
-  for (int rep = 0; rep < 6; ++rep) {
-    batch.push_back(packet_to(4));
-    batch.push_back(packet_to(5));
-  }
-  EdgeSwitch::DecisionBatch out;
-  sw.decide_batch(batch, ControlMode::kLazyCtrl, out);
-  ASSERT_EQ(out.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(out[i].kind, EdgeSwitch::DecisionKind::kIntraGroup);
-    ASSERT_EQ(out.candidates(out[i]).size(), 1u);
-    EXPECT_EQ(out.candidates(out[i])[0],
-              i % 2 == 0 ? SwitchId{3} : SwitchId{7});
-    if (i >= 2) {
-      // Memo hit: the same pool range as the first occurrence, not a
-      // fresh scan appended to the pool.
-      EXPECT_EQ(out[i].cand_begin, out[i - 2].cand_begin);
-      EXPECT_EQ(out[i].cand_end, out[i - 2].cand_end);
-    }
-  }
-}
-
 // --- punt retry schedule (unreliable control plane) ---
 
 TEST(PuntRetryDelayTest, DeterministicPureFunction) {

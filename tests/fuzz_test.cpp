@@ -2,8 +2,9 @@
 // conservation invariants (src/core/invariants): generator validity over
 // 200 seeds (every generated spec parses, round-trips and passes the
 // runner's semantic validation), shrinker convergence, hand-built
-// invariant violations the checker must flag, and replay of the
-// committed regression scenarios with full checks on.
+// invariant violations the checker must flag, the config-matrix oracle on
+// a few seeds, and replay of the committed regression scenarios with full
+// checks on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -230,6 +231,17 @@ TEST(FuzzHarnessTest, SmokeSeedPassesAllChecks) {
   EXPECT_TRUE(r.ok()) << r.failure_text();
   EXPECT_TRUE(r.valid);
   EXPECT_TRUE(r.deterministic);
+}
+
+TEST(FuzzHarnessTest, ConfigMatrixIsIdenticalOnSeveralSeeds) {
+  // fib.layout x runtime.num_shards x batching.flow_batch_size only change
+  // how a run executes, never what it computes.
+  FuzzOptions opt;
+  opt.scale = 0.1;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    EXPECT_EQ(check_config_matrix(generate_scenario(seed, opt)), "")
+        << "seed " << seed;
+  }
 }
 
 TEST(FuzzHarnessTest, RegressionScenariosPassChecks) {

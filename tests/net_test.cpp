@@ -1,11 +1,7 @@
-// Tests for the packet model: encapsulation, ARP helpers, and the
-// arena/batch storage of the batched datapath.
+// Tests for the packet model: encapsulation and ARP helpers.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "net/packet.h"
-#include "net/packet_arena.h"
 
 namespace lazyctrl::net {
 namespace {
@@ -68,98 +64,6 @@ TEST(PacketTest, ArpReplyShape) {
   EXPECT_EQ(p.kind, PacketKind::kArpReply);
   EXPECT_EQ(p.src_mac, MacAddress::for_host(9));
   EXPECT_EQ(p.dst_mac, MacAddress::for_host(3));
-}
-
-// --- arena/pool storage for the batched hot path ---
-
-TEST(PacketArenaTest, CheckOutCopiesAndCheckInRecycles) {
-  PacketArena arena(/*block_packets=*/4);
-  Packet proto;
-  proto.flow_id = 77;
-  Packet* a = arena.check_out(proto);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->flow_id, 77u);
-  EXPECT_EQ(arena.checked_out(), 1u);
-
-  arena.check_in(a);
-  EXPECT_EQ(arena.checked_out(), 0u);
-  // The freed slot is handed out again before any new block is allocated.
-  Packet* b = arena.check_out(proto);
-  EXPECT_EQ(b, a);
-  arena.check_in(b);
-}
-
-TEST(PacketArenaTest, GrowsByWholeBlocksAndPointersStayStable) {
-  PacketArena arena(/*block_packets=*/2);
-  Packet proto;
-  std::vector<Packet*> live;
-  for (std::uint64_t i = 0; i < 7; ++i) {
-    proto.flow_id = i;
-    live.push_back(arena.check_out(proto));
-  }
-  EXPECT_EQ(arena.block_count(), 4u);  // ceil(7 / 2)
-  EXPECT_GE(arena.capacity(), 7u);
-  // Growing must not move previously checked-out packets.
-  for (std::uint64_t i = 0; i < live.size(); ++i) {
-    EXPECT_EQ(live[i]->flow_id, i);
-  }
-  for (Packet* p : live) arena.check_in(p);
-  EXPECT_EQ(arena.checked_out(), 0u);
-  // A warmed-up arena serves from the free list without new blocks.
-  for (int i = 0; i < 7; ++i) arena.check_out(proto);
-  EXPECT_EQ(arena.block_count(), 4u);
-}
-
-TEST(PacketArenaTest, HighWaterMarkTracksPeakRetention) {
-  // The sharded runtime parks deferred controller-bound packets in a
-  // per-shard arena across each sync window; the high-water mark is the
-  // retention peak capacity converges to.
-  PacketArena arena(/*block_packets=*/4);
-  Packet proto;
-  EXPECT_EQ(arena.high_water_mark(), 0u);
-
-  // Wave 1: 6 concurrently live packets.
-  std::vector<Packet*> live;
-  for (int i = 0; i < 6; ++i) live.push_back(arena.check_out(proto));
-  EXPECT_EQ(arena.high_water_mark(), 6u);
-  for (Packet* p : live) arena.check_in(p);
-  live.clear();
-
-  // Wave 2 is smaller: the mark keeps the historical peak and the warmed
-  // arena reuses existing blocks — steady-state retention allocates
-  // nothing.
-  const std::size_t blocks = arena.block_count();
-  for (int i = 0; i < 4; ++i) live.push_back(arena.check_out(proto));
-  EXPECT_EQ(arena.high_water_mark(), 6u);
-  EXPECT_EQ(arena.block_count(), blocks);
-  for (Packet* p : live) arena.check_in(p);
-
-  // Wave 3 exceeds the peak: the mark follows.
-  live.clear();
-  for (int i = 0; i < 9; ++i) live.push_back(arena.check_out(proto));
-  EXPECT_EQ(arena.high_water_mark(), 9u);
-  EXPECT_GE(arena.capacity(), 9u);
-  for (Packet* p : live) arena.check_in(p);
-  EXPECT_EQ(arena.checked_out(), 0u);
-}
-
-TEST(PacketBatchTest, ClearKeepsCapacity) {
-  PacketBatch batch(/*reserve_packets=*/8);
-  Packet p;
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    p.flow_id = i;
-    batch.emplace_back(p);
-  }
-  EXPECT_EQ(batch.size(), 8u);
-  EXPECT_EQ(batch[3].flow_id, 3u);
-  const std::size_t cap = batch.capacity();
-  const Packet* data = batch.data();
-  batch.clear();
-  EXPECT_TRUE(batch.empty());
-  EXPECT_EQ(batch.capacity(), cap);
-  // Refilling within capacity reuses the same storage (no reallocation).
-  batch.emplace_back(p);
-  EXPECT_EQ(batch.data(), data);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Tests of the sharded parallel replay runtime (src/runtime).
 //
-// The load-bearing property is the deterministic mode's contract: replaying
-// any workload through N parallel shards produces metrics BIT-IDENTICAL to
+// The load-bearing property is the runtime's contract: replaying any
+// workload through N parallel shards produces metrics BIT-IDENTICAL to
 // the single-threaded Network::replay — including under DGM maintenance,
-// grouping transitions and mid-replay VM migration. Fast mode trades that
-// for throughput but must conserve flow accounting and stay reproducible
-// from one Config.seed.
+// grouping transitions, mid-replay VM migration, bounded flow tables and
+// install bursts that make worker pre-decisions stale.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +12,6 @@
 
 #include "common/rng.h"
 #include "core/network.h"
-#include "runtime/shard_mailbox.h"
 #include "runtime/shard_plan.h"
 #include "runtime/sharded_runtime.h"
 #include "topo/builder.h"
@@ -27,7 +25,6 @@ using core::Config;
 using core::ControlMode;
 using core::Network;
 using core::RunMetrics;
-using core::RuntimeMode;
 
 topo::Topology test_topology(std::uint64_t seed = 31,
                              std::size_t switches = 24,
@@ -114,9 +111,8 @@ void expect_bit_identical(const RunMetrics& a, const RunMetrics& b) {
   expect_stats_eq(a.controller_queue_delay_ms, b.controller_queue_delay_ms);
 
   // Catch-all through the canonical comparator: covers any field the
-  // granular expectations above don't enumerate (kept in lockstep with
-  // RunMetrics::merge_from).
-  EXPECT_TRUE(a.identical_to(b));
+  // granular expectations above don't enumerate.
+  EXPECT_TRUE(a.identical_to(b)) << a.diff_report(b);
 }
 
 RunMetrics run_sequential(const topo::Topology& topo,
@@ -135,11 +131,10 @@ RunMetrics run_sequential(const topo::Topology& topo,
 
 RunMetrics run_sharded(const topo::Topology& topo,
                        const workload::Trace& trace, Config cfg,
-                       std::size_t shards, RuntimeMode mode,
+                       std::size_t shards,
                        const graph::WeightedGraph* history = nullptr,
                        ShardedRuntime::Stats* stats_out = nullptr) {
   cfg.runtime.num_shards = shards;
-  cfg.runtime.mode = mode;
   Network net(topo, cfg);
   if (history != nullptr) {
     net.bootstrap(*history);
@@ -202,22 +197,6 @@ TEST(ShardPlanTest, UngroupedNetworkSplitsContiguously) {
   EXPECT_EQ(last, 3u);
 }
 
-TEST(ShardMailboxTest, FifoOrderAndCapacity) {
-  ShardMailbox box;
-  box.reserve(1000);
-  EXPECT_GE(box.capacity(), 1000u);
-  for (std::uint32_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(box.push(DeferredFlow{i, 0, nullptr}));
-  }
-  DeferredFlow out;
-  for (std::uint32_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(box.pop(out));
-    EXPECT_EQ(out.offset, i);
-  }
-  EXPECT_FALSE(box.pop(out));
-  EXPECT_TRUE(box.empty());
-}
-
 TEST(ShardedRuntimeTest, DeterministicIdenticalToSequentialLazyCtrl) {
   const auto topo = test_topology();
   const auto trace = drifting_trace(topo, 12000);
@@ -235,8 +214,7 @@ TEST(ShardedRuntimeTest, DeterministicIdenticalToSequentialLazyCtrl) {
   for (const std::size_t shards : {2u, 4u, 16u}) {
     ShardedRuntime::Stats stats;
     const RunMetrics sharded =
-        run_sharded(topo, trace, cfg, shards, RuntimeMode::kDeterministic,
-                    &history, &stats);
+        run_sharded(topo, trace, cfg, shards, &history, &stats);
     SCOPED_TRACE(shards);
     expect_bit_identical(sequential, sharded);
     EXPECT_GT(stats.spans, 0u);
@@ -290,8 +268,7 @@ TEST(ShardedRuntimeTest, DeterministicIdenticalToSequentialOpenFlow) {
   cfg.mode = ControlMode::kOpenFlow;
 
   const RunMetrics sequential = run_sequential(topo, trace, cfg);
-  const RunMetrics sharded =
-      run_sharded(topo, trace, cfg, 4, RuntimeMode::kDeterministic);
+  const RunMetrics sharded = run_sharded(topo, trace, cfg, 4);
   expect_bit_identical(sequential, sharded);
 }
 
@@ -307,52 +284,105 @@ TEST(ShardedRuntimeTest, NetworkReplayDelegatesOnRuntimeConfig) {
   const RunMetrics sequential = run_sequential(topo, trace, cfg, &history);
 
   cfg.runtime.num_shards = 4;
-  cfg.runtime.mode = RuntimeMode::kDeterministic;
   Network net(topo, cfg);
   net.bootstrap(history);
   net.replay(trace);  // delegates internally
   expect_bit_identical(sequential, net.metrics());
 }
 
-TEST(ShardedRuntimeTest, FastModeConservesFlowAccounting) {
-  const auto topo = test_topology(71);
-  const auto trace = drifting_trace(topo, 12000, 72);
+/// An OpenFlow install burst at one switch inside ONE bounded-lag span:
+/// a source host on `sw` opens flows to `dests` distinct remote hosts,
+/// 1 us apart (the whole burst fits the default ~1 ms sync window). The
+/// first pair repeats immediately — its worker pre-decision (a miss) is
+/// stale because the install just before it matches the packet — and
+/// after the burst every pair repeats (flow-table hits sequentially, all
+/// pre-decided as misses).
+workload::Trace install_burst_trace(const topo::Topology& topo, SwitchId sw,
+                                    std::size_t dests) {
+  const HostId src = topo.hosts_on_switch(sw).front();
+  std::vector<HostId> remote;
+  for (std::uint32_t h = 0; h < topo.host_count() && remote.size() < dests;
+       ++h) {
+    if (topo.host_info(HostId{h}).attached_switch != sw) {
+      remote.push_back(HostId{h});
+    }
+  }
+  std::vector<HostId> order = {remote[0], remote[0]};
+  order.insert(order.end(), remote.begin() + 1, remote.end());
+  order.insert(order.end(), remote.begin(), remote.end());
+
+  workload::Trace trace;
+  trace.horizon = 2 * kMinute;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    workload::Flow f;
+    f.id = i;
+    f.src = src;
+    f.dst = order[i];
+    f.start = kSecond + static_cast<SimTime>(i) * kMicrosecond;
+    trace.flows.push_back(f);
+  }
+  return trace;
+}
+
+TEST(ShardedRuntimeTest, SpanInstallStalenessIsRepairedExactly) {
+  // The merge's re-decide is the one staleness repair of the datapath;
+  // this drives both branches of its stale check on an install burst.
+  const auto topo = test_topology(71, 24, 20);
+  const SwitchId sw = topo.host_info(HostId{0}).attached_switch;
+  const auto trace = install_burst_trace(topo, sw, 100);
+  ASSERT_EQ(trace.flow_count(), 201u);
+  Config cfg;
+  cfg.mode = ControlMode::kOpenFlow;
+
+  {
+    // Unbounded table. Flow 1 repeats flow 0's pair: the match scan
+    // finds the install and re-decides it into a hit. Pairs 1..64 scan
+    // 1..64 installs without a match; from pair 65 on the switch holds
+    // more than the scan cap (64) of span installs, so every later flow
+    // there is stale outright: 35 first-pass flows + 100 repeats.
+    const RunMetrics sequential = run_sequential(topo, trace, cfg);
+    ASSERT_EQ(sequential.flows_flow_table_hit, 101u);
+    ShardedRuntime::Stats stats;
+    const RunMetrics sharded =
+        run_sharded(topo, trace, cfg, 2, nullptr, &stats);
+    expect_bit_identical(sequential, sharded);
+    EXPECT_EQ(stats.spans, 1u);
+    EXPECT_EQ(stats.redecided_flows, 1u + 35u + 100u);
+  }
+  {
+    // Bounded table: evictions depend on the table's exact size at every
+    // install, so no flow at the switch is pre-decided — the merge
+    // decides all of them.
+    cfg.rules.flow_table_capacity = 16;
+    const RunMetrics sequential = run_sequential(topo, trace, cfg);
+    ShardedRuntime::Stats stats;
+    const RunMetrics sharded =
+        run_sharded(topo, trace, cfg, 2, nullptr, &stats);
+    expect_bit_identical(sequential, sharded);
+    EXPECT_EQ(stats.redecided_flows, trace.flow_count());
+  }
+}
+
+TEST(ShardedRuntimeTest, BoundedFlowTableIdenticalToSequentialLazyCtrl) {
+  const auto topo = test_topology();
+  const auto trace = drifting_trace(topo, 12000);
   const auto history =
       workload::build_intensity_graph(trace, topo, 0, kHour);
+  // A bounded table under wide spans: a pre-decide lookup would sweep
+  // rules expiring later in the span before the merge's earlier installs
+  // count them toward the capacity, changing which rule gets evicted.
+  // This configuration diverged from sequential replay until bounded
+  // tables stopped being pre-decided.
   Config cfg = lazy_config();
-  cfg.runtime.sync_window = 500 * kMillisecond;
+  cfg.rules.flow_table_capacity = 8;
+  cfg.runtime.sync_window = 30 * kSecond;
 
   const RunMetrics sequential = run_sequential(topo, trace, cfg, &history);
   ShardedRuntime::Stats stats;
-  const RunMetrics fast = run_sharded(topo, trace, cfg, 4, RuntimeMode::kFast,
-                                      &history, &stats);
-
-  // Every flow is seen exactly once and lands in exactly one outcome
-  // bucket; every packet is accounted.
-  EXPECT_EQ(fast.flows_seen, trace.flow_count());
-  EXPECT_EQ(fast.flows_flow_table_hit + fast.flows_local_delivery +
-                fast.flows_intra_group + fast.flows_inter_group +
-                fast.transition_punts,
-            fast.flows_seen);
-  EXPECT_EQ(fast.packets_accounted, sequential.packets_accounted);
-  EXPECT_EQ(fast.first_packet_latency_ms.count(), fast.flows_seen);
-  // The controller path crossed shard mailboxes (arena-backed).
-  EXPECT_GT(stats.deferred_flows, 0u);
-}
-
-TEST(ShardedRuntimeTest, FastModeReproducibleFromSeed) {
-  const auto topo = test_topology(81);
-  const auto trace = drifting_trace(topo, 8000, 82);
-  const auto history =
-      workload::build_intensity_graph(trace, topo, 0, kHour);
-  Config cfg = lazy_config();
-  cfg.runtime.sync_window = 500 * kMillisecond;
-
-  const RunMetrics a =
-      run_sharded(topo, trace, cfg, 4, RuntimeMode::kFast, &history);
-  const RunMetrics b =
-      run_sharded(topo, trace, cfg, 4, RuntimeMode::kFast, &history);
-  expect_bit_identical(a, b);
+  const RunMetrics sharded =
+      run_sharded(topo, trace, cfg, 2, &history, &stats);
+  expect_bit_identical(sequential, sharded);
+  EXPECT_GT(stats.redecided_flows, 0u);
 }
 
 }  // namespace

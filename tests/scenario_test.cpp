@@ -44,7 +44,6 @@ stats_window = 30s
 dgm.mode = periodic
 dgm.maintenance_period = 5m
 runtime.num_shards = 2
-runtime.mode = deterministic
 fib.layout = linear
 rules.rule_ttl = 90s
 failover = true
@@ -150,6 +149,33 @@ TEST(ScenarioSpecTest, UnknownKeyReportsLineNumber) {
   ASSERT_EQ(r.errors.size(), 1u) << r.error_text();
   EXPECT_EQ(r.errors[0].line, 5);
   EXPECT_NE(r.errors[0].message.find("no_such_knob"), std::string::npos);
+}
+
+TEST(ScenarioSpecTest, RemovedShardModeKeyIsAnUnknownKey) {
+  // The sharded runtime has one mode; the old runtime.mode key is not
+  // silently accepted but diagnosed like any other unknown key.
+  const std::string text =
+      "[scenario]\n"                 // 1
+      "name = x\n"                   // 2
+      "[config]\n"                   // 3
+      "runtime.num_shards = 2\n"     // 4
+      "runtime.mode = fast\n";       // 5
+  const ParseResult r = parse_scenario(text);
+  ASSERT_EQ(r.errors.size(), 1u) << r.error_text();
+  EXPECT_EQ(r.errors[0].line, 5);
+  EXPECT_NE(r.errors[0].message.find("unknown [config] key 'runtime.mode'"),
+            std::string::npos)
+      << r.errors[0].message;
+}
+
+TEST(ScenarioSpecTest, RemovedShardModeOverrideIsRejected) {
+  // --set config.runtime.mode=fast goes through the same key dispatch.
+  ScenarioSpec spec;
+  std::string err;
+  EXPECT_FALSE(apply_override(spec, "config.runtime.mode=fast", &err));
+  EXPECT_NE(err.find("unknown [config] key 'runtime.mode'"),
+            std::string::npos)
+      << err;
 }
 
 TEST(ScenarioSpecTest, CollectsMultipleDiagnostics) {
@@ -411,9 +437,6 @@ TEST(ScenarioRunnerTest, ShardedDeterministicReplayIsBitIdentical) {
   std::string err;
   ASSERT_TRUE(apply_override(sharded, "config.runtime.num_shards=2", &err))
       << err;
-  ASSERT_TRUE(
-      apply_override(sharded, "config.runtime.mode=deterministic", &err))
-      << err;
   const auto dual = run_spec(sharded);
 
   EXPECT_TRUE(single->metrics().identical_to(dual->metrics()));
@@ -435,9 +458,6 @@ TEST(ScenarioRunnerTest, LossyControlPlaneIsBitIdenticalAcrossRepsAndShards) {
 
   ScenarioSpec sharded = spec;
   ASSERT_TRUE(apply_override(sharded, "config.runtime.num_shards=2", &err))
-      << err;
-  ASSERT_TRUE(
-      apply_override(sharded, "config.runtime.mode=deterministic", &err))
       << err;
   const auto dual = run_spec(sharded);
   EXPECT_TRUE(a->metrics().identical_to(dual->metrics()))

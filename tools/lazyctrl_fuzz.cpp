@@ -1,8 +1,9 @@
 // lazyctrl_fuzz — seeded scenario fuzzing driver: generate N random
 // valid scenarios (src/scenario/fuzz.h), run each through the
-// conservation-invariant checker (core/invariants.h) plus the
-// bit-identity rerun determinism check, and shrink + serialize any
-// failing scenario to a minimal `.scn` repro.
+// conservation-invariant checker (core/invariants.h), the bit-identity
+// rerun determinism check, the checkpoint-resume oracle and the
+// config-matrix equivalence oracle, and shrink + serialize any failing
+// scenario to a minimal `.scn` repro.
 //
 //   lazyctrl_fuzz [options]
 //
@@ -18,10 +19,15 @@
 // Exit codes: 0 every seed passed; 1 at least one seed failed (its
 // shrunk repro was written to --out); 2 usage error.
 //
-// Each seed runs three oracles (src/scenario/fuzz.h): the invariant-
-// checked run, the bit-identity rerun carrying a checkpoint fence, and
-// the checkpoint-restore resume whose finished metrics must match the
-// rerun's. When a shrunk failure still reaches its checkpoint fence, the
+// Each seed runs four oracles (src/scenario/fuzz.h): the invariant-
+// checked run, the bit-identity rerun carrying a checkpoint fence, the
+// checkpoint-restore resume whose finished metrics must match the
+// rerun's, and the config matrix (fib.layout x runtime.num_shards x
+// batching.flow_batch_size, 8 runs that must all be bit-identical). The
+// shrunk repro's failure is printed again after shrinking, so a matrix
+// failure names the diverging configuration pair and the first diverging
+// metric of the minimal spec. When a shrunk failure still reaches its
+// checkpoint fence, the
 // snapshot is written next to the repro as <name>.ckpt so the failing
 // state can be restored directly:
 //   lazyctrl_run --resume fuzz-failures/fuzz_<seed>.ckpt
@@ -155,6 +161,8 @@ int main(int argc, char** argv) {
     // directly (lazyctrl_run --resume).
     const scenario::FuzzRunResult shrunk_result =
         scenario::run_scenario_with_checks(shrunk);
+    std::fprintf(stderr, "  shrunk repro:\n%s",
+                 shrunk_result.failure_text().c_str());
     if (!shrunk_result.snapshot.empty()) {
       const std::string snap_path = out_dir + "/" + spec.name + ".ckpt";
       std::string snap_err;
