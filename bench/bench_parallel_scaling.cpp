@@ -59,8 +59,8 @@ struct Setup {
     Rng rng(912);
     workload::RealLikeOptions opt;
     // A dense 60-second burst: ~33k new flows per simulated second at
-    // full scale, so a 200 ms sync window carries thousands of flows and
-    // barrier cost amortizes away.
+    // full scale, so a span between two control events hits the span cap
+    // and barrier cost amortizes away.
     opt.total_flows =
         static_cast<std::size_t>(2e6 * benchx::bench_scale());
     opt.horizon = 60 * kSecond;
@@ -75,7 +75,6 @@ core::Config scaling_config(std::size_t shards) {
   // 96 switches / limit 12 -> 8 groups, so 8 shards are actually usable.
   cfg.grouping.group_size_limit = 12;
   cfg.runtime.num_shards = shards;
-  cfg.runtime.sync_window = 200 * kMillisecond;
   return cfg;
 }
 
@@ -151,7 +150,6 @@ int body(benchx::BenchReport& report) {
   report.metric("deterministic_bit_identical", identical ? 1.0 : 0.0,
                 "bool");
   report.metric("cpu_cores", static_cast<double>(cores), "cores");
-  report.metric("sync_window_ms", 200.0, "ms");
   report.controller_load(
       "controller_packet_ins_baseline",
       static_cast<double>(baseline.metrics.controller_packet_ins));
@@ -167,7 +165,7 @@ int main() {
   return benchx::run_benchmark(
       "parallel_scaling",
       "Sharded parallel replay — bit-identity gate + deterministic scaling",
-      "repo extension (src/runtime): group-sharded replay with bounded-lag "
+      "repo extension (src/runtime): group-sharded replay with fence-bounded "
       "synchronization; the sharded replay must be bit-identical to "
       "single-threaded replay (gated here); speedup is recorded, not gated",
       opts, body);

@@ -196,7 +196,8 @@ struct BatchConfig {
 
 /// Sharded parallel replay (the src/runtime subsystem): partitions the
 /// network by edge group into shards, each driven by its own worker
-/// thread, synchronized at bounded-lag windows. Workers only pre-decide;
+/// thread, synchronized at control-event fences (and at most one rule TTL
+/// apart). Workers only pre-decide;
 /// all side effects commit on the coordinator in global flow order, so
 /// metrics are bit-identical to the single-threaded Network::replay
 /// (enforced by tests/runtime_test.cpp).
@@ -206,15 +207,6 @@ struct RuntimeConfig {
   /// runtime::ShardedRuntime. Effective shard count is clamped to the
   /// number of groups (or switches when ungrouped).
   std::size_t num_shards = 1;
-  /// Bounded-lag synchronization window (simulated time). Shards may run
-  /// at most this far ahead of each other between barriers; 0 derives the
-  /// conservative default from the minimum cross-shard channel latency:
-  /// 2 x control_link + controller_service, the soonest a flow's control
-  /// side effect can land back at any switch — deferring cross-shard
-  /// visibility within that window matches what the channels could have
-  /// delivered anyway. The merge repairs ordering exactly, so a larger
-  /// window only trades barrier frequency for scratch memory.
-  SimDuration sync_window = 0;
 
   bool operator==(const RuntimeConfig&) const = default;
 };

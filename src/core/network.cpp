@@ -1188,7 +1188,7 @@ void Network::end_replay(const ReplayTimers& timers) {
 void Network::replay(const workload::Trace& trace) {
   if (config_.runtime.num_shards > 1) {
     // Sharded parallel replay (src/runtime): group-sharded worker threads
-    // under bounded-lag synchronization, bit-identical to this path.
+    // synchronized at control-event fences, bit-identical to this path.
     runtime::ShardedRuntime sharded(*this);
     sharded.replay(trace);
     return;

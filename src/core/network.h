@@ -173,7 +173,7 @@ class Network : private dgm::GroupingHost {
   /// single-threaded replays.
   struct RuntimeObsStats {
     bool valid = false;
-    std::uint64_t spans = 0;            ///< bounded-lag window spans
+    std::uint64_t spans = 0;            ///< fence-bounded spans
     std::uint64_t flows = 0;            ///< flows through the shard path
     std::uint64_t redecided_flows = 0;  ///< stale-decision replays
     std::uint64_t repartitions = 0;     ///< grouping-epoch repartitions
@@ -517,7 +517,7 @@ class Network : private dgm::GroupingHost {
   /// event.
   sim::CursorTracker cursor_;
 
-  /// Non-null while the sharded runtime merges a window span: installs are
+  /// Non-null while the sharded runtime merges a span: installs are
   /// recorded per ingress switch (outer index = switch id) so the merge
   /// can re-decide any later packet of the span whose worker pre-decision
   /// an install made stale.

@@ -11,11 +11,6 @@ namespace lazyctrl::runtime {
 
 namespace {
 
-/// Largest number of flows one span may carry — bounds the coordinator's
-/// per-span scratch even on extremely dense traces with no pending
-/// control events.
-constexpr std::size_t kMaxSpanFlows = 1u << 16;
-
 /// Resolves the endpoints and builds the flow's packet through the ONE
 /// shared assembly helper (core::Network::make_flow_packet), keeping
 /// worker-built packets byte-identical to the sequential datapath's.
@@ -90,16 +85,6 @@ void ShardedRuntime::replay(const workload::Trace& trace) {
   assert(!replayed_ && "a ShardedRuntime drives one replay");
   replayed_ = true;
 
-  const core::Config& cfg = net_.config_;
-  // Conservative bounded-lag default: the minimum cross-shard control
-  // round trip. No flow's control-plane side effect can land back at a
-  // switch sooner, so deferring cross-shard visibility within the window
-  // only reorders what the channels could not have delivered yet.
-  sync_window_ = cfg.runtime.sync_window > 0
-                     ? cfg.runtime.sync_window
-                     : 2 * cfg.latency.control_link +
-                           cfg.latency.controller_service;
-
   const core::Network::ReplayTimers timers = net_.begin_replay(trace);
   refresh_plan();
   spawn_workers();
@@ -108,8 +93,8 @@ void ShardedRuntime::replay(const workload::Trace& trace) {
   // the sequential batched injector: the event for flow i has fired, so i
   // is safe; later flows join the span only while they start strictly
   // before the next pending control-plane event (at a timestamp tie the
-  // sequential datapath would run that event first) and within the
-  // bounded-lag window of the span head.
+  // sequential datapath would run that event first) and within one rule
+  // TTL of the span's first flow, up to kMaxSpanFlows.
   if (!trace.flows.empty()) {
     sim::schedule_cursor_chain(net_.simulator_, trace.flows.front().start,
                                span_cursor_step(&trace.flows),
@@ -123,12 +108,6 @@ void ShardedRuntime::resume(const workload::Trace& trace,
                             const core::Network::ResumeCursor& rc) {
   assert(!replayed_ && "a ShardedRuntime drives one replay");
   replayed_ = true;
-
-  const core::Config& cfg = net_.config_;
-  sync_window_ = cfg.runtime.sync_window > 0
-                     ? cfg.runtime.sync_window
-                     : 2 * cfg.latency.control_link +
-                           cfg.latency.controller_service;
 
   // No begin_replay(): the restorer already rebuilt the metrics storage
   // and re-attached every periodic timer and migration one-shot under
@@ -147,12 +126,17 @@ sim::CursorStep ShardedRuntime::span_cursor_step(
     const std::vector<workload::Flow>* flows) {
   return [this, flows](std::size_t i)
       -> std::optional<std::pair<std::size_t, SimTime>> {
-    const SimTime fence = net_.simulator_.next_event_time();
-    const SimTime head = (*flows)[i].start;
+    // A worker's lookup sweeps every rule expired by its flow's start,
+    // before the merge re-decides the span's earlier flows. Every rule an
+    // earlier flow hit or the merge installed expires at least one rule
+    // TTL after the span's first flow, so ending the span there keeps the
+    // sweeps from reaching them.
+    const SimTime fence =
+        std::min(net_.simulator_.next_event_time(),
+                 (*flows)[i].start + net_.config_.rules.rule_ttl);
     std::size_t end = i + 1;
-    while (end < flows->size() && end - i < kMaxSpanFlows) {
-      const SimTime t = (*flows)[end].start;
-      if (t >= fence || t - head >= sync_window_) break;
+    while (end < flows->size() && end - i < kMaxSpanFlows &&
+           (*flows)[end].start < fence) {
       ++end;
     }
     process_span(*flows, i, end);

@@ -1,25 +1,25 @@
-// Sharded parallel replay runtime with deterministic bounded-lag
+// Sharded parallel replay runtime with deterministic fence-bounded
 // synchronization.
 //
 // LazyCtrl's edge groups localize most traffic, which makes them natural
 // parallelism units: ShardedRuntime partitions the network's switches by
 // group onto N shards (ShardPlan), each serviced by its own worker thread,
-// and steps the replay in bounded-lag *window spans* — runs of consecutive
-// trace flows fenced by the next pending control-plane event
-// (Simulator::next_event_time()) and by the sync window derived from the
-// minimum cross-shard control-channel latency. Within a span every shard
-// pre-decides the flows entering its own switches with
+// and steps the replay in *spans* — runs of consecutive trace flows
+// fenced by the next pending control-plane event
+// (Simulator::next_event_time(): stats window, state report, outage, DGM
+// round, checkpoint fence), kept narrower than one rule TTL, and capped at
+// kMaxSpanFlows flows, which bounds the per-span scratch memory. Within a
+// span every shard pre-decides the flows entering its own switches with
 // EdgeSwitch::decide() (single-owner state, race-free by construction);
-// shards re-synchronize at the span barrier. The design follows the
-// relaxed barrier synchronization of parallel discrete-event simulators
-// (Graphite LCP-style lax/barrier quanta), specialized to the replay
-// datapath.
+// shards re-synchronize at the span barrier.
 //
 // Workers only pre-decide; all side effects (rule installs, controller
 // queueing, metrics) commit on the coordinator in global flow order at
 // the barrier, with a per-switch install log that re-decides any packet
-// whose pre-decision a span install made stale. Metrics are bit-identical
-// to the single-threaded Network::replay — enforced by
+// whose pre-decision a span install made stale. The TTL bound keeps a
+// worker's expiry sweep from removing a rule an earlier flow of the span
+// refreshed before the merge re-decides that flow, so metrics are
+// bit-identical to the single-threaded Network::replay — enforced by
 // tests/runtime_test.cpp.
 //
 // Network::replay() delegates here when Config.runtime.num_shards > 1;
@@ -38,7 +38,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/time.h"
 #include "core/edge_switch.h"
 #include "core/network.h"
 #include "net/packet.h"
@@ -71,8 +70,14 @@ class ShardedRuntime {
   void resume(const workload::Trace& trace,
               const core::Network::ResumeCursor& rc);
 
+  /// Largest number of flows one span may carry. Spans end at the next
+  /// control event or one rule TTL after their first flow; this cap bounds the per-span scratch (the shards'
+  /// packets, decisions and candidate pools, the coordinator's per-flow
+  /// bookkeeping) on dense traces with no control event in sight.
+  static constexpr std::size_t kMaxSpanFlows = 8192;
+
   struct Stats {
-    std::uint64_t spans = 0;            ///< window spans processed
+    std::uint64_t spans = 0;            ///< spans processed
     std::uint64_t flows = 0;            ///< flows routed through spans
     std::uint64_t redecided_flows = 0;  ///< staleness repairs at the merge
     std::uint64_t repartitions = 0;     ///< shard-plan rebuilds observed
@@ -81,10 +86,6 @@ class ShardedRuntime {
   /// Effective shard count (requested, clamped to groups/switches).
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
-  }
-  /// The bounded-lag window in force (explicit knob or derived default).
-  [[nodiscard]] SimDuration sync_window() const noexcept {
-    return sync_window_;
   }
 
  private:
@@ -110,7 +111,7 @@ class ShardedRuntime {
   void stop_workers();
   void worker_main(std::size_t shard_idx);
 
-  /// The bounded-lag span-injection cursor step (shared by replay() and
+  /// The span-injection cursor step (shared by replay() and
   /// resume(); see the comment at its schedule site in replay()).
   [[nodiscard]] sim::CursorStep span_cursor_step(
       const std::vector<workload::Flow>* flows);
@@ -124,7 +125,7 @@ class ShardedRuntime {
   /// grouping epoch moved (span boundaries only).
   void refresh_plan();
 
-  /// Handles trace flows [begin, end) as one bounded-lag span: meta pass,
+  /// Handles trace flows [begin, end) as one span: meta pass,
   /// parallel pre-decide, barrier, ordered merge.
   void process_span(const std::vector<workload::Flow>& flows,
                     std::size_t begin, std::size_t end);
@@ -133,7 +134,6 @@ class ShardedRuntime {
              std::size_t end);
 
   core::Network& net_;
-  SimDuration sync_window_ = 0;
   bool replayed_ = false;
 
   ShardPlan plan_;

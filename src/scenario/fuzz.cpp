@@ -106,8 +106,17 @@ ScenarioSpec generate_scenario(std::uint64_t seed, const FuzzOptions& opt) {
                                            : core::GFibLayout::kLinear;
   s.config.fib.bloom_bits = pick<std::size_t>(rng, {4096, 16384});
   s.config.fib.bloom_hashes = pick<std::size_t>(rng, {4, 8});
-  s.config.rules.rule_ttl =
-      pick(rng, {30 * kSecond, 60 * kSecond, 5 * kMinute});
+  // TTLs below the 30 s stats window and state report make the sharded
+  // runtime end spans at the TTL rather than at a control event.
+  s.config.rules.rule_ttl = pick(rng, {1 * kSecond, 5 * kSecond, 30 * kSecond,
+                                       60 * kSecond, 5 * kMinute});
+  // Bounded tables evict by their exact size at each install, which the
+  // sharded runtime handles apart from unbounded ones (never pre-decided).
+  // Only tiny tables evict often enough on sparse fuzzed traces for the
+  // config matrix to catch a merge that gets the eviction order wrong.
+  if (rng.next_bool(0.3)) {
+    s.config.rules.flow_table_capacity = pick<std::size_t>(rng, {1, 2, 4});
+  }
   s.config.batching.flow_batch_size = rng.next_bool(0.5) ? 64 : 1;
   // Unreliable control plane: moderate chance of a lossy / bounded run
   // from the start (events below can also flip the knobs mid-run).
@@ -307,10 +316,6 @@ std::string check_config_matrix(const ScenarioSpec& spec) {
         ScenarioSpec point = spec;
         point.config.fib.layout = layout;
         point.config.runtime.num_shards = shards;
-        // Fuzzed traces are sparse: under the ~1 ms default sync window
-        // nearly every span would hold one flow and the merge's
-        // staleness repair would never run.
-        if (shards > 1) point.config.runtime.sync_window = kMinute;
         point.config.batching.flow_batch_size = batch;
         const std::string name =
             std::string("fib.layout=") +

@@ -89,10 +89,7 @@ struct FuzzRunResult {
 /// The config-matrix equivalence oracle: runs `spec` under fib.layout in
 /// {linear, sliced} x runtime.num_shards in {1, 2} x
 /// batching.flow_batch_size in {1, 64} (8 runs) and requires every run's
-/// RunMetrics to be identical_to the first's. The 2-shard points use a
-/// one-minute runtime.sync_window, so spans on sparse fuzzed traces carry
-/// many flows and the sharded merge is actually exercised. Returns "" when
-/// clean;
+/// RunMetrics to be identical_to the first's. Returns "" when clean;
 /// otherwise one line naming the diverging pair of configurations and
 /// the RunMetrics::diff_report of the first diverging field (or the run
 /// error of a point that failed to run).

@@ -466,7 +466,6 @@ bool set_config_key(ScenarioSpec& spec, const std::string& key,
     }
     return true;
   }
-  if (key == "runtime.sync_window") return dur(&c.runtime.sync_window);
 
   *err = "unknown [config] key '" + key + "'";
   return false;
@@ -1004,8 +1003,6 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
       << "\n";
   out << "batching.flow_batch_size = " << c.batching.flow_batch_size << "\n";
   out << "runtime.num_shards = " << c.runtime.num_shards << "\n";
-  out << "runtime.sync_window = " << format_duration(c.runtime.sync_window)
-      << "\n";
   out << "controller.servers = " << c.controller.servers << "\n";
   out << "ctrl.loss_rate = " << fmt_double(c.controller.loss_rate) << "\n";
   out << "ctrl.dup_rate = " << fmt_double(c.controller.dup_rate) << "\n";

@@ -334,8 +334,10 @@ TEST(CkptRobustnessTest, VersionSkew) {
 }
 
 TEST(CkptRobustnessTest, PreviousFormatVersionIsRejected) {
-  // Version 1 snapshots embed a spec text with the removed runtime.mode
-  // key; the version gate must reject them up front.
+  // Each version bump so far removed a key from the embedded canonical
+  // spec text (2: runtime.mode, 3: runtime.sync_window), so an older
+  // snapshot would not even parse; the version gate must reject it up
+  // front.
   auto bytes = valid_snapshot();
   const std::uint32_t previous = kFormatVersion - 1;
   std::memcpy(bytes.data() + 4, &previous, 4);

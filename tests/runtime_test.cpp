@@ -290,10 +290,10 @@ TEST(ShardedRuntimeTest, NetworkReplayDelegatesOnRuntimeConfig) {
   expect_bit_identical(sequential, net.metrics());
 }
 
-/// An OpenFlow install burst at one switch inside ONE bounded-lag span:
-/// a source host on `sw` opens flows to `dests` distinct remote hosts,
-/// 1 us apart (the whole burst fits the default ~1 ms sync window). The
-/// first pair repeats immediately — its worker pre-decision (a miss) is
+/// An OpenFlow install burst at one switch inside ONE span: a source host
+/// on `sw` opens flows to `dests` distinct remote hosts, 1 us apart (the
+/// whole burst sits between two control events and under the span cap).
+/// The first pair repeats immediately — its worker pre-decision (a miss) is
 /// stale because the install just before it matches the packet — and
 /// after the burst every pair repeats (flow-table hits sequentially, all
 /// pre-decided as misses).
@@ -368,14 +368,13 @@ TEST(ShardedRuntimeTest, BoundedFlowTableIdenticalToSequentialLazyCtrl) {
   const auto trace = drifting_trace(topo, 12000);
   const auto history =
       workload::build_intensity_graph(trace, topo, 0, kHour);
-  // A bounded table under wide spans: a pre-decide lookup would sweep
+  // A bounded table under fence-wide spans: a pre-decide lookup would sweep
   // rules expiring later in the span before the merge's earlier installs
   // count them toward the capacity, changing which rule gets evicted.
   // This configuration diverged from sequential replay until bounded
   // tables stopped being pre-decided.
   Config cfg = lazy_config();
   cfg.rules.flow_table_capacity = 8;
-  cfg.runtime.sync_window = 30 * kSecond;
 
   const RunMetrics sequential = run_sequential(topo, trace, cfg, &history);
   ShardedRuntime::Stats stats;
@@ -383,6 +382,116 @@ TEST(ShardedRuntimeTest, BoundedFlowTableIdenticalToSequentialLazyCtrl) {
       run_sharded(topo, trace, cfg, 2, &history, &stats);
   expect_bit_identical(sequential, sharded);
   EXPECT_GT(stats.redecided_flows, 0u);
+}
+
+/// `count` flows between seeded random host pairs, `gap` apart from
+/// t = 500 ms.
+workload::Trace spaced_trace(const topo::Topology& topo, std::size_t count,
+                             SimDuration gap, SimDuration horizon) {
+  Rng rng(81);
+  workload::Trace trace;
+  trace.horizon = horizon;
+  for (std::size_t i = 0; i < count; ++i) {
+    workload::Flow f;
+    f.id = i;
+    const auto hosts = static_cast<std::uint32_t>(topo.host_count());
+    const auto src = static_cast<std::uint32_t>(rng.next_below(hosts));
+    const auto hop = static_cast<std::uint32_t>(rng.next_below(hosts - 1));
+    f.src = HostId{src};
+    f.dst = HostId{(src + 1 + hop) % hosts};  // never src itself
+    f.start = 500 * kMillisecond + static_cast<SimTime>(i) * gap;
+    trace.flows.push_back(f);
+  }
+  return trace;
+}
+
+TEST(ShardedRuntimeTest, SpansEndOnlyAtControlEventFences) {
+  // Flows one second apart over two minutes; the only control events are
+  // the stats window and the state report, both every 30 s. Each fence
+  // interval is one span, however far apart its flows are.
+  const auto topo = test_topology(81);
+  const auto trace = spaced_trace(topo, 120, kSecond, 2 * kMinute);
+  Config cfg;
+  cfg.mode = ControlMode::kOpenFlow;
+  cfg.grouping.stats_window = 30 * kSecond;
+  cfg.state_report_period = 30 * kSecond;
+
+  const RunMetrics sequential = run_sequential(topo, trace, cfg);
+  ShardedRuntime::Stats stats;
+  const RunMetrics sharded = run_sharded(topo, trace, cfg, 2, nullptr, &stats);
+  expect_bit_identical(sequential, sharded);
+  EXPECT_EQ(stats.spans, 4u);
+  EXPECT_EQ(stats.flows, 120u);
+}
+
+TEST(ShardedRuntimeTest, SpanNarrowerThanRuleTtlKeepsRefreshedRules) {
+  // One switch, 1 s rule TTL. Pair 0's rule is installed just before the
+  // 30 s fence. After it, a burst of 70 new pairs pushes the switch past
+  // the merge's install-scan cap, pair 0 repeats (a hit that refreshes
+  // the rule to 31.1 s) and one more flow arrives at 31.5 s. In one span,
+  // that flow's pre-decide would sweep the refreshed rule before the
+  // merge re-decides the repeat, turning its hit into a miss. The span
+  // must end one TTL after its first flow instead.
+  const auto topo = test_topology(71, 24, 20);
+  const SwitchId sw = topo.host_info(HostId{0}).attached_switch;
+  const HostId src = topo.hosts_on_switch(sw).front();
+  std::vector<HostId> remote;
+  for (std::uint32_t h = 0; h < topo.host_count() && remote.size() < 72;
+       ++h) {
+    if (topo.host_info(HostId{h}).attached_switch != sw) {
+      remote.push_back(HostId{h});
+    }
+  }
+  ASSERT_EQ(remote.size(), 72u);
+
+  workload::Trace trace;
+  trace.horizon = kMinute;
+  const auto add = [&](HostId dst, SimTime start) {
+    workload::Flow f;
+    f.id = trace.flows.size();
+    f.src = src;
+    f.dst = dst;
+    f.start = start;
+    trace.flows.push_back(f);
+  };
+  add(remote[0], 29'500 * kMillisecond);
+  for (std::size_t i = 1; i <= 70; ++i) {
+    add(remote[i], 30 * kSecond + static_cast<SimTime>(i) * kMicrosecond);
+  }
+  add(remote[0], 30'100 * kMillisecond);
+  add(remote[71], 31'500 * kMillisecond);
+
+  Config cfg;
+  cfg.mode = ControlMode::kOpenFlow;
+  cfg.rules.rule_ttl = kSecond;
+  cfg.grouping.stats_window = 30 * kSecond;
+  cfg.state_report_period = 30 * kSecond;
+
+  const RunMetrics sequential = run_sequential(topo, trace, cfg);
+  ASSERT_EQ(sequential.flows_flow_table_hit, 1u);
+  ShardedRuntime::Stats stats;
+  const RunMetrics sharded = run_sharded(topo, trace, cfg, 2, nullptr, &stats);
+  expect_bit_identical(sequential, sharded);
+  // Before the fence, the burst plus the repeat, the late flow alone.
+  EXPECT_EQ(stats.spans, 3u);
+  EXPECT_GT(stats.redecided_flows, 0u);
+}
+
+TEST(ShardedRuntimeTest, SpanSplitsAtTheFlowCap) {
+  // More than two caps' worth of flows 1 us apart, all before the first
+  // control event: the fence interval splits into spans at the cap.
+  const auto topo = test_topology(82);
+  const std::size_t n = 2 * ShardedRuntime::kMaxSpanFlows + 100;
+  const auto trace = spaced_trace(topo, n, kMicrosecond, kMinute);
+  ASSERT_LT(trace.flows.back().start, 30 * kSecond);
+  const Config cfg = lazy_config();
+
+  const RunMetrics sequential = run_sequential(topo, trace, cfg);
+  ShardedRuntime::Stats stats;
+  const RunMetrics sharded = run_sharded(topo, trace, cfg, 2, nullptr, &stats);
+  expect_bit_identical(sequential, sharded);
+  EXPECT_EQ(stats.spans, 3u);
+  EXPECT_EQ(stats.flows, n);
 }
 
 }  // namespace

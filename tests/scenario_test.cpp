@@ -152,30 +152,37 @@ TEST(ScenarioSpecTest, UnknownKeyReportsLineNumber) {
 }
 
 TEST(ScenarioSpecTest, RemovedShardModeKeyIsAnUnknownKey) {
-  // The sharded runtime has one mode; the old runtime.mode key is not
-  // silently accepted but diagnosed like any other unknown key.
-  const std::string text =
-      "[scenario]\n"                 // 1
-      "name = x\n"                   // 2
-      "[config]\n"                   // 3
-      "runtime.num_shards = 2\n"     // 4
-      "runtime.mode = fast\n";       // 5
-  const ParseResult r = parse_scenario(text);
-  ASSERT_EQ(r.errors.size(), 1u) << r.error_text();
-  EXPECT_EQ(r.errors[0].line, 5);
-  EXPECT_NE(r.errors[0].message.find("unknown [config] key 'runtime.mode'"),
-            std::string::npos)
-      << r.errors[0].message;
+  // The sharded runtime has one mode and no sync window (spans end at
+  // control-event fences); the old keys are not silently accepted but
+  // diagnosed like any other unknown key.
+  for (const std::string key : {"runtime.mode", "runtime.sync_window"}) {
+    SCOPED_TRACE(key);
+    const std::string text =
+        "[scenario]\n"                 // 1
+        "name = x\n"                   // 2
+        "[config]\n"                   // 3
+        "runtime.num_shards = 2\n" +   // 4
+        key + " = 1s\n";               // 5
+    const ParseResult r = parse_scenario(text);
+    ASSERT_EQ(r.errors.size(), 1u) << r.error_text();
+    EXPECT_EQ(r.errors[0].line, 5);
+    EXPECT_NE(r.errors[0].message.find("unknown [config] key '" + key + "'"),
+              std::string::npos)
+        << r.errors[0].message;
+  }
 }
 
 TEST(ScenarioSpecTest, RemovedShardModeOverrideIsRejected) {
-  // --set config.runtime.mode=fast goes through the same key dispatch.
-  ScenarioSpec spec;
-  std::string err;
-  EXPECT_FALSE(apply_override(spec, "config.runtime.mode=fast", &err));
-  EXPECT_NE(err.find("unknown [config] key 'runtime.mode'"),
-            std::string::npos)
-      << err;
+  // --set config.runtime.<key>=... goes through the same key dispatch.
+  for (const std::string key : {"runtime.mode", "runtime.sync_window"}) {
+    SCOPED_TRACE(key);
+    ScenarioSpec spec;
+    std::string err;
+    EXPECT_FALSE(apply_override(spec, "config." + key + "=1s", &err));
+    EXPECT_NE(err.find("unknown [config] key '" + key + "'"),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(ScenarioSpecTest, CollectsMultipleDiagnostics) {
