@@ -65,7 +65,8 @@ ScenarioSpec generate_scenario(std::uint64_t seed, const FuzzOptions& opt) {
                                WorkloadKind::kDriftingLocality});
   s.workload.flows = std::max<std::size_t>(
       200, static_cast<std::size_t>(
-               static_cast<double>(rng.next_between(2000, 12000)) *
+               static_cast<double>(rng.next_between(
+                   2000, FuzzOptions::kMaxDrawnFlows)) *
                opt.scale));
   s.workload.horizon = rng.next_between(20, 90) * kMinute;
   s.workload.flat_profile = rng.next_bool(0.7);

@@ -41,6 +41,8 @@
 namespace lazyctrl::scenario {
 
 struct FuzzOptions {
+  /// Largest flow count a scenario draws before `scale` applies.
+  static constexpr std::size_t kMaxDrawnFlows = 12'000;
   /// Multiplies the drawn flow count (CI smoke runs use 0.1); the floor
   /// of 200 flows keeps even heavily scaled runs meaningful.
   double scale = 1.0;

@@ -212,7 +212,8 @@ void ScenarioRunner::build_trace() {
       continue;
     }
     Rng surge_rng = Rng::stream(spec_.seed, kSurgeStreamBase + i);
-    trace = workload::surge_trace(trace, ev.at, to, ev.factor, surge_rng);
+    trace = workload::surge_trace(std::move(trace), ev.at, to, ev.factor,
+                                  surge_rng);
     ++counts_.applied;
   }
   const auto windows = tenant_activity_windows();

@@ -7,6 +7,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <vector>
+
+#include "workload/trace.h"
 
 namespace lazyctrl::scenario {
 
@@ -767,6 +770,24 @@ std::string format_duration(SimDuration d) {
     }
   }
   return "0s";  // unreachable: ns always divides
+}
+
+bool parse_scale(const std::string& text, double* out) {
+  double v = 0;
+  if (!parse_f64(text, &v) || v <= 0) return false;
+  *out = v;
+  return true;
+}
+
+std::optional<std::size_t> scale_flow_count(std::size_t flows,
+                                            double scale) {
+  const double scaled = static_cast<double>(flows) * scale;
+  // Compared in double, so the cast below is only reached when defined.
+  if (!(scaled < static_cast<double>(
+                     std::vector<workload::Flow>().max_size()))) {
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(scaled);
 }
 
 ParseResult parse_scenario(const std::string& text) {

@@ -208,4 +208,12 @@ bool parse_duration(const std::string& text, SimDuration* out);
 /// parse_duration for every representable value.
 [[nodiscard]] std::string format_duration(SimDuration d);
 
+/// Flow-count multiplier (the scenario tools' `--scale`): the whole of
+/// `text` must be a finite number > 0, so "nan", "inf" and "2x" fail.
+bool parse_scale(const std::string& text, double* out);
+/// `flows` multiplied by `scale` and rounded down, or std::nullopt when
+/// the product is more flows than a trace can hold.
+[[nodiscard]] std::optional<std::size_t> scale_flow_count(std::size_t flows,
+                                                          double scale);
+
 }  // namespace lazyctrl::scenario

@@ -355,7 +355,12 @@ Trace expand_trace(const Trace& base, const Topology& topology,
                    double extra_fraction, SimTime from, SimTime to, Rng& rng,
                    double flows_per_new_pair) {
   assert(to > from);
-  Trace out = base;
+  const auto extra = static_cast<std::size_t>(
+      extra_fraction * static_cast<double>(base.flows.size()));
+  Trace out;
+  out.horizon = base.horizon;
+  out.flows.reserve(base.flows.size() + extra);
+  out.flows.assign(base.flows.begin(), base.flows.end());
 
   std::unordered_set<std::uint64_t> communicated;
   communicated.reserve(base.flows.size());
@@ -363,8 +368,6 @@ Trace expand_trace(const Trace& base, const Topology& topology,
     communicated.insert(pair_key(f.src, f.dst));
   }
 
-  const auto extra = static_cast<std::size_t>(
-      extra_fraction * static_cast<double>(base.flows.size()));
   if (extra == 0) {
     finalize_trace(out);
     return out;
@@ -404,29 +407,38 @@ Trace expand_trace(const Trace& base, const Topology& topology,
   return out;
 }
 
-Trace surge_trace(const Trace& base, SimTime from, SimTime to, double factor,
+Trace surge_trace(Trace base, SimTime from, SimTime to, double factor,
                   Rng& rng) {
-  Trace out = base;
   if (factor <= 1.0 || to <= from) {
-    finalize_trace(out);
-    return out;
+    finalize_trace(base);
+    return base;
   }
   const double extra = factor - 1.0;
   const auto whole = static_cast<std::size_t>(extra);
   const double frac = extra - static_cast<double>(whole);
   const auto window = static_cast<std::uint64_t>(to - from);
-  for (const Flow& f : base.flows) {
-    if (f.start < from || f.start >= to) continue;
+  const auto in_window = [&](const Flow& f) {
+    return f.start >= from && f.start < to;
+  };
+  // Clones go in place behind the base flows; finalize_trace then merges
+  // them in. Reserve the most clones the draws below can make.
+  std::vector<Flow>& flows = base.flows;
+  const std::size_t base_count = flows.size();
+  const auto surged = static_cast<std::size_t>(
+      std::count_if(flows.begin(), flows.end(), in_window));
+  flows.reserve(base_count + surged * (whole + (frac > 0 ? 1 : 0)));
+  for (std::size_t i = 0; i < base_count; ++i) {
+    if (!in_window(flows[i])) continue;
     std::size_t copies = whole;
     if (rng.next_bool(frac)) ++copies;
     for (std::size_t c = 0; c < copies; ++c) {
-      Flow dup = f;
+      Flow dup = flows[i];
       dup.start = from + static_cast<SimTime>(rng.next_below(window));
-      out.flows.push_back(dup);
+      flows.push_back(dup);
     }
   }
-  finalize_trace(out);
-  return out;
+  finalize_trace(base);
+  return base;
 }
 
 std::unordered_map<std::uint32_t, std::pair<SimTime, SimTime>>

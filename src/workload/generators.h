@@ -147,7 +147,9 @@ Trace expand_trace(const Trace& base, const topo::Topology& topology,
 /// the window. More arrivals among the pairs already active there, i.e.
 /// a load spike without a locality change. `factor` <= 1 (or an empty
 /// window) returns `base` unchanged. Deterministic for a given rng state.
-Trace surge_trace(const Trace& base, SimTime from, SimTime to, double factor,
+/// `base` is taken by value and the clones are appended to it in place:
+/// pass `std::move(trace)` to avoid copying the whole trace.
+Trace surge_trace(Trace base, SimTime from, SimTime to, double factor,
                   Rng& rng);
 
 /// Tenant activity windows: drops every flow touching a host of a listed

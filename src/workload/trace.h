@@ -51,8 +51,13 @@ struct DiurnalProfile {
   [[nodiscard]] std::array<double, 24> cumulative() const;
 };
 
-/// Sorts flows by start time and reassigns dense ids (stable for equal
-/// starts). Generators call this before returning.
+/// Sorts flows by start time, stable for equal starts, and reassigns
+/// dense ids. Generators and every trace-shaping pass call this before
+/// returning. Adaptive and in place: an already sorted trace costs one
+/// read pass and moves nothing; otherwise the out-of-order tail is radix
+/// sorted in place and merged into the sorted prefix, with a scratch
+/// buffer no larger than the overlap of the two (never the n/2 buffer of
+/// std::stable_sort).
 void finalize_trace(Trace& trace);
 
 /// The flows of `trace` starting in [from, to), rebased so the slice

@@ -1,4 +1,4 @@
-// Steady-state allocation audit of the datapath.
+// Allocation audits: the steady-state datapath and trace ordering.
 //
 // The PR series' claim is that after warm-up the per-flow forwarding path
 // performs NO heap allocation: the flow-table probe, L-FIB probe, G-FIB
@@ -8,38 +8,62 @@
 // stays flat across thousands of steady-state decisions — so a future
 // change that sneaks an allocation back in (a vector copy, a std::function
 // capture, a map insert) fails loudly instead of showing up only as a
-// perf regression.
+// perf regression. The same counters pin workload::finalize_trace's
+// memory bound: it sorts in place, so a trace of n flows never pays
+// std::stable_sort's n/2-flow scratch buffer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
+#include "common/rng.h"
 #include "core/config.h"
 #include "core/edge_switch.h"
 #include "net/packet.h"
+#include "workload/trace.h"
 
 namespace {
 
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 }  // namespace
 
-// Counting pass-throughs. Sized/aligned variants funnel here; the
-// counter only ever increments, so a warmed-up region asserting a zero
-// delta cannot be fooled by free-list reuse.
-void* operator new(std::size_t size) {
+// Counting pass-throughs. Sized/aligned/nothrow variants count too; the
+// counters only ever increment, so a warmed-up region asserting a zero
+// delta cannot be fooled by free-list reuse. The plain new and the
+// deletes that free its memory stay out of line: inlined into the same
+// caller, GCC would see free() on a pointer from operator new and warn
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_alloc_count;
+  g_alloc_bytes += size;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc{};
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// std::inplace_merge's scratch buffer comes from the nothrow form. Left
+// to the sanitizer runtime, it would not be counted and its memory would
+// reach the free() below from a foreign allocator.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_alloc_count;
+  g_alloc_bytes += size;
+  return std::malloc(size ? size : 1);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
 void* operator new(std::size_t size, std::align_val_t align) {
   ++g_alloc_count;
+  g_alloc_bytes += size;
   const std::size_t a = static_cast<std::size_t>(align);
   if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
   throw std::bad_alloc{};
@@ -49,9 +73,11 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
@@ -173,3 +199,70 @@ INSTANTIATE_TEST_SUITE_P(Layouts, DatapathAllocTest,
 
 }  // namespace
 }  // namespace lazyctrl::core
+
+namespace lazyctrl::workload {
+namespace {
+
+constexpr std::size_t kTraceFlows = 100'000;
+
+/// Heap bytes finalize_trace requests while ordering `trace`.
+std::uint64_t finalize_bytes(Trace& trace) {
+  const std::uint64_t before = g_alloc_bytes.load();
+  finalize_trace(trace);
+  return g_alloc_bytes.load() - before;
+}
+
+Trace random_trace(std::size_t n, SimTime horizon, std::uint64_t seed) {
+  Rng rng(seed);
+  Trace t;
+  t.flows.resize(n);
+  for (Flow& f : t.flows) {
+    f.start = static_cast<SimTime>(
+        rng.next_below(static_cast<std::uint64_t>(horizon)));
+  }
+  return t;
+}
+
+TEST(FinalizeTraceAllocTest, SortedTraceIsAllocationFree) {
+  Trace t;
+  t.flows.resize(kTraceFlows);
+  for (std::size_t i = 0; i < t.flows.size(); ++i) {
+    t.flows[i].start = static_cast<SimTime>(i / 3);  // ties included
+  }
+  EXPECT_EQ(finalize_bytes(t), 0u);
+}
+
+TEST(FinalizeTraceAllocTest, ShuffledTraceIsAllocationFree) {
+  Trace t = random_trace(kTraceFlows, kHour, 1);
+  EXPECT_EQ(finalize_bytes(t), 0u);
+  ASSERT_TRUE(std::is_sorted(
+      t.flows.begin(), t.flows.end(),
+      [](const Flow& a, const Flow& b) { return a.start < b.start; }));
+}
+
+TEST(FinalizeTraceAllocTest, PrefixPlusTailBuffersAtMostTheSmallerRun) {
+  // A sorted prefix of 100k flows over an hour, then 20k unsorted flows
+  // inside [20 min, 30 min) — the shape surge_trace hands over.
+  Trace t;
+  for (std::size_t i = 0; i < kTraceFlows; ++i) {
+    Flow f;
+    f.start = static_cast<SimTime>(i) * (kHour / kTraceFlows);
+    t.flows.push_back(f);
+  }
+  const Trace tail = random_trace(20'000, 10 * kMinute, 2);
+  std::size_t overlap = 0;
+  for (const Flow& f : t.flows) {
+    overlap += f.start >= 20 * kMinute && f.start < 30 * kMinute;
+  }
+  for (Flow f : tail.flows) {
+    f.start += 20 * kMinute;
+    t.flows.push_back(f);
+  }
+  const std::size_t n = t.flows.size();
+  const std::uint64_t bytes = finalize_bytes(t);
+  EXPECT_LE(bytes, std::min(overlap, tail.flows.size()) * sizeof(Flow));
+  EXPECT_LT(bytes, n / 2 * sizeof(Flow));  // std::stable_sort's buffer
+}
+
+}  // namespace
+}  // namespace lazyctrl::workload

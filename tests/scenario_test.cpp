@@ -279,6 +279,23 @@ TEST(ScenarioSpecTest, DurationGrammar) {
   }
 }
 
+TEST(ScenarioSpecTest, ScaleGrammar) {
+  double scale = 0;
+  EXPECT_TRUE(parse_scale("0.1", &scale));
+  EXPECT_EQ(scale, 0.1);
+  EXPECT_TRUE(parse_scale("2", &scale));
+  EXPECT_EQ(scale, 2.0);
+  for (const char* bad : {"", "0", "-1", "nan", "inf", "-inf", "2x", "1e400"}) {
+    EXPECT_FALSE(parse_scale(bad, &scale)) << bad;
+  }
+
+  EXPECT_EQ(scale_flow_count(1000, 0.25), 250u);
+  EXPECT_EQ(scale_flow_count(3, 0.5), 1u);  // rounded down
+  EXPECT_EQ(scale_flow_count(100'000, 1e30), std::nullopt);
+  // A count std::vector<Flow>::reserve would reject is rejected here.
+  EXPECT_EQ(scale_flow_count(std::size_t{1} << 62, 1.0), std::nullopt);
+}
+
 TEST(ScenarioSpecTest, SerializeParseRoundTrip) {
   const ParseResult first = parse_scenario(kFullSpec);
   ASSERT_TRUE(first.ok()) << first.error_text();

@@ -1,7 +1,12 @@
 // Tests for trace generation, statistics and the intensity graph.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "topo/builder.h"
@@ -375,6 +380,320 @@ TEST(TraceUtilTest, SliceThenConcatRoundTrips) {
   for (std::size_t i = 0; i < t.flows.size(); ++i) {
     EXPECT_EQ(rejoined.flows[i].start, t.flows[i].start);
     EXPECT_EQ(rejoined.flows[i].packets, t.flows[i].packets);
+  }
+}
+
+}  // namespace
+}  // namespace lazyctrl::workload
+
+// --- golden trace fingerprints ---
+//
+// Every simulated metric depends on the exact order and content of the
+// replayed trace. These constants pin small traces of every generator and
+// trace-shaping pass at two seeds, so a change that silently reorders or
+// alters a single flow (a different sort, a changed RNG draw order) fails
+// here instead of quietly moving every metric downstream.
+namespace lazyctrl::workload {
+namespace {
+
+/// FNV-1a over the horizon and every field of every flow, in order.
+std::uint64_t fingerprint(const Trace& t) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(static_cast<std::uint64_t>(t.horizon));
+  for (const Flow& f : t.flows) {
+    mix(f.id);
+    mix(f.src.value());
+    mix(f.dst.value());
+    mix(static_cast<std::uint64_t>(f.start));
+    mix(f.packets);
+    mix(f.avg_packet_bytes);
+  }
+  return h;
+}
+
+Trace golden_real_like(std::uint64_t seed) {
+  Rng rng(seed);
+  RealLikeOptions opt;
+  opt.total_flows = 4000;
+  return generate_real_like(small_topology(seed), opt, rng);
+}
+
+Trace golden_synthetic(std::uint64_t seed) {
+  Rng rng(seed);
+  SyntheticOptions opt;
+  opt.total_flows = 4000;
+  return generate_synthetic(small_topology(seed), opt, rng);
+}
+
+Trace golden_drifting(std::uint64_t seed) {
+  Rng rng(seed);
+  DriftingLocalityOptions opt;
+  opt.total_flows = 4000;
+  return generate_drifting_locality(small_topology(seed), opt, rng);
+}
+
+Trace golden_surge(std::uint64_t seed, double factor) {
+  Rng rng(seed + 100);
+  return surge_trace(golden_real_like(seed), 9 * kHour, 15 * kHour, factor,
+                     rng);
+}
+
+Trace golden_tenant_windows(std::uint64_t seed) {
+  const std::vector<TenantActivityWindow> windows = {
+      {TenantId{0}, 2 * kHour, 10 * kHour},
+      {TenantId{3}, 0, 6 * kHour},
+      {TenantId{5}, kHour, 20 * kHour},
+      {TenantId{5}, 8 * kHour, 22 * kHour},
+  };
+  return restrict_tenant_windows(golden_real_like(seed), small_topology(seed),
+                                 windows);
+}
+
+Trace golden_expand(std::uint64_t seed) {
+  Rng rng(seed + 200);
+  return expand_trace(golden_real_like(seed), small_topology(seed), 0.30,
+                      8 * kHour, 24 * kHour, rng);
+}
+
+struct GoldenCase {
+  const char* name;
+  Trace (*build)(std::uint64_t seed);
+  std::uint64_t want[2];  ///< fingerprints at seeds 1 and 2
+};
+
+TEST(TraceFingerprintTest, GeneratorsAndShapingPassesAreUnchanged) {
+  const GoldenCase cases[] = {
+      {"real_like",
+       golden_real_like,
+       {0x5abb48636b76f80eULL, 0x89e764f3df9fe2c3ULL}},
+      {"synthetic",
+       golden_synthetic,
+       {0xe418c2c6fac845f7ULL, 0x8d22522e9e738ed1ULL}},
+      {"drifting_locality",
+       golden_drifting,
+       {0xbdcdc61ffb02c8dfULL, 0x91d677489e4c412dULL}},
+      {"surge_x1.5",
+       [](std::uint64_t s) { return golden_surge(s, 1.5); },
+       {0xe19d7dc01a0a3eb2ULL, 0xa0f7862791c5a6adULL}},
+      {"surge_x3",
+       [](std::uint64_t s) { return golden_surge(s, 3.0); },
+       {0x59559ac2b0d86680ULL, 0x4e5f7708e8138134ULL}},
+      {"restrict_tenant_windows",
+       golden_tenant_windows,
+       {0x016f4675ec2f9041ULL, 0x97850709b576f716ULL}},
+      {"expand_trace",
+       golden_expand,
+       {0x5c6d81b6c3f5f0dfULL, 0x151f33ac84ecacedULL}},
+  };
+  for (const GoldenCase& c : cases) {
+    for (std::uint64_t seed : {1, 2}) {
+      const Trace t = c.build(seed);
+      EXPECT_GT(t.flow_count(), 0u) << c.name;
+      EXPECT_EQ(fingerprint(t), c.want[seed - 1])
+          << c.name << " at seed " << seed;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace lazyctrl::workload
+
+// --- finalize_trace / surge_trace against their reference algorithms ---
+namespace lazyctrl::workload {
+namespace {
+
+/// What finalize_trace must produce: std::stable_sort by start, then
+/// dense ids.
+Trace reference_finalize(Trace t) {
+  std::stable_sort(
+      t.flows.begin(), t.flows.end(),
+      [](const Flow& a, const Flow& b) { return a.start < b.start; });
+  std::uint64_t id = 0;
+  for (Flow& f : t.flows) f.id = id++;
+  return t;
+}
+
+/// One flow per start, each tagged with its arrival index (in `packets`
+/// and the endpoints) so a reordering of equal starts shows up.
+Trace trace_of(const std::vector<SimTime>& starts) {
+  Trace t;
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    Flow f;
+    f.id = 7;  // finalize_trace must not trust incoming ids
+    f.src = HostId{static_cast<std::uint32_t>(i % 251)};
+    f.dst = HostId{static_cast<std::uint32_t>(i / 251)};
+    f.start = starts[i];
+    f.packets = static_cast<std::uint32_t>(i + 1);
+    t.flows.push_back(f);
+  }
+  return t;
+}
+
+bool same_flow(const Flow& a, const Flow& b) {
+  return a.id == b.id && a.src == b.src && a.dst == b.dst &&
+         a.start == b.start && a.packets == b.packets &&
+         a.avg_packet_bytes == b.avg_packet_bytes;
+}
+
+void expect_same_trace(const Trace& got, const Trace& want) {
+  EXPECT_EQ(got.horizon, want.horizon);
+  ASSERT_EQ(got.flows.size(), want.flows.size());
+  const auto [g, w] = std::mismatch(got.flows.begin(), got.flows.end(),
+                                    want.flows.begin(), same_flow);
+  EXPECT_TRUE(g == got.flows.end())
+      << "first difference at flow " << (g - got.flows.begin());
+}
+
+void expect_finalize_matches_reference(const std::vector<SimTime>& starts) {
+  Trace t = trace_of(starts);
+  const Trace want = reference_finalize(t);
+  finalize_trace(t);
+  expect_same_trace(t, want);
+}
+
+std::vector<SimTime> uniform_starts(std::size_t n, SimTime lo, SimTime hi,
+                                    std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<SimTime> starts(n);
+  for (SimTime& s : starts) {
+    s = lo + static_cast<SimTime>(
+                 rng.next_below(static_cast<std::uint64_t>(hi - lo)));
+  }
+  return starts;
+}
+
+TEST(FinalizeTracePropertyTest, TrivialShapes) {
+  expect_finalize_matches_reference({});
+  expect_finalize_matches_reference({42});
+  expect_finalize_matches_reference(std::vector<SimTime>(5000, 42));
+  std::vector<SimTime> sorted(5000);
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    sorted[i] = static_cast<SimTime>(i / 4);
+  }
+  expect_finalize_matches_reference(sorted);
+  std::reverse(sorted.begin(), sorted.end());
+  expect_finalize_matches_reference(sorted);
+}
+
+TEST(FinalizeTracePropertyTest, TieHeavyStarts) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    expect_finalize_matches_reference(uniform_starts(20'000, 0, 8, seed));
+  }
+}
+
+TEST(FinalizeTracePropertyTest, FullInt64StartRange) {
+  Rng rng(4);
+  std::vector<SimTime> starts(20'000);
+  for (SimTime& s : starts) s = static_cast<SimTime>(rng.next_u64());
+  starts[10] = std::numeric_limits<SimTime>::min();
+  starts[20] = std::numeric_limits<SimTime>::max();
+  starts[30] = std::numeric_limits<SimTime>::min();
+  starts[40] = 0;
+  starts[50] = -1;
+  expect_finalize_matches_reference(starts);
+}
+
+TEST(FinalizeTracePropertyTest, LargeTracesRunSeveralRadixLevels) {
+  // A day in nanoseconds, and a narrow range where most of the key is
+  // the arrival index.
+  expect_finalize_matches_reference(
+      uniform_starts(250'000, 0, 24 * kHour, 5));
+  expect_finalize_matches_reference(uniform_starts(250'000, 0, 1000, 6));
+}
+
+TEST(FinalizeTracePropertyTest, SortedPrefixPlusTail) {
+  // A sorted prefix on multiples of 10 in [0, 10000), then an unsorted
+  // tail also on multiples of 10, so tail flows tie with prefix flows.
+  const auto prefix_plus_tail = [](std::size_t prefix, std::size_t tail,
+                                   SimTime lo, SimTime hi,
+                                   std::uint64_t seed) {
+    std::vector<SimTime> starts;
+    for (std::size_t i = 0; i < prefix; ++i) {
+      starts.push_back(static_cast<SimTime>(i * 10'000 / prefix) / 10 * 10);
+    }
+    for (SimTime s : uniform_starts(tail, lo / 10, hi / 10, seed)) {
+      starts.push_back(s * 10);
+    }
+    return starts;
+  };
+  struct Case {
+    const char* where;
+    SimTime lo, hi;
+  };
+  const Case cases[] = {{"before", -5000, 0},       {"inside", 2000, 6000},
+                        {"straddling low", -1000, 5000},
+                        {"straddling high", 5000, 20'000},
+                        {"after", 10'000, 20'000},  {"across", -100, 10'100}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.where);
+    expect_finalize_matches_reference(
+        prefix_plus_tail(4000, 1000, c.lo, c.hi, 7));
+    // A prefix shorter than the tail is sorted together with it.
+    expect_finalize_matches_reference(
+        prefix_plus_tail(500, 3000, c.lo, c.hi, 8));
+  }
+}
+
+/// surge_trace as it was first written: copy the base, append the clones,
+/// stable-sort the lot.
+Trace reference_surge(const Trace& base, SimTime from, SimTime to,
+                      double factor, Rng& rng) {
+  Trace out = base;
+  if (factor <= 1.0 || to <= from) return reference_finalize(out);
+  const double extra = factor - 1.0;
+  const auto whole = static_cast<std::size_t>(extra);
+  const double frac = extra - static_cast<double>(whole);
+  const auto window = static_cast<std::uint64_t>(to - from);
+  for (const Flow& f : base.flows) {
+    if (f.start < from || f.start >= to) continue;
+    std::size_t copies = whole;
+    if (rng.next_bool(frac)) ++copies;
+    for (std::size_t c = 0; c < copies; ++c) {
+      Flow dup = f;
+      dup.start = from + static_cast<SimTime>(rng.next_below(window));
+      out.flows.push_back(dup);
+    }
+  }
+  return reference_finalize(out);
+}
+
+TEST(SurgeTraceTest, MatchesReferenceForLvalueAndMovedBase) {
+  const topo::Topology topology = small_topology(3);
+  Rng gen(3);
+  RealLikeOptions opt;
+  opt.total_flows = 20'000;
+  const Trace generated = generate_real_like(topology, opt, gen);
+  Trace unsorted = generated;  // the surge must not assume a sorted base
+  std::reverse(unsorted.flows.begin(), unsorted.flows.end());
+
+  const Trace* const bases[] = {&generated, &unsorted};
+  for (const Trace* base : bases) {
+    for (double factor : {1.0, 1.5, 2.25, 3.0}) {
+      SCOPED_TRACE(testing::Message() << "factor " << factor);
+      Rng ref_rng(11), lvalue_rng(11), moved_rng(11);
+      const Trace want =
+          reference_surge(*base, 9 * kHour, 15 * kHour, factor, ref_rng);
+
+      const Trace before = *base;
+      expect_same_trace(
+          surge_trace(*base, 9 * kHour, 15 * kHour, factor, lvalue_rng),
+          want);
+      expect_same_trace(*base, before);  // an lvalue base is left alone
+
+      Trace moved = *base;
+      expect_same_trace(surge_trace(std::move(moved), 9 * kHour, 15 * kHour,
+                                    factor, moved_rng),
+                        want);
+      // Same number of draws as the reference, in the same order.
+      EXPECT_EQ(lvalue_rng.state(), ref_rng.state());
+      EXPECT_EQ(moved_rng.state(), ref_rng.state());
+    }
   }
 }
 

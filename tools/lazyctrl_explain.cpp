@@ -133,9 +133,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--scale") {
       const char* v = next("--scale");
       if (v == nullptr) return 2;
-      scale = std::atof(v);
-      if (scale <= 0) {
-        std::fprintf(stderr, "--scale expects a positive number\n");
+      if (!scenario::parse_scale(v, &scale)) {
+        std::fprintf(stderr,
+                     "--scale expects a finite number > 0, got %s\n", v);
         return 2;
       }
     } else if (arg == "--flow-sample") {
@@ -197,8 +197,13 @@ int main(int argc, char** argv) {
     }
   }
   if (scale != 1.0) {
-    spec.workload.flows = static_cast<std::size_t>(
-        static_cast<double>(spec.workload.flows) * scale);
+    const auto flows = scenario::scale_flow_count(spec.workload.flows, scale);
+    if (!flows) {
+      std::fprintf(stderr, "--scale %g: %zu flows scaled by it do not fit "
+                   "in a trace\n", scale, spec.workload.flows);
+      return 2;
+    }
+    spec.workload.flows = *flows;
   }
 
   if (!trace_path.empty()) obs::recorder().enable();

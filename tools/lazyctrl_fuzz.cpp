@@ -91,9 +91,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--scale") {
       const char* v = next("--scale");
       if (v == nullptr) return 2;
-      opt.scale = std::atof(v);
-      if (opt.scale <= 0) {
-        std::fprintf(stderr, "--scale expects a positive number\n");
+      if (!scenario::parse_scale(v, &opt.scale)) {
+        std::fprintf(stderr,
+                     "--scale expects a finite number > 0, got %s\n", v);
+        return 2;
+      }
+      if (!scenario::scale_flow_count(scenario::FuzzOptions::kMaxDrawnFlows,
+                                      opt.scale)) {
+        std::fprintf(stderr,
+                     "--scale %s: %zu drawn flows scaled by it do not fit "
+                     "in a trace\n",
+                     v, scenario::FuzzOptions::kMaxDrawnFlows);
         return 2;
       }
     } else if (arg == "--max-events") {
