@@ -270,22 +270,26 @@ int body(benchx::BenchReport& report) {
   }
 
   {
-    // Fig. 5 decision: local hosts + a 45-peer G-FIB.
+    // Fig. 5 decision: local hosts + a 46-member group bank (the switch's
+    // own column, masked by decide(), plus 45 peers).
     core::Config cfg;
     core::EdgeSwitch sw(SwitchId{0}, IpAddress::for_switch(0),
                         MacAddress{0x060000000000ULL}, cfg);
+    core::GFib bank(BloomParameters{cfg.fib.bloom_bits, cfg.fib.bloom_hashes},
+                    cfg.fib.layout);
     std::uint32_t host = 0;
-    for (int h = 0; h < 24; ++h) {
-      sw.lfib().learn(MacAddress::for_host(host), HostId{host}, TenantId{0});
-      ++host;
-    }
-    for (std::uint32_t peer = 1; peer <= 45; ++peer) {
+    for (std::uint32_t member = 0; member <= 45; ++member) {
       std::vector<MacAddress> macs;
       for (int h = 0; h < 24; ++h) {
+        if (member == 0) {
+          sw.lfib().learn(MacAddress::for_host(host), HostId{host},
+                          TenantId{0});
+        }
         macs.push_back(MacAddress::for_host(host++));
       }
-      sw.gfib().sync_peer(SwitchId{peer}, macs);
+      bank.sync_peer(SwitchId{member}, macs);
     }
+    sw.attach_gfib(&bank);
     net::Packet p;
     p.tenant = TenantId{0};
     p.src_mac = MacAddress::for_host(0);

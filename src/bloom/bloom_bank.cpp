@@ -22,13 +22,6 @@ void BloomBank::build_filter(SwitchId peer,
   set_filter(peer, std::move(f));
 }
 
-void BloomBank::remove_filter(SwitchId peer) {
-  const auto it = std::lower_bound(
-      filters_.begin(), filters_.end(), peer,
-      [](const Entry& e, SwitchId p) { return e.peer < p; });
-  if (it != filters_.end() && it->peer == peer) filters_.erase(it);
-}
-
 void BloomBank::clear() { filters_.clear(); }
 
 const BloomBank::Entry* BloomBank::find(SwitchId peer) const {
@@ -36,6 +29,12 @@ const BloomBank::Entry* BloomBank::find(SwitchId peer) const {
       filters_.begin(), filters_.end(), peer,
       [](const Entry& e, SwitchId p) { return e.peer < p; });
   return it != filters_.end() && it->peer == peer ? &*it : nullptr;
+}
+
+std::size_t BloomBank::slot_of(SwitchId peer) const {
+  const Entry* e = find(peer);
+  return e != nullptr ? static_cast<std::size_t>(e - filters_.data())
+                      : kNoSlot;
 }
 
 const BloomFilter* BloomBank::filter(SwitchId peer) const {

@@ -58,6 +58,10 @@ struct BloomHash {
   }
 };
 
+/// Bank slot sentinel shared by both bank layouts: `slot_of` returns it for
+/// an absent peer, and a `query_into` given it as `skip_slot` masks nothing.
+inline constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
 /// Parameters for constructing a Bloom filter.
 struct BloomParameters {
   /// Hard cap on `hash_count`. Both filter layouts (per-peer BloomFilter

@@ -19,9 +19,9 @@ std::size_t SlicedBloomBank::rank_of(SwitchId peer) const {
       std::lower_bound(peers_.begin(), peers_.end(), peer) - peers_.begin());
 }
 
-bool SlicedBloomBank::has_filter(SwitchId peer) const {
+std::size_t SlicedBloomBank::slot_of(SwitchId peer) const {
   const std::size_t r = rank_of(peer);
-  return r < peers_.size() && peers_[r] == peer;
+  return r < peers_.size() && peers_[r] == peer ? r : kNoSlot;
 }
 
 void SlicedBloomBank::set_row_stride(std::size_t new_stride) {
@@ -31,13 +31,13 @@ void SlicedBloomBank::set_row_stride(std::size_t new_stride) {
     bytes_per_row_ = new_stride;
     return;
   }
-  // Re-layouts copy min(old, new) bytes per row; on a shrink the dropped
-  // tail bytes are all-zero by the beyond-live-columns invariant.
-  const std::size_t copy = std::min(old_stride, new_stride);
+  // Strides only grow: each row's old bytes move to the front of its
+  // wider slot, and the new tail bytes start zero.
   std::vector<std::uint8_t> laid(bits_ * new_stride + kTailPadding, 0);
   for (std::size_t r = 0; r < bits_; ++r) {
     std::copy_n(
-        slices_.begin() + static_cast<std::ptrdiff_t>(r * old_stride), copy,
+        slices_.begin() + static_cast<std::ptrdiff_t>(r * old_stride),
+        old_stride,
         laid.begin() + static_cast<std::ptrdiff_t>(r * new_stride));
   }
   slices_ = std::move(laid);
@@ -65,10 +65,9 @@ void SlicedBloomBank::insert_column(std::size_t slot) {
   const std::size_t n = peers_.size();  // live columns before the insert
   if (stride <= 8) {
     // Whole row fits one u64: insert a zero bit at `slot` with three
-    // masks instead of a per-byte carry walk (a mid-group DGM move costs
-    // one load/store per slice row, ~16k rows per column op). Only
-    // `stride` bytes are stored back, so the padding/next-row bytes the
-    // load sees are never written.
+    // masks instead of a per-byte carry walk (one load/store per slice
+    // row, ~16k rows per column op). Only `stride` bytes are stored back,
+    // so the padding/next-row bytes the load sees are never written.
     const std::uint64_t low_mask = (std::uint64_t{1} << (slot & 63)) - 1;
     std::uint8_t* row = slices_.data();
     for (std::size_t r = 0; r < bits_; ++r, row += stride) {
@@ -92,44 +91,6 @@ void SlicedBloomBank::insert_column(std::size_t slot) {
     row[byte] = static_cast<std::uint8_t>(
         (row[byte] & low_mask) |
         static_cast<std::uint8_t>((row[byte] & ~low_mask) << 1));
-  }
-}
-
-void SlicedBloomBank::remove_column(std::size_t slot) {
-  const std::size_t stride = bytes_per_row_;
-  const std::size_t n = peers_.size();  // live columns before the removal
-  if (stride <= 8) {
-    const std::uint64_t low_mask = (std::uint64_t{1} << (slot & 63)) - 1;
-    // Keep only the surviving columns: masks off both the garbage bit the
-    // >>1 pulls in past the stride and the vacated top column, restoring
-    // the all-zero-beyond-live invariant in the same store.
-    const std::uint64_t live_mask =
-        n - 1 >= 64 ? ~std::uint64_t{0}
-                    : (std::uint64_t{1} << (n - 1)) - 1;
-    std::uint8_t* row = slices_.data();
-    for (std::size_t r = 0; r < bits_; ++r, row += stride) {
-      std::uint64_t w;
-      std::memcpy(&w, row, sizeof(w));
-      w = ((w & low_mask) | ((w >> 1) & ~low_mask)) & live_mask;
-      std::memcpy(row, &w, stride);
-    }
-    return;
-  }
-  const std::size_t byte = slot >> 3;
-  const std::uint8_t low_mask =
-      static_cast<std::uint8_t>((1u << (slot & 7)) - 1);
-  const std::size_t top_byte = (n - 1) >> 3;
-  for (std::size_t r = 0; r < bits_; ++r) {
-    std::uint8_t* row = slices_.data() + r * stride;
-    row[byte] = static_cast<std::uint8_t>((row[byte] & low_mask) |
-                                          ((row[byte] >> 1) & ~low_mask));
-    for (std::size_t j = byte + 1; j <= top_byte; ++j) {
-      row[j - 1] =
-          static_cast<std::uint8_t>(row[j - 1] | ((row[j] & 1u) << 7));
-      row[j] = static_cast<std::uint8_t>(row[j] >> 1);
-    }
-    // The vacated top column stays zero (with the query-side live-slot
-    // mask this keeps extraction exact without per-chunk guards).
   }
 }
 
@@ -161,20 +122,6 @@ void SlicedBloomBank::build_filter(SwitchId peer,
       idx += h.h2;
     }
   }
-}
-
-void SlicedBloomBank::remove_filter(SwitchId peer) {
-  const std::size_t slot = rank_of(peer);
-  if (slot == peers_.size() || peers_[slot] != peer) return;
-  remove_column(slot);
-  peers_.erase(peers_.begin() + static_cast<std::ptrdiff_t>(slot));
-  // Shrink once a whole spare byte of slack opens (the +1 hysteresis
-  // keeps a single add/remove at an 8-peer boundary from flapping
-  // between re-layouts), so a halved group does not keep its high-water
-  // footprint.
-  const std::size_t needed =
-      std::max<std::size_t>(1, (peers_.size() + 7) / 8);
-  if (needed + 1 < bytes_per_row_) set_row_stride(needed);
 }
 
 void SlicedBloomBank::clear() {

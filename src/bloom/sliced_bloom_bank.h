@@ -1,42 +1,41 @@
 // SlicedBloomBank: a bit-sliced (transposed), byte-packed Bloom bank.
 //
-// The linear BloomBank stores one filter per peer, so a G-FIB scan walks
-// S-1 independent bit arrays and touches O(S) cache lines even when every
+// The linear BloomBank stores one filter per switch, so a G-FIB scan walks
+// S independent bit arrays and touches O(S) cache lines even when every
 // probe early-exits. This bank stores the SAME bits transposed: for every
-// bit position b of the shared filter address space it keeps a peer mask
-// ("slice"), where slice[b] bit s answers "does peer slot s have filter
+// bit position b of the shared filter address space it keeps a column
+// mask ("slice"), where slice[b] bit s answers "does slot s have filter
 // bit b set?". One query reads the k slices addressed by the key's probe
-// sequence, ANDs them, and the surviving bits ARE the candidate peer set
-// — O(k) cache lines per scan regardless of group size, extracted in
-// ascending SwitchId order by construction.
+// sequence, ANDs them, and the surviving bits ARE the candidate set —
+// O(k) cache lines per scan regardless of group size, extracted in
+// ascending SwitchId order by construction. core::GFib keeps one such
+// bank per group, own columns included, and each member's query masks
+// its own slot out (`skip_slot`).
 //
-// Rows are packed at BYTE granularity (stride = ⌈peer capacity / 8⌉
-// bytes, grown 8 peers at a time and shrunk as peers leave), not at word
-// granularity: with 64-bit rows a 16384-bit filter space costs 128 KB
-// per bank no matter how small the group, and a fleet of mostly-idle
-// banks evicts the rest of the datapath from cache — measured as a ~25%
-// end-to-end replay slowdown at 18-switch groups. Byte packing brings
-// the transposed footprint to m·⌈S/8⌉ bytes vs the linear layout's
-// S·m/8: parity at 8-peer multiples, up to the byte-rounding factor 8/S
-// above it for tiny groups (a 2-peer bank costs 4× linear), while the
-// scan still reads each row as one unaligned 64-bit load per 64-peer
-// chunk. Rows carry 8 trailing padding bytes so the last chunk's load is
-// always in-bounds; bits beyond the live slot count are masked.
+// Rows are packed at BYTE granularity (stride = ⌈column capacity / 8⌉
+// bytes, grown 8 columns at a time), not at word granularity: with
+// 64-bit rows a 16384-bit filter space costs 128 KB per bank no matter
+// how small the group. Byte packing brings the transposed footprint to
+// m·⌈S/8⌉ bytes vs the linear layout's S·m/8: parity at 8-column
+// multiples, up to the byte-rounding factor 8/S above it for tiny groups
+// (a 2-column bank costs 4× linear), while the scan still reads each row
+// as one unaligned 64-bit load per 64-column chunk. Rows carry 8 trailing
+// padding bytes so the last chunk's load is always in-bounds; bits beyond
+// the live slot count are masked.
 //
-// Equivalence: peer slots share one filter geometry (`BloomParameters`,
+// Equivalence: slots share one filter geometry (`BloomParameters`,
 // rounded exactly like `BloomFilter`) and the probe sequence is the same
 // Kirsch-Mitzenmacher walk over the same `BloomHash`, so for any key the
 // candidate set — including false positives — is bit-identical to a
-// linear `BloomBank` built from the same per-peer host lists. The
-// randomized property test in tests/sliced_bank_test.cpp enforces this
-// across build, peer add/remove and migration-style rebuild sequences.
+// linear `BloomBank` built from the same per-switch host lists. The
+// randomized property test in tests/sliced_bank_test.cpp enforces this.
 //
-// Incremental maintenance: peer columns are kept in ascending SwitchId
-// order, so adding or removing a peer inserts/deletes one bit column — a
-// byte-shift pass over the slice table, O(m x stride) byte ops — instead
-// of re-transposing every peer's host list (which the bank could not
-// even do: it does not retain host lists). This is what keeps DGM
-// migration rebuilds cheap under the sliced layout.
+// Maintenance: columns are kept in ascending SwitchId order. A column
+// appended past the highest id costs no layout work (the full-rebuild
+// path builds in ascending order for exactly this reason); re-building an
+// existing column clears and re-sets its bits in place; inserting below
+// the highest id shifts one bit column through every row. There is no
+// column removal: a group whose member set changes gets a fresh bank.
 #pragma once
 
 #include <bit>
@@ -53,7 +52,7 @@ namespace lazyctrl::bloom {
 
 // Slot-to-bit addressing writes byte s/8 bit s%8 and reads rows back
 // through unaligned 64-bit loads (plus partial low-byte stores in the
-// column-shift fast paths) — a mapping that only agrees between the two
+// column-insert fast path) — a mapping that only agrees between the two
 // access widths on little-endian hosts. Fail the build rather than
 // silently corrupt candidate sets elsewhere.
 static_assert(std::endian::native == std::endian::little,
@@ -67,25 +66,21 @@ class SlicedBloomBank {
   /// Builds (or rebuilds) the column summarising `peer`'s host MAC list.
   void build_filter(SwitchId peer, const std::vector<MacAddress>& hosts);
 
-  /// Removes `peer`'s column (e.g. the peer left the group). Shrinks the
-  /// row stride once at least a whole spare byte (8 slots) of slack
-  /// opens up, so a bank that lost most of its group does not keep its
-  /// high-water footprint.
-  void remove_filter(SwitchId peer);
-
   /// Drops every column and resets the stride; the heap buffer is kept
   /// for the typical clear-then-rebuild cycle.
   void clear();
 
   /// Pre-sizes the row stride for `n` columns so a bulk rebuild performs
-  /// at most one re-layout instead of one per 8 appended peers. Never
-  /// shrinks (removal handles that).
+  /// at most one re-layout instead of one per 8 appended columns. Never
+  /// shrinks.
   void reserve_columns(std::size_t n);
 
   /// Appends every peer whose column reports possible membership of the
   /// key hashed into `h` (ascending SwitchId order) to `out` without
-  /// clearing it. Allocation-free given spare capacity in `out`.
-  void query_into(BloomHash h, std::vector<SwitchId>& out) const {
+  /// clearing it; the column at `skip_slot` (a member's own, see slot_of)
+  /// is masked out. Allocation-free given spare capacity in `out`.
+  void query_into(BloomHash h, std::vector<SwitchId>& out,
+                  std::size_t skip_slot = kNoSlot) const {
     const std::size_t n = peers_.size();
     if (n == 0) return;
     const std::size_t stride = bytes_per_row_;
@@ -105,6 +100,9 @@ class SlicedBloomBank {
       }
       const std::size_t live = n - c * 8;  // live slots in this chunk
       if (live < 64) acc &= (std::uint64_t{1} << live) - 1;
+      // Unsigned wrap: a skip slot below this chunk lands far above 64.
+      const std::size_t skip = skip_slot - c * 8;
+      if (skip < 64) acc &= ~(std::uint64_t{1} << skip);
       while (acc != 0) {
         const unsigned bit =
             static_cast<unsigned>(std::countr_zero(acc));
@@ -114,7 +112,9 @@ class SlicedBloomBank {
     }
   }
 
-  [[nodiscard]] bool has_filter(SwitchId peer) const;
+  /// Column index of `peer` (its rank in ascending id order), or kNoSlot
+  /// when the bank holds no column for it.
+  [[nodiscard]] std::size_t slot_of(SwitchId peer) const;
   /// Peers with an installed column, ascending id order.
   [[nodiscard]] const std::vector<SwitchId>& peers() const noexcept {
     return peers_;
@@ -159,13 +159,12 @@ class SlicedBloomBank {
 
   void set_row_stride(std::size_t new_stride);
   void insert_column(std::size_t slot);
-  void remove_column(std::size_t slot);
   void clear_column(std::size_t slot);
 
   BloomParameters params_;
   std::size_t bits_;    ///< rounded-up bit positions == slice rows
   std::size_t hashes_;  ///< clamped like BloomFilter
-  std::size_t bytes_per_row_ = 1;       ///< packed row stride (8 peers/B)
+  std::size_t bytes_per_row_ = 1;       ///< packed row stride (8 slots/B)
   std::vector<SwitchId> peers_;         ///< ascending; slot == index
   std::vector<std::uint8_t> slices_;    ///< bits_ rows x stride + padding
 };

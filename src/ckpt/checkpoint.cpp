@@ -507,8 +507,7 @@ bool StateAccess::save(scenario::ScenarioRunner& runner, std::uint32_t index,
   }
   w.end_section();
 
-  const std::string bytes = w.finish();
-  out->assign(bytes.begin(), bytes.end());
+  *out = w.finish();
   return true;
 }
 
@@ -761,16 +760,20 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
   }
   r.leave_section();
 
-  // G-FIBs: derived state. Each peer filter is a pure function of the
-  // (restored) topology attachment and the hidden-host sets, so a fresh
-  // rebuild reproduces the uninterrupted run's bank contents bit for
-  // bit. The dissemination-counter bumps this makes are overwritten by
-  // METR below.
+  // G-FIBs: derived state. Each filter is a pure function of the
+  // (restored) topology attachment and the hidden-host sets, so one fresh
+  // bank per group reproduces the uninterrupted run's banks bit for bit.
+  // The dissemination-counter bumps this makes are overwritten by METR
+  // below.
   if (r.ok() && net->config_.mode == core::ControlMode::kLazyCtrl &&
       net->controller_.grouping().group_count > 0) {
     const auto members = net->controller_.grouping().members();
-    for (const auto& group : members) {
-      if (!group.empty()) net->rebuild_group_fib(group);
+    net->gfibs_.assign(members.size(), net->empty_gfib());
+    for (std::size_t gi = 0; gi < members.size(); ++gi) {
+      if (!members[gi].empty()) {
+        net->rebuild_group_fib(GroupId{static_cast<std::uint32_t>(gi)},
+                               members[gi]);
+      }
     }
   }
 

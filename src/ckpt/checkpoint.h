@@ -17,10 +17,11 @@
 // itself). An unclassifiable pending event fails the save with a
 // diagnosed error — that check IS the in-flight ≡ 0 assertion.
 //
-// G-FIBs are NOT serialized: a peer filter is a pure function of the
-// member's current host set and the hidden-host sets (the delta-sync
-// invariant in Network::rebuild_group_fib), so the restorer rebuilds
-// them bit-identically from the restored topology + grouping.
+// G-FIBs are NOT serialized: a filter is a pure function of its switch's
+// current host set and the hidden-host sets (the delta-sync invariant in
+// Network::rebuild_group_fib), so the restorer builds one bank per group,
+// bit-identical to the uninterrupted run's, from the restored topology +
+// grouping.
 //
 // File format and robustness contract: see ckpt/io.h. The restore path
 // validates every count and enum against live state and never crashes

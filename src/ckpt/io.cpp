@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <cstdio>
+#include <utility>
 
 namespace lazyctrl::ckpt {
 
@@ -25,22 +26,31 @@ constexpr auto kCrcTable = make_crc_table();
 /// header = magic u32 | version u32 | payload size u64 | payload crc u32.
 constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 4;
 
-void append_u32(std::string& buf, std::uint32_t v) {
+void append_u32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
-    buf.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    buf.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
   }
 }
 
-void append_u64(std::string& buf, std::uint64_t v) {
+void append_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    buf.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
   }
 }
 
-void patch_u64(std::string& buf, std::size_t at, std::uint64_t v) {
+void patch_u32(std::vector<std::uint8_t>& buf, std::size_t at,
+               std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    buf[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
+  }
+}
+
+void patch_u64(std::vector<std::uint8_t>& buf, std::size_t at,
+               std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     buf[at + static_cast<std::size_t>(i)] =
-        static_cast<char>((v >> (8 * i)) & 0xFF);
+        static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
   }
 }
 
@@ -71,7 +81,9 @@ std::string fourcc_name(std::uint32_t tag) {
 
 // --- Writer ---
 
-void Writer::u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+Writer::Writer() : buf_(kHeaderSize, 0) {}
+
+void Writer::u8(std::uint8_t v) { buf_.push_back(v); }
 void Writer::u32(std::uint32_t v) { append_u32(buf_, v); }
 void Writer::u64(std::uint64_t v) { append_u64(buf_, v); }
 void Writer::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
@@ -79,7 +91,7 @@ void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void Writer::str(std::string_view s) {
   u64(s.size());
-  buf_.append(s);
+  buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
 void Writer::begin_section(std::uint32_t tag) {
@@ -94,16 +106,15 @@ void Writer::end_section() {
   section_len_at_ = std::string::npos;
 }
 
-std::string Writer::finish() {
-  std::string out;
-  out.reserve(kHeaderSize + buf_.size());
-  append_u32(out, kMagic);
-  append_u32(out, kFormatVersion);
-  append_u64(out, buf_.size());
-  append_u32(out, crc32(buf_));
-  out += buf_;
-  buf_.clear();
-  return out;
+std::vector<std::uint8_t> Writer::finish() {
+  const std::string_view payload(
+      reinterpret_cast<const char*>(buf_.data()) + kHeaderSize,
+      buf_.size() - kHeaderSize);
+  patch_u32(buf_, 0, kMagic);
+  patch_u32(buf_, 4, kFormatVersion);
+  patch_u64(buf_, 8, payload.size());
+  patch_u32(buf_, 16, crc32(payload));
+  return std::move(buf_);
 }
 
 // --- Reader ---

@@ -10,12 +10,13 @@
 //
 // All integers are little-endian; doubles travel as their IEEE-754 bit
 // pattern (bit-identity is the whole point of the format). The Writer
-// builds the payload in memory and stamps the header in finish(); the
-// Reader validates magic/version/size/CRC up front and then serves typed
-// reads with hard bounds checks. Any malformed input — truncation, a bad
-// CRC, a version skew, a wrong section tag, an oversized length — turns
-// the Reader into a sticky failed state carrying a byte-offset-diagnosed
-// error string. It never throws and never reads out of bounds, so a
+// builds the snapshot in one buffer behind a reserved header and stamps
+// the header in place in finish(), so a save never copies the (tens of
+// MB) snapshot; the Reader validates magic/version/size/CRC up front and
+// then serves typed reads with hard bounds checks. Any malformed input —
+// truncation, a bad CRC, a version skew, a wrong section tag, an
+// oversized length — turns the Reader into a sticky failed state carrying
+// a byte-offset-diagnosed error string. It never throws and never reads out of bounds, so a
 // corrupt snapshot fails with a message, not a crash (tests/ckpt_test.cpp
 // drives every section through this contract).
 #pragma once
@@ -51,6 +52,8 @@ constexpr std::uint32_t fourcc(const char (&tag)[5]) noexcept {
 
 class Writer {
  public:
+  Writer();
+
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
@@ -67,10 +70,10 @@ class Writer {
 
   /// Stamps the header (size + CRC) and returns the complete snapshot.
   /// The writer is spent afterwards.
-  [[nodiscard]] std::string finish();
+  [[nodiscard]] std::vector<std::uint8_t> finish();
 
  private:
-  std::string buf_;
+  std::vector<std::uint8_t> buf_;  ///< reserved header, then the payload
   /// Offset of the open section's length field (npos = none open).
   std::size_t section_len_at_ = std::string::npos;
 };

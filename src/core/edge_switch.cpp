@@ -28,8 +28,6 @@ EdgeSwitch::EdgeSwitch(SwitchId id, IpAddress underlay_ip,
     : id_(id),
       underlay_ip_(underlay_ip),
       management_mac_(management_mac),
-      gfib_(BloomParameters{config.fib.bloom_bits, config.fib.bloom_hashes},
-            config.fib.layout),
       table_(config.rules.flow_table_capacity),
       rule_ttl_(config.rules.rule_ttl) {}
 

@@ -1,7 +1,8 @@
 // Edge switch model (paper §III-D, Fig. 5 and §IV-A).
 //
-// Holds the three tables of a LazyCtrl edge switch — flow table, L-FIB and
-// G-FIB — plus group membership and the per-window traffic counters the
+// Holds the tables of a LazyCtrl edge switch — flow table and L-FIB, plus
+// a view of its group's shared G-FIB bank (core/gfib.h) — together with
+// group membership and the per-window traffic counters the
 // state-advertisement module reports upstream. The `decide` method is the
 // packet-forwarding routine of Fig. 5 restricted to the first packet of a
 // flow (the only packet that can change control-plane state); the network
@@ -41,8 +42,12 @@ class EdgeSwitch {
 
   [[nodiscard]] LFib& lfib() noexcept { return lfib_; }
   [[nodiscard]] const LFib& lfib() const noexcept { return lfib_; }
-  [[nodiscard]] GFib& gfib() noexcept { return gfib_; }
-  [[nodiscard]] const GFib& gfib() const noexcept { return gfib_; }
+  /// This switch's G-FIB: its group's bank (owned by Network) minus the
+  /// switch's own column.
+  [[nodiscard]] const GFibView& gfib() const noexcept { return gfib_; }
+  /// Points the G-FIB at `bank` (nullptr detaches). Must be called again
+  /// whenever the bank's peer set changes or the bank object moves.
+  void attach_gfib(const GFib* bank) { gfib_ = GFibView(bank, id_); }
   [[nodiscard]] openflow::FlowTable& flow_table() noexcept { return table_; }
   [[nodiscard]] const openflow::FlowTable& flow_table() const noexcept {
     return table_;
@@ -52,11 +57,9 @@ class EdgeSwitch {
     std::size_t lfib_entries = 0;
     std::size_t flow_table_rules = 0;
     std::size_t gfib_peers = 0;
-    std::size_t gfib_bytes = 0;
   };
   [[nodiscard]] TableSizes table_sizes() const noexcept {
-    return {lfib_.size(), table_.size(), gfib_.peer_count(),
-            gfib_.storage_bytes()};
+    return {lfib_.size(), table_.size(), gfib_.peer_count()};
   }
 
   // --- group membership ---
@@ -136,7 +139,7 @@ class EdgeSwitch {
   IpAddress underlay_ip_;
   MacAddress management_mac_;
   LFib lfib_;
-  GFib gfib_;
+  GFibView gfib_;
   openflow::FlowTable table_;
   GroupId group_;
   SwitchId designated_;

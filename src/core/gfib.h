@@ -1,11 +1,19 @@
 // G-FIB: Group Forwarding Information Base (paper §III-D2).
 //
-// A Bloom-filter replica of every group peer's L-FIB. Queries return the
-// peers that may host a MAC; an empty result proves the destination is
-// outside the group and the packet must go to the controller.
+// In the paper every member of an S-switch group keeps S-1 Bloom filters,
+// one replica of each peer's L-FIB. A filter is a pure function of its
+// switch's host set, so those S-1 replicas are bit-identical at every
+// member. The simulator therefore stores them once: core::Network owns
+// one `GFib` bank per group holding every member's filter (own column
+// included), and each EdgeSwitch reads it through a `GFibView` that masks
+// the switch's own column out. A view answers exactly what the paper's
+// per-switch G-FIB answers: the peers that may host a MAC, where an empty
+// result proves the destination is outside the group and the packet must
+// go to the controller. The paper's per-switch storage cost is priced
+// analytically by bench_storage_overhead, not by this simulator memory.
 //
 // Two interchangeable storage layouts back the same query API (selected
-// by Config.fib.layout): the linear per-peer BloomBank of the paper, and
+// by Config.fib.layout): the linear per-switch BloomBank of the paper, and
 // the bit-sliced SlicedBloomBank whose scan cost is O(k) cache lines
 // regardless of group size. Both produce bit-identical candidate sets for
 // the same BloomParameters/BloomHash (tests/sliced_bank_test.cpp).
@@ -37,14 +45,6 @@ class GFib {
     }
   }
 
-  void remove_peer(SwitchId peer) {
-    if (layout_ == GFibLayout::kSliced) {
-      sliced_.remove_filter(peer);
-    } else {
-      bank_.remove_filter(peer);
-    }
-  }
-
   void clear() {
     if (layout_ == GFibLayout::kSliced) {
       sliced_.clear();
@@ -62,22 +62,25 @@ class GFib {
 
   /// Allocation-free hot-path query: appends candidates (ascending id
   /// order) into `out`; `h` is the precomputed hash of the queried MAC so
-  /// all peer filters share one mixing pass.
-  void query_into(BloomHash h, std::vector<SwitchId>& out) const {
+  /// all filters share one mixing pass. The filter at `skip_slot` (see
+  /// slot_of) is masked out — how a member skips its own column.
+  void query_into(BloomHash h, std::vector<SwitchId>& out,
+                  std::size_t skip_slot = kNoSlot) const {
     if (layout_ == GFibLayout::kSliced) {
-      sliced_.query_into(h, out);
+      sliced_.query_into(h, out, skip_slot);
     } else {
-      bank_.query_into(h, out);
+      bank_.query_into(h, out, skip_slot);
     }
   }
 
-  [[nodiscard]] bool has_peer(SwitchId peer) const {
-    return layout_ == GFibLayout::kSliced ? sliced_.has_filter(peer)
-                                          : bank_.has_filter(peer);
+  /// Index of `peer`'s filter in ascending id order, or kNoSlot when the
+  /// bank holds none. Stable until the bank's peer set changes.
+  [[nodiscard]] std::size_t slot_of(SwitchId peer) const {
+    return layout_ == GFibLayout::kSliced ? sliced_.slot_of(peer)
+                                          : bank_.slot_of(peer);
   }
 
-  /// Appends the synced peers (ascending id order) to `out` — the diff
-  /// input of the delta-aware group rebuild (Network::rebuild_group_fib).
+  /// Appends the synced peers (ascending id order) to `out`.
   void peers_into(std::vector<SwitchId>& out) const {
     if (layout_ == GFibLayout::kSliced) {
       const std::vector<SwitchId>& p = sliced_.peers();
@@ -87,7 +90,6 @@ class GFib {
     }
   }
 
-  [[nodiscard]] GFibLayout layout() const noexcept { return layout_; }
   [[nodiscard]] std::size_t peer_count() const noexcept {
     return layout_ == GFibLayout::kSliced ? sliced_.filter_count()
                                           : bank_.filter_count();
@@ -104,6 +106,43 @@ class GFib {
   // SlicedBloomBank none until a column is inserted).
   BloomBank bank_;
   bloom::SlicedBloomBank sliced_;
+};
+
+/// One switch's G-FIB: its group's bank with the switch's own column
+/// masked out, so queries, peer lists and peer counts cover exactly the
+/// S-1 peers. Non-owning; the switch is re-attached whenever its group's
+/// bank is rebuilt or moves (the cached slot is only valid while the
+/// bank's peer set is unchanged). A detached view has no peers.
+class GFibView {
+ public:
+  GFibView() = default;
+  GFibView(const GFib* bank, SwitchId self)
+      : bank_(bank), slot_(bank != nullptr ? bank->slot_of(self) : kNoSlot) {}
+
+  void query_into(BloomHash h, std::vector<SwitchId>& out) const {
+    if (bank_ != nullptr) bank_->query_into(h, out, slot_);
+  }
+  /// Appends the peers (ascending id order, self excluded) to `out`.
+  void peers_into(std::vector<SwitchId>& out) const {
+    if (bank_ == nullptr) return;
+    const std::size_t base = out.size();
+    bank_->peers_into(out);
+    if (slot_ != kNoSlot) {
+      out.erase(out.begin() + static_cast<std::ptrdiff_t>(base + slot_));
+    }
+  }
+  [[nodiscard]] std::size_t peer_count() const noexcept {
+    if (bank_ == nullptr) return 0;
+    return bank_->peer_count() - (slot_ != kNoSlot ? 1 : 0);
+  }
+
+  /// The viewed bank (nullptr when detached) and the masked column.
+  [[nodiscard]] const GFib* bank() const noexcept { return bank_; }
+  [[nodiscard]] std::size_t own_slot() const noexcept { return slot_; }
+
+ private:
+  const GFib* bank_ = nullptr;
+  std::size_t slot_ = kNoSlot;
 };
 
 }  // namespace lazyctrl::core

@@ -294,14 +294,6 @@ void InvariantChecker::check_gfib(const Network& net, Collector& out) {
   const Grouping& grouping = net.grouping();
   if (grouping.group_count == 0) return;
 
-  // Hosts bucketed by attachment once; the no-false-negative pass below
-  // walks each group's hosts per member.
-  std::vector<std::vector<const topo::HostInfo*>> hosts_on(
-      net.switches_.size());
-  for (const topo::HostInfo& h : net.topology_.hosts()) {
-    hosts_on[h.attached_switch.value()].push_back(&h);
-  }
-
   for (const auto& sw : net.switches_) {
     if (grouping.group_of(sw->id()).value() != sw->group().value()) {
       out.add("gfib consistency",
@@ -313,11 +305,18 @@ void InvariantChecker::check_gfib(const Network& net, Collector& out) {
   }
 
   const std::vector<std::vector<SwitchId>> members = grouping.members();
+  if (net.gfibs_.size() != members.size()) {
+    out.add("gfib consistency", u64s(net.gfibs_.size()) +
+                                    " G-FIB banks vs " +
+                                    u64s(members.size()) + " groups");
+    return;
+  }
   std::vector<SwitchId> peers;
   std::vector<SwitchId> candidates;
   for (std::size_t gi = 0; gi < members.size(); ++gi) {
     const std::vector<SwitchId>& group = members[gi];
     if (group.empty()) continue;
+    const GFib& bank = net.gfibs_[gi];
     // One designated switch per group, elected from the membership.
     const SwitchId designated = net.switches_[group.front().value()]
                                     ->designated();
@@ -326,6 +325,7 @@ void InvariantChecker::check_gfib(const Network& net, Collector& out) {
               "group " + u64s(gi) + "'s designated switch " +
                   u64s(designated.value()) + " is not one of its members");
     }
+    // Every member views this group's bank with its own column masked.
     for (const SwitchId member : group) {
       const EdgeSwitch& sw = *net.switches_[member.value()];
       if (sw.designated() != designated) {
@@ -334,37 +334,39 @@ void InvariantChecker::check_gfib(const Network& net, Collector& out) {
                     u64s(sw.designated().value()) + " but its group (" +
                     u64s(gi) + ") elected " + u64s(designated.value()));
       }
-      // Peer set == co-members (both sides ascending by construction).
-      peers.clear();
-      sw.gfib().peers_into(peers);
-      std::vector<SwitchId> expected;
-      expected.reserve(group.size() - 1);
-      for (const SwitchId p : group) {
-        if (p != member) expected.push_back(p);
-      }
-      if (peers != expected) {
+      if (sw.gfib().bank() != &bank ||
+          sw.gfib().own_slot() != bank.slot_of(member)) {
         out.add("gfib consistency",
-                "switch " + u64s(member.value()) + " has " +
-                    u64s(peers.size()) + " G-FIB peers but its group has " +
-                    u64s(expected.size()) + " co-members");
-        continue;
+                "switch " + u64s(member.value()) +
+                    " does not view its own column of group " + u64s(gi) +
+                    "'s G-FIB bank");
       }
-      // No false negatives: every visible host on a peer must be matched
-      // by that peer's filter (Bloom filters may over-match, never
-      // under-match).
-      for (const SwitchId peer : expected) {
-        for (const topo::HostInfo* h : hosts_on[peer.value()]) {
-          if (net.host_hidden(h->id)) continue;
-          candidates.clear();
-          sw.gfib().query_into(BloomHash::of(h->mac), candidates);
-          if (std::find(candidates.begin(), candidates.end(), peer) ==
-              candidates.end()) {
-            out.add("gfib consistency",
-                    "G-FIB of switch " + u64s(member.value()) +
-                        " misses host " + u64s(h->id.value()) +
-                        " on peer switch " + u64s(peer.value()) +
-                        " (Bloom false negative — stale filter)");
-          }
+    }
+    // The bank's filters == the members (both ascending by construction).
+    peers.clear();
+    bank.peers_into(peers);
+    if (peers != group) {
+      out.add("gfib consistency",
+              "group " + u64s(gi) + "'s G-FIB bank has " +
+                  u64s(peers.size()) + " filters but the group has " +
+                  u64s(group.size()) + " members");
+      continue;
+    }
+    // No false negatives: every visible host must be matched by its own
+    // switch's column (Bloom filters may over-match, never under-match).
+    for (const SwitchId member : group) {
+      for (const HostId h : net.topology_.hosts_on_switch(member)) {
+        if (net.host_hidden(h)) continue;
+        candidates.clear();
+        bank.query_into(BloomHash::of(net.topology_.host_info(h).mac),
+                        candidates);
+        if (std::find(candidates.begin(), candidates.end(), member) ==
+            candidates.end()) {
+          out.add("gfib consistency",
+                  "group " + u64s(gi) + "'s G-FIB misses host " +
+                      u64s(h.value()) + " on switch " +
+                      u64s(member.value()) +
+                      " (Bloom false negative — stale filter)");
         }
       }
     }

@@ -13,7 +13,7 @@
 // The checker only holds for networks whose state was built through the
 // public bootstrap/replay/scenario seams (i.e. anything a ScenarioRunner
 // produces). Experiment helpers that bypass dissemination on purpose —
-// add_silent_host() — would trip the location checks by design.
+// add_silent_host() — would trip the location and G-FIB checks by design.
 //
 // Every check is const: running the checker never perturbs the
 // simulation, so a checked run stays bit-identical to an unchecked one

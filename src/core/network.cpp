@@ -167,33 +167,11 @@ void Network::select_designated(const std::vector<SwitchId>& members) {
   }
 }
 
-void Network::rebuild_group_fib(const std::vector<SwitchId>& members,
+void Network::rebuild_group_fib(GroupId g,
+                                const std::vector<SwitchId>& members,
                                 std::span<const SwitchId> changed_members) {
   obs::ScopedTimer timer(obs::TraceEventType::kGfibRebuild, simulator_.now(),
                          members.size(), changed_members.size());
-  // Per-member MAC lists (excluded hosts are invisible to G-FIBs),
-  // collected lazily: the common delta outcome — nothing joined, nothing
-  // changed — needs no list at all, so e.g. the §III-D3 first-contact
-  // cascade resync costs a peer diff instead of O(group x hosts) vector
-  // fills per controller resolution.
-  std::vector<std::vector<MacAddress>> macs(members.size());
-  std::vector<bool> collected(members.size(), false);
-  const auto mac_list =
-      [&](std::size_t i) -> const std::vector<MacAddress>& {
-    if (!collected[i]) {
-      collected[i] = true;
-      for (HostId h : topology_.hosts_on_switch(members[i])) {
-        if (!host_hidden(h)) {
-          macs[i].push_back(topology_.host_info(h).mac);
-        }
-      }
-    }
-    return macs[i];
-  };
-  const auto changed = [&](SwitchId m) {
-    return std::find(changed_members.begin(), changed_members.end(), m) !=
-           changed_members.end();
-  };
   // Dissemination cost (§III-B3 peer links): each member sends its L-FIB to
   // the designated switch, which relays the bundle to every member.
   if (members.size() > 1) {
@@ -201,81 +179,37 @@ void Network::rebuild_group_fib(const std::vector<SwitchId>& members,
   }
   metrics_->state_link_messages += 1;  // designated -> controller
 
-  // Delta sync: a peer filter already installed under the same id is
-  // bit-identical to what a rebuild would produce (filters derive from
-  // the topology's host lists and the fixed exclusion set), UNLESS that
-  // peer appears in `changed_members` — live host migration is the one
-  // event that rewrites a member's host set mid-run. Each member
-  // therefore only drops peers that left its group and syncs peers that
-  // joined or changed —
-  // under the sliced layout this is an incremental column delete/insert,
-  // never a full re-transpose; under the linear layout it skips the
-  // re-hash of every unchanged peer's host list. A DGM move of one switch
-  // costs every member O(1) peer syncs instead of O(group).
-  //
-  // When the membership churn is large (initial build, IncUpdate merges
-  // and splits), per-peer deltas degenerate into many mid-bank column
-  // shifts, so past a half-the-group threshold the member rebuilds from
-  // scratch instead — in ascending id order, which the sliced bank turns
-  // into pure column appends (no shifting at all). Both paths produce
-  // identical bank contents.
-  std::vector<std::size_t> order(members.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return members[a] < members[b];
-  });
-  std::vector<SwitchId> target(members);
-  std::sort(target.begin(), target.end());
-  std::vector<SwitchId> existing;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    EdgeSwitch& sw = *switches_[members[i].value()];
-    existing.clear();
-    sw.gfib().peers_into(existing);
-    std::size_t kept = 0;
-    for (SwitchId p : existing) {
-      if (p != members[i] &&
-          std::binary_search(target.begin(), target.end(), p)) {
-        ++kept;
-      }
+  GFib& bank = gfibs_[g.value()];
+  // A filter summarises its switch's visible hosts (excluded and dormant
+  // hosts are invisible to G-FIBs).
+  std::vector<MacAddress> macs;
+  const auto sync = [&](SwitchId m) {
+    macs.clear();
+    for (HostId h : topology_.hosts_on_switch(m)) {
+      if (!host_hidden(h)) macs.push_back(topology_.host_info(h).mac);
     }
-    const std::size_t peers_wanted = members.size() - 1;
-    const std::size_t churn = (existing.size() - kept) +  // to remove
-                              (peers_wanted - kept);      // to add
-    // Bulk threshold is layout-aware: a sliced-bank mid-column
-    // insert/delete is an O(filter bits) table pass, while an
-    // ascending-order rebuild is pure appends (no shifting) costing
-    // about ONE such pass — so two or more structural changes already
-    // favour the rebuild. Linear filters are independent arrays, where
-    // per-peer deltas stay cheaper until churn approaches half the
-    // group.
-    const bool bulk = sw.gfib().layout() == GFibLayout::kSliced
-                          ? churn > 1
-                          : churn * 2 > peers_wanted;
-    if (bulk) {
-      sw.gfib().clear();
-      sw.gfib().reserve_peers(peers_wanted);
-      for (const std::size_t j : order) {
-        if (j == i) continue;
-        sw.gfib().sync_peer(members[j], mac_list(j));
-      }
-      continue;
-    }
-    for (SwitchId p : existing) {
-      if (p == members[i] ||
-          !std::binary_search(target.begin(), target.end(), p)) {
-        sw.gfib().remove_peer(p);
-      }
-    }
-    for (std::size_t j = 0; j < members.size(); ++j) {
-      if (i == j) continue;
-      // A present peer's filter is kept UNLESS its host set changed (a
-      // live host migration re-attached a host there or took one away) —
-      // keeping a stale filter would mis-forward toward the old location
-      // and silently break the no-false-negative guarantee at the new.
-      if (sw.gfib().has_peer(members[j]) && !changed(members[j])) continue;
-      sw.gfib().sync_peer(members[j], mac_list(j));
-    }
+    bank.sync_peer(m, macs);
+  };
+
+  std::vector<SwitchId> sorted(members);
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<SwitchId> current;
+  bank.peers_into(current);
+  if (current != sorted) {
+    // New or changed member set: rebuild from scratch in ascending id
+    // order, which the sliced layout turns into pure column appends (no
+    // shifting), then point every member at the rebuilt columns.
+    bank.clear();
+    bank.reserve_peers(sorted.size());
+    for (const SwitchId m : sorted) sync(m);
+    for (const SwitchId m : sorted) switches_[m.value()]->attach_gfib(&bank);
+    return;
   }
+  // Same members: every other filter derives from an unchanged host set
+  // and is already correct. A changed member's filter MUST be re-synced —
+  // keeping it would mis-forward toward a host's old location and break
+  // the no-false-negative guarantee at the new one.
+  for (const SwitchId m : changed_members) sync(m);
 }
 
 void Network::apply_grouping(Grouping grouping, bool initial) {
@@ -302,24 +236,36 @@ void Network::apply_grouping(Grouping grouping, bool initial) {
   const Grouping& g = controller_.grouping();
   const auto members = g.members();
 
+  // An unchanged group's bank moves to the group's new id; every other
+  // group starts from an empty bank that rebuild_group_fib fills below.
   std::vector<bool> rebuild(members.size(), initial);
+  std::vector<GFib> banks(members.size(), empty_gfib());
   if (!initial) {
     for (std::size_t gi = 0; gi < members.size(); ++gi) {
       const GroupId og = switches_[members[gi].front().value()]->group();
       rebuild[gi] = !og.valid() || og.value() >= old_members.size() ||
                     old_members[og.value()] != members[gi];
+      if (!rebuild[gi]) banks[gi] = std::move(gfibs_[og.value()]);
     }
   }
+  gfibs_ = std::move(banks);
 
   const SimTime now = simulator_.now();
   ++grouping_epoch_;
   for (std::size_t gi = 0; gi < members.size(); ++gi) {
+    const GroupId group{static_cast<std::uint32_t>(gi)};
     for (SwitchId m : members[gi]) {
-      switches_[m.value()]->set_group(GroupId{static_cast<std::uint32_t>(gi)});
+      switches_[m.value()]->set_group(group);
     }
-    if (!rebuild[gi]) continue;
+    if (!rebuild[gi]) {
+      // The moved bank kept its columns, so only its address changed.
+      for (SwitchId m : members[gi]) {
+        switches_[m.value()]->attach_gfib(&gfibs_[gi]);
+      }
+      continue;
+    }
     select_designated(members[gi]);
-    rebuild_group_fib(members[gi]);
+    rebuild_group_fib(group, members[gi]);
     if (!initial) {
       for (SwitchId m : members[gi]) {
         EdgeSwitch& sw = *switches_[m.value()];
@@ -925,12 +871,12 @@ void Network::perform_migration(HostId host, SwitchId to) {
     const GroupId gt = controller_.grouping().group_of(to);
     if (gf == gt) {
       const SwitchId changed[] = {from, to};
-      rebuild_group_fib(members[gf.value()], changed);
+      rebuild_group_fib(gf, members[gf.value()], changed);
     } else {
       const SwitchId changed_from[] = {from};
-      rebuild_group_fib(members[gf.value()], changed_from);
+      rebuild_group_fib(gf, members[gf.value()], changed_from);
       const SwitchId changed_to[] = {to};
-      rebuild_group_fib(members[gt.value()], changed_to);
+      rebuild_group_fib(gt, members[gt.value()], changed_to);
     }
   }
 }
@@ -962,7 +908,7 @@ void Network::resync_changed_members(const std::vector<SwitchId>& changed) {
     if (g.valid()) by_group[g.value()].push_back(sw);
   }
   for (const auto& [g, dirty] : by_group) {
-    rebuild_group_fib(members[g], dirty);
+    rebuild_group_fib(GroupId{g}, members[g], dirty);
   }
 }
 
@@ -1052,9 +998,12 @@ bool Network::reconcile_state() {
   // Resync every group's G-FIB from the (now repaired) L-FIBs. The delta
   // pass keeps filters that already exist, so this is idempotent — a
   // reconcile over converged state repairs nothing and rebuilds nothing.
-  for (const std::vector<SwitchId>& members :
-       controller_.grouping().members()) {
-    if (!members.empty()) rebuild_group_fib(members);
+  const auto members = controller_.grouping().members();
+  for (std::size_t gi = 0; gi < members.size(); ++gi) {
+    if (!members[gi].empty()) {
+      rebuild_group_fib(GroupId{static_cast<std::uint32_t>(gi)},
+                        members[gi]);
+    }
   }
 
   metrics_->reconcile_repairs += repairs;
@@ -1334,16 +1283,17 @@ SimDuration Network::cold_cache_first_packet(HostId src_id, HostId dst_id) {
   EdgeSwitch& dsw = *switches_[dst_sw.value()];
   dsw.lfib().learn(dst.mac, dst_id, dst.tenant);
   controller_.clib_learn(dst.mac, dst_id, dst.tenant, dst_sw);
-  if (controller_.grouping().group_count > 0) {
-    const auto members = controller_.grouping().members();
-    rebuild_group_fib(members[controller_.grouping().group_of(dst_sw).value()]);
-  }
+  // Both endpoint switches learned a host: their filters are stale in
+  // their groups' banks until re-synced.
+  resync_changed_members(src_sw == dst_sw
+                             ? std::vector<SwitchId>{src_sw}
+                             : std::vector<SwitchId>{src_sw, dst_sw});
   return total;
 }
 
 std::size_t Network::total_gfib_bytes() const {
   std::size_t total = 0;
-  for (const auto& sw : switches_) total += sw->gfib().storage_bytes();
+  for (const GFib& bank : gfibs_) total += bank.storage_bytes();
   return total;
 }
 

@@ -137,7 +137,8 @@ class Network : private dgm::GroupingHost {
       const noexcept {
     return excluded_hosts_;
   }
-  /// Total G-FIB storage across all switches, in bytes.
+  /// Total G-FIB storage in bytes: the simulator's one bank per group
+  /// (the paper's per-switch replica cost is bench_storage_overhead's).
   [[nodiscard]] std::size_t total_gfib_bytes() const;
 
   /// Stage decomposition of one controller round trip, filled by
@@ -434,16 +435,24 @@ class Network : private dgm::GroupingHost {
   /// the switches' previous assignment rather than trusted from the
   /// caller: compact() renumbers groups by first appearance, so ids
   /// computed against the pre-compact numbering (IncUpdate/DGM touched
-  /// lists) can point at the wrong group after renumbering.
+  /// lists) can point at the wrong group after renumbering. Unchanged
+  /// groups' G-FIB banks move to their new ids as they are.
   void apply_grouping(Grouping grouping, bool initial);
-  /// Brings every member's G-FIB in sync with the group. Normally a
-  /// delta pass (peers whose filters exist are kept: host attachment is
-  /// derived from the topology, so an installed filter is already
-  /// correct); `changed_members` lists members whose own host set just
-  /// changed (live host migration) and whose filters must be rebuilt at
-  /// every peer even though they are present.
-  void rebuild_group_fib(const std::vector<SwitchId>& members,
+  /// Brings group `g`'s G-FIB bank in sync with its `members`. When the
+  /// bank's peer set differs from the members, the bank is rebuilt from
+  /// scratch and every member re-attached; otherwise only the filters of
+  /// `changed_members` — members whose own host set just changed (live
+  /// host migration, tenant arrival/departure, cold-cache learning) — are
+  /// re-synced, since every other filter is a pure function of an
+  /// unchanged host set.
+  void rebuild_group_fib(GroupId g, const std::vector<SwitchId>& members,
                          std::span<const SwitchId> changed_members = {});
+  /// An empty bank with the configured filter geometry and layout.
+  [[nodiscard]] GFib empty_gfib() const {
+    return GFib(BloomParameters{config_.fib.bloom_bits,
+                                config_.fib.bloom_hashes},
+                config_.fib.layout);
+  }
   void select_designated(const std::vector<SwitchId>& members);
   void compute_excluded_hosts();
   void rebuild_failure_wheels();
@@ -480,6 +489,9 @@ class Network : private dgm::GroupingHost {
   Rng rng_;
   CentralController controller_;
   std::vector<std::unique_ptr<EdgeSwitch>> switches_;
+  /// One G-FIB bank per group (indexed by GroupId) holding every member's
+  /// filter once; each member views it through EdgeSwitch::gfib().
+  std::vector<GFib> gfibs_;
   std::unique_ptr<RunMetrics> metrics_;
   Sgi sgi_;
 

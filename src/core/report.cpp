@@ -57,7 +57,7 @@ void write_report(std::ostream& out, const Network& network,
     out << "  state-link messages:      " << m.state_link_messages << '\n';
     out << "  BF false-positive copies: " << m.bf_false_positive_copies
         << '\n';
-    out << "  G-FIB bytes (fabric):     " << network.total_gfib_bytes()
+    out << "  G-FIB bytes (group banks):" << network.total_gfib_bytes()
         << '\n';
   }
   if (options.include_series) {

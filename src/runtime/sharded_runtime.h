@@ -10,8 +10,9 @@
 // round, checkpoint fence), kept narrower than one rule TTL, and capped at
 // kMaxSpanFlows flows, which bounds the per-span scratch memory. Within a
 // span every shard pre-decides the flows entering its own switches with
-// EdgeSwitch::decide() (single-owner state, race-free by construction);
-// shards re-synchronize at the span barrier.
+// EdgeSwitch::decide() (single-owner state, race-free by construction; a
+// group's shared G-FIB bank is only read during a span and belongs to the
+// group's one shard); shards re-synchronize at the span barrier.
 //
 // Workers only pre-decide; all side effects (rule installs, controller
 // queueing, metrics) commit on the coordinator in global flow order at

@@ -91,26 +91,34 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace lazyctrl::core {
 namespace {
 
-/// Builds a switch with 24 local hosts and a 45-peer G-FIB under `layout`.
-EdgeSwitch make_switch(GFibLayout layout) {
-  Config cfg;
-  cfg.fib.layout = layout;
-  EdgeSwitch sw(SwitchId{0}, IpAddress::for_switch(0),
-                MacAddress{0x060000000000ULL}, cfg);
-  std::uint32_t host = 0;
-  for (int h = 0; h < 24; ++h) {
-    sw.lfib().learn(MacAddress::for_host(host), HostId{host}, TenantId{0});
-    ++host;
-  }
-  for (std::uint32_t peer = 1; peer <= 45; ++peer) {
-    std::vector<MacAddress> macs;
-    for (int h = 0; h < 24; ++h) {
-      macs.push_back(MacAddress::for_host(host++));
+/// A switch with 24 local hosts viewing a 46-member group bank under
+/// `layout` (its own column plus 45 peers). The bank must outlive the
+/// switch's view of it.
+struct SwitchInGroup {
+  GFib bank;
+  EdgeSwitch sw;
+
+  explicit SwitchInGroup(GFibLayout layout)
+      : bank(BloomParameters{Config{}.fib.bloom_bits,
+                             Config{}.fib.bloom_hashes},
+             layout),
+        sw(SwitchId{0}, IpAddress::for_switch(0),
+           MacAddress{0x060000000000ULL}, Config{}) {
+    std::uint32_t host = 0;
+    for (std::uint32_t member = 0; member <= 45; ++member) {
+      std::vector<MacAddress> macs;
+      for (int h = 0; h < 24; ++h) {
+        if (member == 0) {
+          sw.lfib().learn(MacAddress::for_host(host), HostId{host},
+                          TenantId{0});
+        }
+        macs.push_back(MacAddress::for_host(host++));
+      }
+      bank.sync_peer(SwitchId{member}, macs);
     }
-    sw.gfib().sync_peer(SwitchId{peer}, macs);
+    sw.attach_gfib(&bank);
   }
-  return sw;
-}
+};
 
 class DatapathAllocTest : public ::testing::TestWithParam<GFibLayout> {};
 
@@ -120,7 +128,8 @@ TEST_P(DatapathAllocTest, PreDecideBurstSteadyStateIsAllocationFree) {
   // burst mixes all four outcomes — flow-table hits (TTL refresh on
   // installed rules), local delivery, intra-group candidates and
   // provable misses — so every decide() branch runs in steady state.
-  EdgeSwitch sw = make_switch(GetParam());
+  SwitchInGroup group(GetParam());
+  EdgeSwitch& sw = group.sw;
   for (std::uint32_t h = 0; h < 48 * 24; h += 5) {
     openflow::FlowRule rule;
     rule.priority = 10;
@@ -164,7 +173,8 @@ TEST_P(DatapathAllocTest, PreDecideBurstSteadyStateIsAllocationFree) {
 }
 
 TEST_P(DatapathAllocTest, SinglePacketDecideSteadyStateIsAllocationFree) {
-  EdgeSwitch sw = make_switch(GetParam());
+  SwitchInGroup group(GetParam());
+  EdgeSwitch& sw = group.sw;
   net::Packet p;
   p.tenant = TenantId{0};
   p.src_mac = MacAddress::for_host(0);

@@ -165,14 +165,16 @@ TEST(BloomBankTest, QueryReturnsSortedSwitchIds) {
   EXPECT_TRUE(std::is_sorted(hits.begin(), hits.end()));
 }
 
-TEST(BloomBankTest, RemoveFilterStopsMatching) {
+TEST(BloomBankTest, QuerySkipsTheGivenSlot) {
   BloomBank bank;
   const MacAddress mac = MacAddress::for_host(1);
+  bank.build_filter(SwitchId{7}, {mac});
   bank.build_filter(SwitchId{3}, {mac});
-  ASSERT_EQ(query_bank(bank, mac).size(), 1u);
-  bank.remove_filter(SwitchId{3});
-  EXPECT_TRUE(query_bank(bank, mac).empty());
-  EXPECT_EQ(bank.filter_count(), 0u);
+  ASSERT_EQ(bank.slot_of(SwitchId{7}), 1u);
+  EXPECT_EQ(bank.slot_of(SwitchId{4}), kNoSlot);
+  std::vector<SwitchId> hits;
+  bank.query_into(BloomHash::of(mac), hits, bank.slot_of(SwitchId{7}));
+  EXPECT_EQ(hits, std::vector<SwitchId>{SwitchId{3}});
 }
 
 TEST(BloomBankTest, StorageGrowsLinearlyWithPeers) {

@@ -2,6 +2,11 @@
 // Fig. 5 routine in isolation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
+#include <utility>
+#include <vector>
+
 #include "core/edge_switch.h"
 
 namespace lazyctrl::core {
@@ -50,10 +55,25 @@ TEST(EdgeSwitchDecideTest, Step2LocalDeliver) {
   EXPECT_EQ(d.kind, EdgeSwitch::DecisionKind::kLocalDeliver);
 }
 
+/// A group bank over `filters` (switch id -> hosted host ids), the shape
+/// Network keeps per group: every member's filter, the viewer's included.
+GFib make_bank(
+    std::initializer_list<std::pair<std::uint32_t,
+                                    std::vector<std::uint32_t>>> filters) {
+  GFib bank;
+  for (const auto& [sw, hosts] : filters) {
+    std::vector<MacAddress> macs;
+    for (const std::uint32_t h : hosts) macs.push_back(MacAddress::for_host(h));
+    bank.sync_peer(SwitchId{sw}, macs);
+  }
+  return bank;
+}
+
 TEST(EdgeSwitchDecideTest, Step3GfibCandidates) {
   EdgeSwitch sw = make_switch();
-  sw.gfib().sync_peer(SwitchId{3}, {MacAddress::for_host(5)});
-  sw.gfib().sync_peer(SwitchId{7}, {MacAddress::for_host(6)});
+  const GFib bank = make_bank({{0, {}}, {3, {5}}, {7, {6}}});
+  sw.attach_gfib(&bank);
+  EXPECT_EQ(sw.gfib().peer_count(), 2u);
   const auto d = sw.decide(packet_to(5), 0, ControlMode::kLazyCtrl);
   EXPECT_EQ(d.kind, EdgeSwitch::DecisionKind::kIntraGroup);
   ASSERT_EQ(d.candidates.size(), 1u);
@@ -62,16 +82,42 @@ TEST(EdgeSwitchDecideTest, Step3GfibCandidates) {
 
 TEST(EdgeSwitchDecideTest, Step4ControllerFallback) {
   EdgeSwitch sw = make_switch();
-  sw.gfib().sync_peer(SwitchId{3}, {MacAddress::for_host(6)});
+  const GFib bank = make_bank({{0, {}}, {3, {6}}});
+  sw.attach_gfib(&bank);
   const auto d = sw.decide(packet_to(5), 0, ControlMode::kLazyCtrl);
   EXPECT_EQ(d.kind, EdgeSwitch::DecisionKind::kToController);
   EXPECT_TRUE(d.candidates.empty());
 }
 
+TEST(EdgeSwitchDecideTest, OwnColumnMatchIsNotACandidate) {
+  // The group bank also holds this switch's own filter. A MAC whose only
+  // match is that column (here: a host the L-FIB does not list, as for a
+  // false positive on the own filter) is provably outside every peer, so
+  // the packet goes to the controller exactly as with a per-switch G-FIB
+  // of the S-1 peers alone.
+  EdgeSwitch sw = make_switch();
+  const GFib bank = make_bank({{0, {5}}, {3, {6}}});
+  sw.attach_gfib(&bank);
+  const auto d = sw.decide(packet_to(5), 0, ControlMode::kLazyCtrl);
+  EXPECT_EQ(d.kind, EdgeSwitch::DecisionKind::kToController);
+  EXPECT_TRUE(d.candidates.empty());
+  std::vector<SwitchId> peers;
+  sw.gfib().peers_into(peers);
+  EXPECT_EQ(peers, std::vector<SwitchId>{SwitchId{3}});
+}
+
+TEST(EdgeSwitchDecideTest, DetachedGfibHasNoCandidates) {
+  EdgeSwitch sw = make_switch();
+  EXPECT_EQ(sw.gfib().peer_count(), 0u);
+  EXPECT_EQ(sw.decide(packet_to(5), 0, ControlMode::kLazyCtrl).kind,
+            EdgeSwitch::DecisionKind::kToController);
+}
+
 TEST(EdgeSwitchDecideTest, OpenFlowModeIgnoresFibs) {
   EdgeSwitch sw = make_switch();
   sw.lfib().learn(MacAddress::for_host(5), HostId{5}, TenantId{0});
-  sw.gfib().sync_peer(SwitchId{3}, {MacAddress::for_host(5)});
+  const GFib bank = make_bank({{0, {5}}, {3, {5}}});
+  sw.attach_gfib(&bank);
   // The baseline has no L-FIB/G-FIB logic: a table miss punts.
   const auto d = sw.decide(packet_to(5), 0, ControlMode::kOpenFlow);
   EXPECT_EQ(d.kind, EdgeSwitch::DecisionKind::kToController);

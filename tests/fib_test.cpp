@@ -1,6 +1,11 @@
 // Tests for L-FIB and G-FIB.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.h"
 #include "core/gfib.h"
 #include "core/lfib.h"
 
@@ -127,15 +132,87 @@ TEST_P(GFibLayoutTest, ResyncReplacesPeerContents) {
   EXPECT_FALSE(query_gfib(gfib, MacAddress::for_host(11)).empty());
 }
 
-TEST_P(GFibLayoutTest, RemovePeerAndClear) {
+TEST_P(GFibLayoutTest, ClearDropsEveryPeer) {
   GFib gfib = make(BloomParameters{});
   gfib.sync_peer(SwitchId{1}, {MacAddress::for_host(1)});
   gfib.sync_peer(SwitchId{2}, {MacAddress::for_host(2)});
   EXPECT_EQ(gfib.peer_count(), 2u);
-  gfib.remove_peer(SwitchId{1});
-  EXPECT_EQ(gfib.peer_count(), 1u);
+  EXPECT_EQ(gfib.slot_of(SwitchId{2}), 1u);
+  EXPECT_EQ(gfib.slot_of(SwitchId{3}), kNoSlot);
   gfib.clear();
   EXPECT_EQ(gfib.peer_count(), 0u);
+  EXPECT_EQ(gfib.storage_bytes(), 0u);
+}
+
+// The simulator stores one bank per group, own columns included, and each
+// member views it with its own column masked. For random groups of 1-70
+// members (crossing the sliced layout's 64-slot chunk), every member's
+// view must answer exactly like a private bank over its S-1 peers — the
+// paper's per-switch G-FIB — on the member's own hosts (whose only true
+// match is the masked column), on peers' hosts and on unknown MACs. A
+// small filter makes false positives, own-column ones included, common.
+TEST_P(GFibLayoutTest, GroupViewMatchesPrivatePeerBank) {
+  const BloomParameters params{512, 3};
+  Rng rng(41);
+  std::vector<std::size_t> sizes = {1, 2, 8, 9, 63, 64, 65, 70};
+  for (int i = 0; i < 12; ++i) sizes.push_back(1 + rng.next_below(70));
+
+  std::size_t own_only_matches = 0;
+  std::uint32_t next_host = 0;
+  for (const std::size_t group_size : sizes) {
+    // Distinct ascending member ids with gaps, 1-6 hosts each.
+    std::vector<SwitchId> members;
+    std::vector<std::vector<MacAddress>> hosts;
+    std::uint32_t id = static_cast<std::uint32_t>(rng.next_below(4));
+    for (std::size_t m = 0; m < group_size; ++m) {
+      members.push_back(SwitchId{id});
+      id += 1 + static_cast<std::uint32_t>(rng.next_below(3));
+      hosts.emplace_back(1 + rng.next_below(6));
+      for (MacAddress& mac : hosts.back()) {
+        mac = MacAddress::for_host(next_host++);
+      }
+    }
+    GFib bank(params, GetParam());
+    for (std::size_t m = 0; m < group_size; ++m) {
+      bank.sync_peer(members[m], hosts[m]);
+    }
+
+    std::vector<SwitchId> via_view;
+    std::vector<SwitchId> via_private;
+    for (std::size_t self = 0; self < group_size; ++self) {
+      const GFibView view(&bank, members[self]);
+      GFib private_bank(params, GetParam());
+      for (std::size_t m = 0; m < group_size; ++m) {
+        if (m != self) private_bank.sync_peer(members[m], hosts[m]);
+      }
+      ASSERT_EQ(view.peer_count(), private_bank.peer_count());
+      via_view.clear();
+      via_private.clear();
+      view.peers_into(via_view);
+      private_bank.peers_into(via_private);
+      ASSERT_EQ(via_view, via_private);
+
+      std::vector<MacAddress> queries = hosts[self];
+      queries.push_back(hosts[rng.next_below(group_size)].front());
+      for (int q = 0; q < 24; ++q) {
+        queries.push_back(MacAddress::for_host(
+            1'000'000 + static_cast<std::uint32_t>(rng.next_below(50'000))));
+      }
+      for (const MacAddress mac : queries) {
+        const BloomHash h = BloomHash::of(mac);
+        via_view.clear();
+        via_private.clear();
+        view.query_into(h, via_view);
+        private_bank.query_into(h, via_private);
+        ASSERT_EQ(via_view, via_private)
+            << "group of " << group_size << ", member " << self;
+        std::vector<SwitchId> all;
+        bank.query_into(h, all);
+        own_only_matches += all == std::vector<SwitchId>{members[self]};
+      }
+    }
+  }
+  EXPECT_GT(own_only_matches, 0u);
 }
 
 TEST_P(GFibLayoutTest, StorageMatchesLayoutModel) {

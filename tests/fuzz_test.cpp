@@ -144,6 +144,49 @@ TEST(InvariantCheckerTest, CleanRunPasses) {
   EXPECT_TRUE(report.ok()) << report.text();
 }
 
+TEST(InvariantCheckerTest, CleanMigrationRunPasses) {
+  // Live migrations re-sync the two changed switches' columns in their
+  // groups' G-FIB banks; skipping that re-sync leaves a stale column the
+  // no-false-negative check must report. No regrouping, so nothing else
+  // rebuilds a bank behind the migrations' back.
+  const ParseResult r = parse_scenario(std::string(kTinySpec) + R"(
+dynamic_regrouping = false
+
+[events]
+at=2m migration_burst hosts=10 spread=4m
+)");
+  ASSERT_TRUE(r.ok()) << r.error_text();
+  ScenarioRunner runner(r.spec);
+  std::string error;
+  ASSERT_TRUE(runner.run(&error)) << error;
+  // The burst really moved hosts (same topology seed, no events).
+  const auto unmoved = run_tiny();
+  std::size_t moved = 0;
+  for (const topo::HostInfo& h : runner.network().topology().hosts()) {
+    moved += h.attached_switch !=
+             unmoved->network().topology().host_info(h.id).attached_switch;
+  }
+  ASSERT_GT(moved, 0u);
+  const core::InvariantReport report =
+      core::check_invariants(runner.network());
+  EXPECT_TRUE(report.ok()) << report.text();
+}
+
+TEST(InvariantCheckerTest, FlagsStaleGfibColumn) {
+  auto runner = run_tiny();
+  core::Network& net = runner->network();
+  // A host attached behind the control plane's back: no re-sync, so its
+  // switch's column in the group bank cannot match it.
+  const HostId silent =
+      net.add_silent_host(TenantId{0}, net.grouping().members()[0].front());
+  const core::InvariantReport report = core::check_invariants(net);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.text().find("misses host " +
+                               std::to_string(silent.value())),
+            std::string::npos)
+      << report.text();
+}
+
 TEST(InvariantCheckerTest, FlagsUnaccountedFlow) {
   auto runner = run_tiny();
   ++runner->network().metrics().flows_seen;  // a flow nobody delivered

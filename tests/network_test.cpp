@@ -1,6 +1,10 @@
 // Integration tests: the full Network façade in both control modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "core/network.h"
 #include "topo/builder.h"
@@ -296,6 +300,38 @@ TEST(NetworkTest, ColdCacheSecondFlowIsWarm) {
   EXPECT_LE(warm, cold);
 }
 
+TEST(NetworkTest, ColdCacheLearningRefreshesGroupGfib) {
+  // One 8-switch group. The cold-cache cascade teaches the fabric two
+  // new hosts; every other member's G-FIB must then match each of them
+  // behind its switch (Bloom filters have no false negatives), which
+  // requires re-syncing both learning switches' filters.
+  auto topo = test_topology(5, 8, 4);
+  Network net(topo, lazy_config(8));
+  net.bootstrap();
+  ASSERT_EQ(net.grouping().group_count, 1u);
+
+  const SwitchId src_sw{0};
+  const SwitchId dst_sw{5};
+  const HostId src = net.add_silent_host(TenantId{0}, src_sw);
+  const HostId dst = net.add_silent_host(TenantId{0}, dst_sw);
+  net.cold_cache_first_packet(src, dst);
+
+  std::vector<SwitchId> candidates;
+  for (const auto& [host, owner] : {std::pair{src, src_sw}, {dst, dst_sw}}) {
+    const MacAddress mac = net.topology().host_info(host).mac;
+    for (std::uint32_t s = 0; s < 8; ++s) {
+      if (SwitchId{s} == owner) continue;
+      candidates.clear();
+      net.edge_switch(SwitchId{s}).gfib().query_into(BloomHash::of(mac),
+                                                     candidates);
+      EXPECT_NE(std::find(candidates.begin(), candidates.end(), owner),
+                candidates.end())
+          << "switch " << s << "'s G-FIB misses host " << host << " on "
+          << owner;
+    }
+  }
+}
+
 TEST(NetworkTest, DynamicRegroupingTriggersUnderDrift) {
   // Build a trace whose second half shifts traffic to new inter-group
   // pairs; with dynamic regrouping on, updates must fire. The drift is
@@ -366,6 +402,39 @@ TEST(NetworkTest, GfibStorageReported) {
   net.bootstrap(workload::build_intensity_graph(trace, topo));
   EXPECT_GT(net.total_gfib_bytes(), 0u);
 }
+
+class GfibFootprintTest : public ::testing::TestWithParam<GFibLayout> {};
+
+TEST_P(GfibFootprintTest, OneBankPerGroup) {
+  // Footprint guard: a group's filters are stored once, not once per
+  // member. On a 272-switch fabric at the paper's 46-switch group limit
+  // the total is exactly one bank per group of S members over m-bit
+  // filters: m*ceil(S/8) bytes bit-sliced, S*m/8 bytes linear.
+  Config cfg = lazy_config(46);
+  cfg.fib.layout = GetParam();
+  Network net(test_topology(3, 272, 40), cfg);
+  net.bootstrap();
+  const std::size_t m =
+      ((std::max<std::size_t>(cfg.fib.bloom_bits, 64) + 63) / 64) * 64;
+  std::size_t expected = 0;
+  const auto members = net.grouping().members();
+  ASSERT_GE(members.size(), 6u);
+  for (const auto& group : members) {
+    const std::size_t s = group.size();
+    expected += GetParam() == GFibLayout::kSliced ? m * ((s + 7) / 8)
+                                                  : s * m / 8;
+  }
+  EXPECT_EQ(net.total_gfib_bytes(), expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, GfibFootprintTest,
+                         ::testing::Values(GFibLayout::kLinear,
+                                           GFibLayout::kSliced),
+                         [](const auto& info) {
+                           return info.param == GFibLayout::kLinear
+                                      ? "Linear"
+                                      : "Sliced";
+                         });
 
 TEST(NetworkTest, DeterministicReplay) {
   auto topo = test_topology(17);

@@ -3,10 +3,10 @@
 // The bit-sliced SlicedBloomBank must produce candidate sets that are
 // BIT-IDENTICAL to the linear BloomBank — including false positives —
 // for the same BloomParameters/BloomHash, across arbitrary build, peer
-// add/remove and migration-style rebuild sequences. These are randomized
-// property suites over seeds and filter geometries, plus an end-to-end
-// check that a full replay (with DGM migrations rebuilding G-FIBs along
-// the way) is metric-identical under either layout.
+// add, member-set rebuild and migration-style re-sync sequences. These
+// are randomized property suites over seeds and filter geometries, plus
+// an end-to-end check that a full replay (with DGM migrations rebuilding
+// G-FIBs along the way) is metric-identical under either layout.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -48,9 +48,9 @@ class BankEquivalenceProperty
     : public ::testing::TestWithParam<
           std::tuple<std::uint64_t, std::size_t, std::size_t>> {};
 
-// Random op sequence: build (new and replacing), remove, clear — after
-// every op the two banks must agree on member keys, never-inserted keys
-// (the false-positive surface) and adversarially similar keys.
+// Random op sequence: build (new and replacing), drop a peer, clear —
+// after every op the two banks must agree on member keys, never-inserted
+// keys (the false-positive surface) and adversarially similar keys.
 TEST_P(BankEquivalenceProperty, RandomOpsKeepCandidateSetsIdentical) {
   const auto [seed, bits, hashes] = GetParam();
   Rng rng(seed);
@@ -77,8 +77,10 @@ TEST_P(BankEquivalenceProperty, RandomOpsKeepCandidateSetsIdentical) {
       sliced.build_filter(peer, hosts);
       model[peer] = std::move(hosts);
     } else if (dice < 85) {
-      // Remove a random present peer (and occasionally an absent one:
-      // both must treat that as a no-op).
+      // Drop a random present peer (and occasionally an absent one).
+      // Banks have no filter removal: both are rebuilt from the remaining
+      // peers in ascending id order, the way a group bank follows a
+      // member-set change.
       SwitchId peer{static_cast<std::uint32_t>(rng.next_below(90))};
       if (dice < 80) {
         auto it = model.begin();
@@ -89,8 +91,12 @@ TEST_P(BankEquivalenceProperty, RandomOpsKeepCandidateSetsIdentical) {
       } else {
         model.erase(peer);
       }
-      linear.remove_filter(peer);
-      sliced.remove_filter(peer);
+      linear.clear();
+      sliced.clear();
+      for (const auto& [p, hosts] : model) {
+        linear.build_filter(p, hosts);
+        sliced.build_filter(p, hosts);
+      }
     } else {
       linear.clear();
       sliced.clear();
@@ -124,10 +130,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(5, 64, 1),
                       std::make_tuple(6, 4096, 12)));
 
-// Incremental column insert/remove must land on the same slice table as
-// building the final state from scratch (catches neighbour-column
-// corruption in the word-shift paths, which candidate comparison against
-// the linear bank could only see probabilistically).
+// Out-of-order column inserts and in-place column rebuilds must land on
+// the same slice table as building the final state from scratch in
+// ascending order (catches neighbour-column corruption in the bit-shift
+// paths, which candidate comparison against the linear bank could only
+// see probabilistically).
 TEST(SlicedBankIncrementalTest, IncrementalEqualsFromScratch) {
   Rng rng(99);
   const BloomParameters params{8192, 6};
@@ -136,18 +143,13 @@ TEST(SlicedBankIncrementalTest, IncrementalEqualsFromScratch) {
 
   for (int op = 0; op < 200; ++op) {
     const SwitchId peer{static_cast<std::uint32_t>(rng.next_below(140))};
-    if (rng.next_below(3) != 0 || model.empty()) {
-      std::vector<MacAddress> hosts;
-      for (std::size_t i = 0; i < 1 + rng.next_below(20); ++i) {
-        hosts.push_back(MacAddress::for_host(
-            static_cast<std::uint32_t>(rng.next_below(4000))));
-      }
-      incremental.build_filter(peer, hosts);
-      model[peer] = std::move(hosts);
-    } else {
-      incremental.remove_filter(peer);
-      model.erase(peer);
+    std::vector<MacAddress> hosts;
+    for (std::size_t i = 0; i < 1 + rng.next_below(20); ++i) {
+      hosts.push_back(MacAddress::for_host(
+          static_cast<std::uint32_t>(rng.next_below(4000))));
     }
+    incremental.build_filter(peer, hosts);
+    model[peer] = std::move(hosts);
   }
 
   bloom::SlicedBloomBank scratch(params);
@@ -162,11 +164,11 @@ TEST(SlicedBankIncrementalTest, IncrementalEqualsFromScratch) {
   }
 }
 
-// The slice table must track the live group size in BOTH directions:
-// removals shed the high-water stride (a switch whose group halved must
-// not keep the big-group footprint) and an empty bank reports zero like
-// the linear layout does.
-TEST(SlicedBankStorageTest, ShrinksAfterRemovalsAndReportsZeroWhenEmpty) {
+// The slice table is sized by the column count: ⌈n/8⌉ bytes per row. A
+// bank rebuilt after clear() for a smaller group does not keep the old
+// high-water stride, and an empty bank reports zero like the linear
+// layout does.
+TEST(SlicedBankStorageTest, StrideFollowsColumnCountAcrossRebuilds) {
   const BloomParameters params{16384, 8};
   bloom::SlicedBloomBank bank(params);
   BloomBank linear(params);
@@ -174,26 +176,22 @@ TEST(SlicedBankStorageTest, ShrinksAfterRemovalsAndReportsZeroWhenEmpty) {
                                    MacAddress::for_host(2)};
   for (std::uint32_t p = 0; p < 92; ++p) {
     bank.build_filter(SwitchId{p}, hosts);
-    linear.build_filter(SwitchId{p}, hosts);
   }
   EXPECT_EQ(bank.storage_bytes(), 16384u * 12u);  // ceil(92/8) bytes/row
-
-  for (std::uint32_t p = 8; p < 92; ++p) {
-    bank.remove_filter(SwitchId{p});
-    linear.remove_filter(SwitchId{p});
-  }
-  ASSERT_EQ(bank.filter_count(), 8u);
-  // Stride shrank with the group (8 peers -> 1 byte rows, +1 hysteresis
-  // would still allow 2); nowhere near the 12-byte high water.
-  EXPECT_LE(bank.storage_bytes(), 16384u * 2u);
-  // And the surviving columns still answer exactly like the linear bank.
-  for (std::uint32_t q = 0; q < 64; ++q) {
-    expect_same_candidates(linear, bank, MacAddress::for_host(q));
-  }
 
   bank.clear();
   EXPECT_EQ(bank.storage_bytes(), 0u);
   EXPECT_EQ(bank.filter_count(), 0u);
+
+  for (std::uint32_t p = 0; p < 8; ++p) {
+    bank.build_filter(SwitchId{p}, hosts);
+    linear.build_filter(SwitchId{p}, hosts);
+  }
+  EXPECT_EQ(bank.storage_bytes(), 16384u * 1u);
+  // And the rebuilt columns answer exactly like the linear bank.
+  for (std::uint32_t q = 0; q < 64; ++q) {
+    expect_same_candidates(linear, bank, MacAddress::for_host(q));
+  }
 }
 
 // End-to-end: a DGM-maintained replay (drift-triggered migrations rebuild
