@@ -1,12 +1,8 @@
 // Micro + end-to-end benchmarks of the per-packet hot path.
 //
-// The headline numbers are the end-to-end replay throughputs of two flow
-// batch sizes on an identical workload:
-//
-//   * single_packet — one simulator event per flow (flow_batch_size = 1);
-//   * batched — one simulator event per batch of up to 64 flows
-//     (flow_batch_size = 64, the default). Both run the same per-flow
-//     decide-and-handle code; batching only amortises event scheduling.
+// The headline numbers are the end-to-end replay throughputs (flows/s and
+// packets/s) of one single-threaded Network::replay() over a fixed
+// workload.
 //
 // Topology, trace and intensity history are constructed ONCE outside every
 // timed region (an earlier version of this bench timed setup together with
@@ -91,11 +87,10 @@ struct ReplayResult {
   std::size_t gfib_bytes = 0;
 };
 
-ReplayResult run_replay(const Setup& s, std::size_t flow_batch_size) {
+ReplayResult run_replay(const Setup& s) {
   core::Config cfg;
   cfg.mode = core::ControlMode::kLazyCtrl;
   cfg.grouping.group_size_limit = 18;
-  cfg.batching.flow_batch_size = flow_batch_size;
   core::Network net(s.topo, cfg);  // construction + bootstrap untimed
   net.bootstrap(s.history);
 
@@ -117,47 +112,21 @@ ReplayResult run_replay(const Setup& s, std::size_t flow_batch_size) {
 int body(benchx::BenchReport& report) {
   static const Setup setup;  // built once, outside every timed region
 
-  // --- end-to-end datapath throughput, before (single) vs after (batch) ---
-  const ReplayResult single = run_replay(setup, 1);
-  const ReplayResult batched = run_replay(setup, 64);
-  const double speedup = single.seconds / batched.seconds;
-
+  // --- end-to-end datapath throughput ---
+  const ReplayResult replay = run_replay(setup);
   std::printf("end-to-end replay (%zu flows, %zu switches):\n",
               setup.trace.flow_count(), setup.topo.switch_count());
-  std::printf("  %-22s %10.3fs %12.0f flows/s %14.0f packets/s\n",
-              "single-packet (before)", single.seconds, single.flows_per_sec,
-              single.packets_per_sec);
-  std::printf("  %-22s %10.3fs %12.0f flows/s %14.0f packets/s\n",
-              "batched (after)", batched.seconds, batched.flows_per_sec,
-              batched.packets_per_sec);
-  std::printf("  batched speedup: %.2fx\n\n", speedup);
+  std::printf("  %10.3fs %12.0f flows/s %14.0f packets/s\n\n",
+              replay.seconds, replay.flows_per_sec, replay.packets_per_sec);
 
-  // Regression guard at honest scale: batching must never be slower than
-  // one event per flow on the same workload. (At CI's
-  // tiny smoke scale batches degenerate to a handful of flows, so the
-  // gate only arms at full scale.)
-  int status = 0;
-  if (benchx::bench_scale() >= 1.0 && speedup < 1.0) {
-    std::printf("FAIL: batched datapath slower than single-packet "
-                "(%.2fx)\n",
-                speedup);
-    status = 1;
-  }
-
-  report.throughput("throughput_single_packet_flows_per_sec",
-                    single.flows_per_sec);
-  report.throughput("throughput_single_packet_packets_per_sec",
-                    single.packets_per_sec);
-  report.throughput("throughput_batched_flows_per_sec",
-                    batched.flows_per_sec);
-  report.throughput("throughput_batched_packets_per_sec",
-                    batched.packets_per_sec);
-  report.metric("batched_speedup", speedup, "x");
+  report.throughput("throughput_replay_flows_per_sec", replay.flows_per_sec);
+  report.throughput("throughput_replay_packets_per_sec",
+                    replay.packets_per_sec);
   report.controller_load("controller_packet_ins",
-                         static_cast<double>(batched.packet_ins));
-  report.latency_ms("first_packet_latency_mean_ms", batched.first_packet_ms);
+                         static_cast<double>(replay.packet_ins));
+  report.latency_ms("first_packet_latency_mean_ms", replay.first_packet_ms);
   report.memory_bytes("gfib_total_bytes",
-                      static_cast<double>(batched.gfib_bytes));
+                      static_cast<double>(replay.gfib_bytes));
 
   // --- micro kernels ---
   std::printf("hot-path kernels:\n");
@@ -302,7 +271,7 @@ int body(benchx::BenchReport& report) {
     report.metric("edge_decide_single_ns", single_ns, "ns");
   }
 
-  return status;
+  return 0;
 }
 
 }  // namespace
@@ -313,9 +282,8 @@ int main() {
   opts.warmup = 1;
   return benchx::run_benchmark(
       "micro_datapath",
-      "Micro datapath — batched vs single-packet hot path",
-      "records one-event-per-flow (single-packet) and 64-flow-batch "
-      "replay medians on one workload; exits non-zero if batched regresses "
-      "below single-packet at full scale",
+      "Micro datapath — replay throughput and hot-path kernels",
+      "records the single-threaded replay's flows/s and packets/s on one "
+      "workload plus ns/op of the hot-path kernels",
       opts, body);
 }

@@ -1,7 +1,7 @@
 // Observability overhead benchmark: what does tracing cost the datapath?
 //
 // Four replay legs per repetition on one identical workload (same fixture
-// as bench_micro_datapath's batched leg), interleaved so drift hits all
+// as bench_micro_datapath's replay), interleaved so drift hits all
 // legs equally:
 //
 //   1. tracing off  — the shipping default: one relaxed atomic load per
@@ -99,7 +99,6 @@ double run_leg(const Setup& s) {
     core::Config cfg;
     cfg.mode = core::ControlMode::kLazyCtrl;
     cfg.grouping.group_size_limit = 18;
-    cfg.batching.flow_batch_size = 64;
     core::Network net(s.topo, cfg);
     net.bootstrap(s.history);
 

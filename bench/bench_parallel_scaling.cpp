@@ -4,7 +4,7 @@
 // "millions of users" regime where event density is what caps replay —
 // through:
 //
-//   * baseline       — single-threaded batched Network::replay (1 shard);
+//   * baseline       — single-threaded Network::replay (1 shard);
 //   * deterministic  — the sharded runtime at 8 shards, which must be
 //     BIT-IDENTICAL to the baseline (checked here, exit 1 on any
 //     divergence — this gate is core-count-independent).
@@ -22,7 +22,7 @@
 #include "bench_common.h"
 #include "core/network.h"
 #include "harness.h"
-#include "runtime/sharded_runtime.h"
+#include "runtime/shard_plan.h"
 #include "workload/intensity.h"
 
 using namespace lazyctrl;
@@ -82,7 +82,7 @@ struct RunResult {
   double seconds = 0;
   double flows_per_sec = 0;
   core::RunMetrics metrics{60 * kSecond};
-  runtime::ShardedRuntime::Stats stats;
+  core::Network::RuntimeObsStats stats;
   std::size_t shard_count = 1;
 };
 
@@ -91,18 +91,14 @@ RunResult run_one(const Setup& s, std::size_t shards) {
   net.bootstrap(s.history);  // untimed
 
   RunResult r;
-  if (shards <= 1) {
-    const auto t0 = std::chrono::steady_clock::now();
-    net.replay(s.trace);
-    r.seconds = seconds_since(t0);
-  } else {
-    runtime::ShardedRuntime sharded(net);
-    const auto t0 = std::chrono::steady_clock::now();
-    sharded.replay(s.trace);
-    r.seconds = seconds_since(t0);
-    r.stats = sharded.stats();
-    r.shard_count = sharded.shard_count();
-  }
+  // The effective shard count: the runtime clamps to the group count.
+  r.shard_count = runtime::ShardPlan(net.topology().switch_count(),
+                                     net.grouping(), shards)
+                      .shard_count();
+  const auto t0 = std::chrono::steady_clock::now();
+  net.replay(s.trace);
+  r.seconds = seconds_since(t0);
+  r.stats = net.runtime_obs();
   r.flows_per_sec =
       static_cast<double>(net.metrics().flows_seen) / r.seconds;
   r.metrics = net.metrics();

@@ -1044,8 +1044,8 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
                    std::to_string(runner->trace_->flows.size()) + " flows");
             break;
           }
-          // Not re-attached here: finish() re-creates the injection
-          // chain (single-threaded or sharded) under this exact tuple.
+          // Not re-attached here: finish() re-creates the flow chain
+          // (Network::resume_replay) under this exact tuple.
           runner->resume_cursor_ = {true, d.time, d.seq, d.id,
                                     static_cast<std::size_t>(d.payload)};
           break;

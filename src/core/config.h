@@ -180,30 +180,15 @@ struct RuleConfig {
   bool operator==(const RuleConfig&) const = default;
 };
 
-/// Flow batching in replay(): how many flows one simulator event handles.
-struct BatchConfig {
-  /// Trace flows handled per simulator event during replay() (values
-  /// <= 1 mean one flow per event). Every flow of a batch goes through
-  /// the same per-flow decide-and-handle code, in trace order, and a
-  /// batch never extends past the next pending control-plane event
-  /// (stats window, DGM round, scheduled migration), so every batch size
-  /// produces identical forwarding decisions and metrics — batching only
-  /// amortises event scheduling across the batch.
-  std::size_t flow_batch_size = 64;
-
-  bool operator==(const BatchConfig&) const = default;
-};
-
 /// Sharded parallel replay (the src/runtime subsystem): partitions the
 /// network by edge group into shards, each driven by its own worker
-/// thread, synchronized at control-event fences (and at most one rule TTL
-/// apart). Workers only pre-decide;
-/// all side effects commit on the coordinator in global flow order, so
+/// thread, which pre-decide the flows of each replay span in parallel.
+/// All side effects commit on the coordinator in global flow order, so
 /// metrics are bit-identical to the single-threaded Network::replay
 /// (enforced by tests/runtime_test.cpp).
 struct RuntimeConfig {
-  /// Number of replay shards. 1 = the classic single-threaded datapath
-  /// (no worker threads); > 1 makes Network::replay delegate to
+  /// Number of replay shards. 1 = the single-threaded datapath (no
+  /// worker threads); > 1 makes Network::replay hand each span to
   /// runtime::ShardedRuntime. Effective shard count is clamped to the
   /// number of groups (or switches when ungrouped).
   std::size_t num_shards = 1;
@@ -228,8 +213,6 @@ struct Config {
   FibConfig fib;
   /// Reactive-rule TTL and flow-table capacity.
   RuleConfig rules;
-  /// Flow batching in replay().
-  BatchConfig batching;
   /// Sharded parallel replay (src/runtime); 1 shard = single-threaded.
   RuntimeConfig runtime;
   /// Designated switches report aggregated state this often (state link).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <optional>
 
 #include "common/log.h"
 #include "net/packet.h"
@@ -321,18 +322,16 @@ FailureWheel* Network::wheel_of(SwitchId sw) {
   return wheels_[g.value()].get();
 }
 
+SimDuration Network::control_detour(SwitchId via) {
+  if (!via.valid() || wheels_.empty()) return 0;
+  const FailureWheel* wheel = wheel_of(via);
+  if (wheel == nullptr || !wheel->control_relayed(via)) return 0;
+  return config_.latency.datapath + config_.latency.switch_processing;
+}
+
 SimDuration Network::controller_round_trip(SimTime now, SwitchId via,
                                            ControllerTripBreakdown* breakdown) {
-  // Control-link detour (§III-E2): a switch whose control link failed
-  // reaches the controller through its upstream ring neighbour, adding a
-  // peer-link hop each way.
-  SimDuration detour = 0;
-  if (via.valid() && !wheels_.empty()) {
-    if (FailureWheel* wheel = wheel_of(via);
-        wheel != nullptr && wheel->control_relayed(via)) {
-      detour = config_.latency.datapath + config_.latency.switch_processing;
-    }
-  }
+  const SimDuration detour = control_detour(via);
   const SimTime arrival = now + detour + config_.latency.control_link;
   metrics_->controller_requests.add_event(arrival);
   ++metrics_->controller_packet_ins;
@@ -357,14 +356,6 @@ Network::PuntOutcome Network::controller_punt_with_retry(
     ControllerTripBreakdown* breakdown) {
   const ControllerConfig& ctrl = config_.controller;
   RunMetrics& m = *metrics_;
-  if (ctrl.loss_rate <= 0.0 && ctrl.dup_rate <= 0.0 && ctrl.queue_cap == 0) {
-    // Perfect control plane: exactly the plain round trip (bit-identical
-    // to the pre-fault-model behaviour).
-    return {.delay = controller_round_trip(now, via, breakdown),
-            .backoff = 0,
-            .delivered = true};
-  }
-
   const std::uint64_t seed = config_.seed;
   SimDuration elapsed = 0;  ///< backoff accumulated before this attempt
   const std::uint64_t attempts = 1 + std::uint64_t{ctrl.punt_retry_limit};
@@ -392,14 +383,7 @@ Network::PuntOutcome Network::controller_punt_with_retry(
       continue;  // PacketIn never arrived
     }
 
-    // Control-link detour (§III-E2), as in controller_round_trip().
-    SimDuration detour = 0;
-    if (via.valid() && !wheels_.empty()) {
-      if (FailureWheel* wheel = wheel_of(via);
-          wheel != nullptr && wheel->control_relayed(via)) {
-        detour = config_.latency.datapath + config_.latency.switch_processing;
-      }
-    }
+    const SimDuration detour = control_detour(via);
     const SimTime arrival = t + detour + config_.latency.control_link;
 
     // Bounded admission: a full outage backlog sheds the request with an
@@ -504,41 +488,34 @@ net::Packet Network::make_flow_packet(const topo::HostInfo& src,
   return pkt;
 }
 
-void Network::on_flow(const workload::Flow& flow) {
+void Network::on_flow(const workload::Flow& flow,
+                      const EdgeSwitch::Decision* pre) {
   ++metrics_->flows_seen;
   metrics_->flow_arrivals.add_event(flow.start);
   const topo::HostInfo& src = topology_.host_info(flow.src);
   const topo::HostInfo& dst = topology_.host_info(flow.dst);
   const SwitchId src_sw = src.attached_switch;
   const SwitchId dst_sw = dst.attached_switch;
+  EdgeSwitch& sw = *switches_[src_sw.value()];
+  if (src_sw != dst_sw) sw.record_new_flow_to(dst_sw);
 
   const net::Packet pkt = make_flow_packet(src, dst, flow);
-
-  if (src_sw != dst_sw) {
-    switches_[src_sw.value()]->record_new_flow_to(dst_sw);
-  }
-
-  if (config_.mode == ControlMode::kOpenFlow) {
-    handle_flow_openflow(flow, src_sw, dst_sw, pkt);
+  const bool lazy = config_.mode == ControlMode::kLazyCtrl;
+  // Grouping transition window (appendix B preload): no decision.
+  if (lazy && handle_transition_flow(flow, src_sw, dst_sw, pkt)) return;
+  const EdgeSwitch::Decision d =
+      pre != nullptr ? *pre : sw.decide(pkt, flow.start, config_.mode);
+  if (lazy) {
+    process_lazyctrl_decision(flow, src_sw, dst_sw, pkt, d);
   } else {
-    handle_flow_lazyctrl(flow, src_sw, dst_sw, pkt);
+    process_openflow_decision(flow, src_sw, dst_sw, pkt, d);
   }
-}
-
-void Network::handle_flow_openflow(const workload::Flow& flow,
-                                   SwitchId src_sw, SwitchId dst_sw,
-                                   const net::Packet& pkt) {
-  EdgeSwitch::Decision d =
-      switches_[src_sw.value()]->decide(pkt, flow.start,
-                                        ControlMode::kOpenFlow);
-  process_openflow_decision(flow, src_sw, dst_sw, pkt,
-                            DecisionView{d.kind, d.candidates});
 }
 
 void Network::process_openflow_decision(const workload::Flow& flow,
                                         SwitchId src_sw, SwitchId dst_sw,
                                         const net::Packet& pkt,
-                                        const DecisionView& d) {
+                                        const EdgeSwitch::Decision& d) {
   const SimDuration steady = path_delays().steady(src_sw, dst_sw);
 
   if (d.kind == EdgeSwitch::DecisionKind::kFlowTableHit) {
@@ -581,23 +558,10 @@ bool Network::handle_transition_flow(const workload::Flow& flow,
   return true;
 }
 
-void Network::handle_flow_lazyctrl(const workload::Flow& flow,
-                                   SwitchId src_sw, SwitchId dst_sw,
-                                   const net::Packet& pkt) {
-  // Grouping transition window (appendix B preload).
-  if (handle_transition_flow(flow, src_sw, dst_sw, pkt)) return;
-
-  EdgeSwitch::Decision d =
-      switches_[src_sw.value()]->decide(pkt, flow.start,
-                                        ControlMode::kLazyCtrl);
-  process_lazyctrl_decision(flow, src_sw, dst_sw, pkt,
-                            DecisionView{d.kind, d.candidates});
-}
-
 void Network::process_lazyctrl_decision(const workload::Flow& flow,
                                         SwitchId src_sw, SwitchId dst_sw,
                                         const net::Packet& pkt,
-                                        const DecisionView& d) {
+                                        const EdgeSwitch::Decision& d) {
   const PathDelays paths = path_delays();
   const SimDuration steady = paths.steady(src_sw, dst_sw);
   RunMetrics& m = *metrics_;
@@ -1080,7 +1044,7 @@ bool Network::force_regroup() {
   return run_legacy_incupdate();
 }
 
-Network::ReplayTimers Network::begin_replay(const workload::Trace& trace) {
+void Network::begin_replay(const workload::Trace& trace) {
   assert(bootstrapped_ && "call bootstrap() before replay()");
   assert(!replayed_);
   replayed_ = true;
@@ -1095,7 +1059,7 @@ Network::ReplayTimers Network::begin_replay(const workload::Trace& trace) {
   metrics_ = std::move(fresh);
 
   // Periodic machinery.
-  ReplayTimers timers;
+  ReplayTimers& timers = replay_timers_;
   timers.window = simulator_.schedule_periodic(
       config_.grouping.stats_window, [this] { roll_stats_window(); });
   timers.report = simulator_.schedule_periodic(
@@ -1117,8 +1081,6 @@ Network::ReplayTimers Network::begin_replay(const workload::Trace& trace) {
           perform_migration(host, to);
         });
   }
-  replay_timers_ = timers;
-  return timers;
 }
 
 void Network::state_report_tick() {
@@ -1127,76 +1089,75 @@ void Network::state_report_tick() {
   }
 }
 
-void Network::end_replay(const ReplayTimers& timers) {
-  simulator_.cancel(timers.window);
-  simulator_.cancel(timers.report);
-  if (timers.dgm != 0) simulator_.cancel(timers.dgm);
-  if (timers.reconcile != 0) simulator_.cancel(timers.reconcile);
+void Network::end_replay() {
+  simulator_.cancel(replay_timers_.window);
+  simulator_.cancel(replay_timers_.report);
+  if (replay_timers_.dgm != 0) simulator_.cancel(replay_timers_.dgm);
+  if (replay_timers_.reconcile != 0) {
+    simulator_.cancel(replay_timers_.reconcile);
+  }
 }
 
 void Network::replay(const workload::Trace& trace) {
-  if (config_.runtime.num_shards > 1) {
-    // Sharded parallel replay (src/runtime): group-sharded worker threads
-    // synchronized at control-event fences, bit-identical to this path.
-    runtime::ShardedRuntime sharded(*this);
-    sharded.replay(trace);
-    return;
-  }
-  const ReplayTimers timers = begin_replay(trace);
-
-  // Cursor-driven flow injection (sim::schedule_cursor_chain): one
-  // pending event at a time, each handling a batch of consecutive flows
-  // fenced by the next pending control-plane event, so results do not
-  // depend on the batch size.
-  if (!trace.flows.empty()) {
-    sim::schedule_cursor_chain(simulator_, trace.flows.front().start,
-                               flow_cursor_step(&trace.flows), &cursor_);
-  }
-
-  simulator_.run_until(trace.horizon);
-  end_replay(timers);
-}
-
-sim::CursorStep Network::flow_cursor_step(
-    const std::vector<workload::Flow>* flows) {
-  const std::size_t batch_size = config_.batching.flow_batch_size;
-  return [this, flows, batch_size](std::size_t i)
-      -> std::optional<std::pair<std::size_t, SimTime>> {
-    // The event for flow i has already fired, so i is always safe to
-    // process. Later flows join the batch only while they start
-    // strictly before the next pending event: at a timestamp tie the
-    // one-flow-per-event injection would run that event first. Each flow
-    // is decided after every earlier flow's installs, exactly as if it
-    // had its own event.
-    const std::size_t cap = std::min(flows->size(), i + batch_size);
-    std::size_t batch_end = i + 1;
-    if (batch_end < cap) {
-      const SimTime fence = simulator_.next_event_time();
-      while (batch_end < cap && (*flows)[batch_end].start < fence) {
-        ++batch_end;
-      }
-    }
-    obs::ScopedTimer timer(obs::TraceEventType::kReplaySpan,
-                           (*flows)[i].start, batch_end - i, i);
-    for (std::size_t k = i; k < batch_end; ++k) on_flow((*flows)[k]);
-    if (batch_end >= flows->size()) return std::nullopt;
-    return {{batch_end, (*flows)[batch_end].start}};
-  };
+  begin_replay(trace);
+  run_flow_chain(trace, nullptr);
 }
 
 void Network::resume_replay(const workload::Trace& trace,
                             const ResumeCursor& rc) {
-  if (config_.runtime.num_shards > 1) {
-    runtime::ShardedRuntime sharded(*this);
-    sharded.resume(trace, rc);
-    return;
-  }
-  if (rc.active) {
-    sim::resume_cursor_chain(simulator_, rc.at, rc.seq, rc.id, rc.index,
-                             flow_cursor_step(&trace.flows), &cursor_);
+  // No begin_replay(): the restorer already rebuilt the metrics storage
+  // and re-attached every periodic timer and migration one-shot under
+  // its exact snapshot tuple. Only the flow chain is left to re-create.
+  run_flow_chain(trace, &rc);
+}
+
+void Network::run_flow_chain(const workload::Trace& trace,
+                             const ResumeCursor* rc) {
+  std::optional<runtime::ShardedRuntime> sharded;
+  if (config_.runtime.num_shards > 1) sharded.emplace(*this);
+  sim::CursorStep step =
+      span_step(trace.flows, sharded ? &*sharded : nullptr);
+  if (rc == nullptr) {
+    if (!trace.flows.empty()) {
+      sim::schedule_cursor_chain(simulator_, trace.flows.front().start,
+                                 std::move(step), &cursor_);
+    }
+  } else if (rc->active) {
+    sim::resume_cursor_chain(simulator_, rc->at, rc->seq, rc->id, rc->index,
+                             std::move(step), &cursor_);
   }
   simulator_.run_until(trace.horizon);
-  end_replay(replay_timers_);
+  end_replay();
+}
+
+sim::CursorStep Network::span_step(const std::vector<workload::Flow>& flows,
+                                   runtime::ShardedRuntime* sharded) {
+  return [this, &flows, sharded](std::size_t i)
+             -> std::optional<std::pair<std::size_t, SimTime>> {
+    // The event for flow i has fired, so flow i is safe. Later flows join
+    // the span only while they start strictly before the next pending
+    // event: at a timestamp tie that event runs first, and no flow
+    // schedules one. The TTL bound is the sharded runtime's: a worker's
+    // lookup sweeps every rule expired by its flow's start before the
+    // merge handles the span's earlier flows, and every rule an earlier
+    // flow hit or installed expires at least one TTL after the span's
+    // first flow.
+    const SimTime fence = std::min(simulator_.next_event_time(),
+                                   flows[i].start + config_.rules.rule_ttl);
+    const std::size_t cap = std::min(flows.size(), i + kMaxSpanFlows);
+    std::size_t end = i + 1;
+    while (end < cap && flows[end].start < fence) ++end;
+
+    obs::ScopedTimer timer(obs::TraceEventType::kReplaySpan, flows[i].start,
+                           end - i, i);
+    if (sharded != nullptr) {
+      sharded->process_span(flows, i, end);
+    } else {
+      for (std::size_t k = i; k < end; ++k) on_flow(flows[k]);
+    }
+    if (end == flows.size()) return std::nullopt;
+    return {{end, flows[end].start}};
+  };
 }
 
 HostId Network::add_silent_host(TenantId tenant, SwitchId sw) {

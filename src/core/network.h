@@ -71,10 +71,18 @@ class Network : private dgm::GroupingHost {
 
   /// Replays a trace to its horizon, driving flow setup, state reports and
   /// (when enabled) dynamic regrouping. May be called once per Network.
-  /// With config.runtime.num_shards > 1 the replay is delegated to the
-  /// sharded parallel runtime (src/runtime), whose metrics are
-  /// bit-identical to the single-threaded path.
+  /// One cursor chain feeds the trace to the datapath span by span (see
+  /// kMaxSpanFlows); with config.runtime.num_shards > 1 each span is
+  /// pre-decided in parallel by the sharded runtime (src/runtime), whose
+  /// metrics are bit-identical to the single-threaded path.
   void replay(const workload::Trace& trace);
+
+  /// Largest number of trace flows one span — one simulator event of the
+  /// flow chain — may carry. A span also ends before the next pending
+  /// simulator event and one rules.rule_ttl after its first flow. The cap
+  /// bounds the sharded runtime's per-span scratch on dense traces with
+  /// no control event in sight.
+  static constexpr std::size_t kMaxSpanFlows = 8192;
 
   /// Where a checkpointed flow-cursor chain should pick up again; built
   /// by ckpt::StateAccess from a snapshot's pending-event table and held
@@ -89,9 +97,9 @@ class Network : private dgm::GroupingHost {
 
   /// Runs a checkpoint-restored replay to the trace horizon. Every timer
   /// and migration callback has already been re-attached by the restorer
-  /// (ckpt::StateAccess); this re-creates the flow-injection chain
-  /// (single-threaded or sharded) under its exact snapshot tuple and
-  /// drives the simulator. `rc` is the cursor the restorer recorded.
+  /// (ckpt::StateAccess); this re-creates the flow-injection chain under
+  /// its exact snapshot tuple and drives the simulator. `rc` is the
+  /// cursor the restorer recorded.
   void resume_replay(const workload::Trace& trace, const ResumeCursor& rc);
 
   /// Schedules a VM migration during replay (must be called before replay).
@@ -169,11 +177,9 @@ class Network : private dgm::GroupingHost {
   /// this Network. Reading registered values never mutates run state.
   void register_stats(obs::Registry& registry);
 
-  /// Sharded-runtime statistics of the last replay(), copied out before
-  /// the ephemeral runtime is destroyed. `valid` stays false for
-  /// single-threaded replays.
+  /// Sharded-runtime statistics of the last replay(), written by the
+  /// runtime as it processes spans; all zero for single-threaded replays.
   struct RuntimeObsStats {
-    bool valid = false;
     std::uint64_t spans = 0;            ///< fence-bounded spans
     std::uint64_t flows = 0;            ///< flows through the shard path
     std::uint64_t redecided_flows = 0;  ///< stale-decision replays
@@ -201,7 +207,7 @@ class Network : private dgm::GroupingHost {
   // Everything here commits coordinator-side state between replay spans
   // (scenario events are ordinary simulator events, fenced exactly like
   // stats windows and migrations), so scenarios stay bit-deterministic
-  // under the batched datapath and the sharded runtime alike.
+  // for any shard count.
 
   /// Marks tenants whose hosts stay dormant through bootstrap: their
   /// L-FIB/C-LIB records are not disseminated and their MACs are
@@ -281,9 +287,9 @@ class Network : private dgm::GroupingHost {
   }
 
  private:
-  /// The sharded parallel replay runtime drives the datapath through the
-  /// private seams below (begin/end_replay, the decision processors and
-  /// the span install log) instead of a wide public surface.
+  /// The sharded parallel replay runtime pre-decides a span's flows on
+  /// the switches, then commits them through on_flow() while recording
+  /// installs in the span install log, instead of a wide public surface.
   friend class lazyctrl::runtime::ShardedRuntime;
 
   /// The read-only conservation-invariant checker (core/invariants.h)
@@ -316,14 +322,6 @@ class Network : private dgm::GroupingHost {
             2 * lat.host_link + 2 * lat.switch_processing + lat.datapath};
   }
 
-  /// A forwarding decision seen by the shared processing code: either a
-  /// live decide() result or a sharded worker's pre-decision (whose
-  /// candidates live in the shard's pool).
-  struct DecisionView {
-    EdgeSwitch::DecisionKind kind;
-    std::span<const SwitchId> candidates;  ///< kIntraGroup only
-  };
-
   /// Why a flow needs the central controller. The decision processors
   /// classify; finish_controller_flow() executes (round trip, reactive
   /// rule, accounting).
@@ -335,9 +333,8 @@ class Network : private dgm::GroupingHost {
     kInterGroupPunt,     ///< Fig. 5 miss everywhere -> PacketIn
   };
 
-  /// Pending-timer handles of one replay, returned by begin_replay() and
-  /// released by end_replay() — the seam letting the sharded runtime wrap
-  /// the flow-injection loop while reusing all periodic machinery.
+  /// Pending-timer handles of the periodic machinery of one replay;
+  /// a checkpoint classifies the pending queue by them.
   struct ReplayTimers {
     sim::EventId window = 0;
     sim::EventId report = 0;
@@ -345,37 +342,41 @@ class Network : private dgm::GroupingHost {
     sim::EventId reconcile = 0;
   };
   /// Re-buckets metrics to the trace horizon and schedules the periodic
-  /// machinery (stats windows, state reports, DGM rounds, migrations).
-  /// Also records the timer ids in `replay_timers_` so a checkpoint can
-  /// classify the pending queue.
-  ReplayTimers begin_replay(const workload::Trace& trace);
-  void end_replay(const ReplayTimers& timers);
+  /// machinery (stats windows, state reports, DGM rounds, migrations),
+  /// recording the timer ids in `replay_timers_`.
+  void begin_replay(const workload::Trace& trace);
+  /// Cancels the periodic timers in `replay_timers_`.
+  void end_replay();
 
-  /// The flow-injection cursor step of the single-threaded replay: one
-  /// simulator event handles up to config.batching.flow_batch_size
-  /// consecutive flows through on_flow(), fenced by the next pending
-  /// event (a batch of one is just a batch). Shared by replay() and the
-  /// checkpoint-resume path so both drive the exact same datapath.
-  /// `flows` must outlive the chain.
-  [[nodiscard]] sim::CursorStep flow_cursor_step(
-      const std::vector<workload::Flow>* flows);
+  /// Starts the flow chain — fresh at the first flow (`rc` null) or under
+  /// a snapshot's tuple — runs the simulator to the trace horizon and
+  /// ends the replay. The sharded runtime, when runtime.num_shards > 1,
+  /// lives exactly as long as the chain.
+  void run_flow_chain(const workload::Trace& trace, const ResumeCursor* rc);
 
-  /// The per-flow datapath: ingress bookkeeping, decide(), handling.
-  void on_flow(const workload::Flow& flow);
-  void handle_flow_lazyctrl(const workload::Flow& flow, SwitchId src_sw,
-                            SwitchId dst_sw, const net::Packet& pkt);
-  void handle_flow_openflow(const workload::Flow& flow, SwitchId src_sw,
-                            SwitchId dst_sw, const net::Packet& pkt);
-  /// The appendix-B transition-window pre-decide path. Returns true when
-  /// the flow was fully handled (preload hit or transition punt).
+  /// The chain's step: cuts the span starting at flow i (the only
+  /// definition of the span rule, see kMaxSpanFlows) and runs it through
+  /// on_flow(), or through `sharded` when non-null. `flows` and `sharded`
+  /// must outlive the chain.
+  [[nodiscard]] sim::CursorStep span_step(
+      const std::vector<workload::Flow>& flows,
+      runtime::ShardedRuntime* sharded);
+
+  /// The per-flow datapath and its one entry point: ingress bookkeeping,
+  /// the grouping transition window, then `pre` (a sharded worker's
+  /// still-valid pre-decision) or a fresh decide(), then handling.
+  void on_flow(const workload::Flow& flow,
+               const EdgeSwitch::Decision* pre = nullptr);
+  /// The appendix-B transition-window path. Returns true when the flow
+  /// was fully handled (preload hit or transition punt).
   bool handle_transition_flow(const workload::Flow& flow, SwitchId src_sw,
                               SwitchId dst_sw, const net::Packet& pkt);
   void process_openflow_decision(const workload::Flow& flow, SwitchId src_sw,
                                  SwitchId dst_sw, const net::Packet& pkt,
-                                 const DecisionView& d);
+                                 const EdgeSwitch::Decision& d);
   void process_lazyctrl_decision(const workload::Flow& flow, SwitchId src_sw,
                                  SwitchId dst_sw, const net::Packet& pkt,
-                                 const DecisionView& d);
+                                 const EdgeSwitch::Decision& d);
   /// Executes the controller path for a `reason`-classified flow:
   /// PacketIn round trip, reactive rule install, metric accounting.
   void finish_controller_flow(const workload::Flow& flow, SwitchId src_sw,
@@ -387,17 +388,18 @@ class Network : private dgm::GroupingHost {
             excluded_hosts_.contains(flow.dst.value()));
   }
 
-  /// PacketIn round trip: request at `now` from a switch, rule back.
-  /// Returns the added delay and records workload metrics.
-  /// PacketIn round trip from `via` (invalid = generic path). When the
-  /// failure wheel has detoured `via`'s control link through its upstream
-  /// ring neighbour (§III-E2), both directions pay an extra peer-link hop.
-  /// A non-null `breakdown` receives the stage decomposition (latency
-  /// attribution); passing nullptr costs nothing.
+  /// PacketIn round trip from `via` (invalid = generic path): request at
+  /// `now`, rule back. Returns the added delay and records workload
+  /// metrics. A non-null `breakdown` receives the stage decomposition
+  /// (latency attribution); passing nullptr costs nothing.
   SimDuration controller_round_trip(SimTime now,
                                     SwitchId via = SwitchId::invalid(),
                                     ControllerTripBreakdown* breakdown =
                                         nullptr);
+  /// Extra one-way delay of `via`'s control link: when the failure wheel
+  /// has detoured it through the upstream ring neighbour (§III-E2), each
+  /// direction pays one more peer-link hop; 0 otherwise.
+  [[nodiscard]] SimDuration control_detour(SwitchId via);
 
   /// Outcome of a punt attempt sequence under the fault model: `delay`
   /// is the total elapsed time (backoffs + the successful round trip
@@ -412,8 +414,8 @@ class Network : private dgm::GroupingHost {
   /// the PacketIn up to 1 + ctrl.punt_retry_limit times, pricing lost /
   /// duplicated legs, bounded admission rejects and deterministic
   /// exponential backoff between attempts. With loss_rate = dup_rate = 0
-  /// and queue_cap = 0 the first attempt succeeds and the result is
-  /// bit-identical to controller_round_trip(). Controller workload
+  /// and queue_cap = 0 the first attempt succeeds and prices exactly
+  /// what controller_round_trip() does. Controller workload
   /// series and PacketIn counters are bumped only for the successful
   /// attempt, so the conservation identities are unchanged by faults.
   PuntOutcome controller_punt_with_retry(std::uint64_t flow_id, SimTime now,
@@ -523,8 +525,7 @@ class Network : private dgm::GroupingHost {
   /// read by the snapshot codec to classify pending periodic events.
   ReplayTimers replay_timers_;
 
-  /// Live position of the flow-injection cursor chain (sequential and
-  /// sharded replays both publish through it), so a snapshot can
+  /// Live position of the flow-injection cursor chain, so a snapshot can
   /// describe — and a restore re-create — the chain's single pending
   /// event.
   sim::CursorTracker cursor_;
@@ -542,8 +543,8 @@ class Network : private dgm::GroupingHost {
   /// One failure-detection wheel per group (empty unless failover enabled).
   std::vector<std::unique_ptr<FailureWheel>> wheels_;
 
-  /// Last sharded replay's stats (see runtime_obs()); the ShardedRuntime
-  /// fills this in through the friend seam at the end of its replay.
+  /// Sharded replay stats (see runtime_obs()); the ShardedRuntime counts
+  /// into it through the friend seam.
   RuntimeObsStats runtime_obs_;
 
   bool bootstrapped_ = false;

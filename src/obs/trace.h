@@ -43,7 +43,7 @@ enum class TraceEventType : std::uint8_t {
   kScenarioEvent,           ///< scenario script event fired
   // Wall-clock spans (ScopedTimer).
   kGfibRebuild,             ///< one switch group's G-FIB rebuild
-  kReplaySpan,              ///< one replay flow batch / shard span
+  kReplaySpan,              ///< one replay span (any shard count)
   kShardBarrierWait,        ///< coordinator waiting on shard barrier
   kBootstrap,               ///< topology + host learning before replay
   kNumTypes                 // sentinel; keep last
@@ -158,7 +158,7 @@ class ScopedTimer {
     if (active_) recorder().span(type_, sim_ts_, begin_, a_, b_);
   }
   /// Updates the args recorded at scope exit (for values only known at
-  /// the end of the span, e.g. flows processed in a replay batch).
+  /// the end of the span, e.g. flows processed in a replay span).
   void args(std::uint64_t a, std::uint64_t b) noexcept {
     a_ = a;
     b_ = b;

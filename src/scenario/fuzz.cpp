@@ -118,7 +118,10 @@ ScenarioSpec generate_scenario(std::uint64_t seed, const FuzzOptions& opt) {
   if (rng.next_bool(0.3)) {
     s.config.rules.flow_table_capacity = pick<std::size_t>(rng, {1, 2, 4});
   }
-  s.config.batching.flow_batch_size = rng.next_bool(0.5) ? 64 : 1;
+  // This draw used to pick a flow batch size, a knob that no longer
+  // exists; it is still consumed so every seed generates the scenario it
+  // always did.
+  (void)rng.next_bool(0.5);
   // Unreliable control plane: moderate chance of a lossy / bounded run
   // from the start (events below can also flip the knobs mid-run).
   if (rng.next_bool(0.3)) {
@@ -313,26 +316,22 @@ std::string check_config_matrix(const ScenarioSpec& spec) {
   for (const core::GFibLayout layout :
        {core::GFibLayout::kLinear, core::GFibLayout::kSliced}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-      for (const std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
-        ScenarioSpec point = spec;
-        point.config.fib.layout = layout;
-        point.config.runtime.num_shards = shards;
-        point.config.batching.flow_batch_size = batch;
-        const std::string name =
-            std::string("fib.layout=") +
-            (layout == core::GFibLayout::kLinear ? "linear" : "sliced") +
-            " runtime.num_shards=" + std::to_string(shards) +
-            " batching.flow_batch_size=" + std::to_string(batch);
-        ScenarioRunner runner(point);
-        std::string error;
-        if (!runner.run(&error)) return name + ": run failed: " + error;
-        if (!reference.has_value()) {
-          reference = runner.metrics();
-          reference_name = name;
-        } else if (!runner.metrics().identical_to(*reference)) {
-          return "[" + reference_name + "] vs [" + name +
-                 "]: " + runner.metrics().diff_report(*reference);
-        }
+      ScenarioSpec point = spec;
+      point.config.fib.layout = layout;
+      point.config.runtime.num_shards = shards;
+      const std::string name =
+          std::string("fib.layout=") +
+          (layout == core::GFibLayout::kLinear ? "linear" : "sliced") +
+          " runtime.num_shards=" + std::to_string(shards);
+      ScenarioRunner runner(point);
+      std::string error;
+      if (!runner.run(&error)) return name + ": run failed: " + error;
+      if (!reference.has_value()) {
+        reference = runner.metrics();
+        reference_name = name;
+      } else if (!runner.metrics().identical_to(*reference)) {
+        return "[" + reference_name + "] vs [" + name +
+               "]: " + runner.metrics().diff_report(*reference);
       }
     }
   }
@@ -420,8 +419,8 @@ FuzzRunResult run_scenario_with_checks(const ScenarioSpec& spec) {
   }
 
   // Fourth oracle: the settings that only change how the simulation is
-  // executed (G-FIB memory layout, shard count, flow batching) must not
-  // change a single metric.
+  // executed (G-FIB memory layout, shard count) must not change a single
+  // metric.
   result.matrix_error = check_config_matrix(spec);
   result.matrix_identical = result.matrix_error.empty();
   return result;

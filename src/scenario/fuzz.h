@@ -23,8 +23,8 @@
 //      be bit-identical to run 2's,
 //   4. the config matrix (check_config_matrix): the spec re-run under
 //      every combination of the settings that must not change results —
-//      fib.layout x runtime.num_shards x batching.flow_batch_size — with
-//      all RunMetrics bit-identical.
+//      fib.layout x runtime.num_shards — with all RunMetrics
+//      bit-identical.
 // Any violation or divergence fails the seed; tools/lazyctrl_fuzz then
 // shrinks the spec with shrink_scenario() and serializes the minimal
 // repro as a `.scn` fit for examples/scenarios/regressions/, alongside
@@ -89,9 +89,8 @@ struct FuzzRunResult {
     const ScenarioSpec& spec);
 
 /// The config-matrix equivalence oracle: runs `spec` under fib.layout in
-/// {linear, sliced} x runtime.num_shards in {1, 2} x
-/// batching.flow_batch_size in {1, 64} (8 runs) and requires every run's
-/// RunMetrics to be identical_to the first's. Returns "" when clean;
+/// {linear, sliced} x runtime.num_shards in {1, 2} (4 runs) and requires
+/// every run's RunMetrics to be identical_to the first's. Returns "" when clean;
 /// otherwise one line naming the diverging pair of configurations and
 /// the RunMetrics::diff_report of the first diverging field (or the run
 /// error of a point that failed to run).

@@ -105,28 +105,12 @@ bool ScenarioRunner::validate(std::string* error) const {
                   ", not after its arrival at " + format_duration(it->second));
     }
   }
-  // Same rule the parser enforces with line numbers (spec.cpp), repeated
-  // here for programmatically built specs: a recovery scheduled before
-  // every failure of its component is a script bug; a recovery with no
-  // matching failure anywhere stays a runtime no-op skip.
-  for (std::size_t i = 0; i < spec_.events.size(); ++i) {
-    const ScenarioEvent& ev = spec_.events[i];
-    const std::optional<EventKind> fail_kind = paired_failure_kind(ev.kind);
-    if (!fail_kind) continue;
-    std::optional<SimTime> earliest;
-    for (const ScenarioEvent& other : spec_.events) {
-      if (other.kind == *fail_kind && other.sw == ev.sw &&
-          (!earliest || other.at < *earliest)) {
-        earliest = other.at;
-      }
-    }
-    if (earliest && ev.at < *earliest) {
-      return fail("event " + std::to_string(i + 1) + " (" +
-                  to_string(ev.kind) + "): sw=" + std::to_string(ev.sw) +
-                  " at " + format_duration(ev.at) + " fires before its " +
-                  to_string(*fail_kind) + " at " +
-                  format_duration(*earliest));
-    }
+  // The parser's rule (spec.cpp), for programmatically built specs.
+  const std::vector<EarlyRecovery> early = find_early_recoveries(spec_.events);
+  if (!early.empty()) {
+    const EarlyRecovery& e = early.front();
+    return fail("event " + std::to_string(e.index + 1) + " (" +
+                to_string(spec_.events[e.index].kind) + "): " + e.what);
   }
   return true;
 }

@@ -6,8 +6,8 @@
 // to the trace BEFORE replay so the flow schedule itself is part of the
 // deterministic input), constructs a core::Network, schedules the event
 // script into the discrete-event simulator through the Network's
-// scenario seams, and replays — single-threaded, batched or sharded,
-// whatever the spec's `runtime.*` knobs select.
+// scenario seams, and replays — single-threaded or sharded, whatever the
+// spec's `runtime.*` knobs select.
 //
 // Determinism contract: every scenario event commits coordinator-side
 // state and is fenced by Simulator::next_event_time() exactly like the

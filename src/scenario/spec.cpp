@@ -456,10 +456,6 @@ bool set_config_key(ScenarioSpec& spec, const std::string& key,
   if (key == "rules.flow_table_capacity") {
     return u64(&c.rules.flow_table_capacity);
   }
-  // batching
-  if (key == "batching.flow_batch_size") {
-    return u64(&c.batching.flow_batch_size);
-  }
   // runtime
   if (key == "runtime.num_shards") {
     if (!u64(&c.runtime.num_shards)) return false;
@@ -700,15 +696,8 @@ void parse_event_line(Parser& p, int line, const std::string& text) {
   }
 }
 
-}  // namespace
-
-const char* to_string(EventKind kind) noexcept {
-  for (const EventName& e : kEventNames) {
-    if (e.kind == kind) return e.name;
-  }
-  return "?";
-}
-
+/// The failure kind a recovery event undoes (kRecoverSwitch ->
+/// kFailSwitch, ...), or std::nullopt for non-recovery kinds.
 std::optional<EventKind> paired_failure_kind(EventKind kind) noexcept {
   switch (kind) {
     case EventKind::kRecoverSwitch:
@@ -720,6 +709,39 @@ std::optional<EventKind> paired_failure_kind(EventKind kind) noexcept {
     default:
       return std::nullopt;
   }
+}
+
+}  // namespace
+
+const char* to_string(EventKind kind) noexcept {
+  for (const EventName& e : kEventNames) {
+    if (e.kind == kind) return e.name;
+  }
+  return "?";
+}
+
+std::vector<EarlyRecovery> find_early_recoveries(
+    const std::vector<ScenarioEvent>& events) {
+  std::vector<EarlyRecovery> found;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const ScenarioEvent& ev = events[i];
+    const std::optional<EventKind> fail_kind = paired_failure_kind(ev.kind);
+    if (!fail_kind) continue;
+    std::optional<SimTime> earliest;
+    for (const ScenarioEvent& other : events) {
+      if (other.kind == *fail_kind && other.sw == ev.sw &&
+          (!earliest || other.at < *earliest)) {
+        earliest = other.at;
+      }
+    }
+    if (earliest && ev.at < *earliest) {
+      found.push_back({i, "sw=" + std::to_string(ev.sw) + " at " +
+                              format_duration(ev.at) + " fires before its " +
+                              to_string(*fail_kind) + " at " +
+                              format_duration(*earliest)});
+    }
+  }
+  return found;
 }
 
 const char* to_string(WorkloadKind kind) noexcept {
@@ -874,29 +896,11 @@ ParseResult parse_scenario(const std::string& text) {
     p.error(0, "[topology] min_vms_per_tenant exceeds max_vms_per_tenant");
   }
 
-  // Cross-event validation: a recovery scheduled before every failure of
-  // its component is a script bug — it fires as a no-op and the later
-  // failure stands unrecovered. A recovery with no matching failure
-  // anywhere in the script stays legal (a runtime no-op skip), so
-  // scripts can recover pre-failed fixtures.
-  for (std::size_t i = 0; i < p.spec.events.size(); ++i) {
-    const ScenarioEvent& ev = p.spec.events[i];
-    const std::optional<EventKind> fail_kind = paired_failure_kind(ev.kind);
-    if (!fail_kind) continue;
-    std::optional<SimTime> earliest;
-    for (const ScenarioEvent& other : p.spec.events) {
-      if (other.kind == *fail_kind && other.sw == ev.sw &&
-          (!earliest || other.at < *earliest)) {
-        earliest = other.at;
-      }
-    }
-    if (earliest && ev.at < *earliest) {
-      p.error(p.event_lines[i],
-              std::string(to_string(ev.kind)) + " sw=" +
-                  std::to_string(ev.sw) + " at " + format_duration(ev.at) +
-                  " fires before its " + to_string(*fail_kind) + " at " +
-                  format_duration(*earliest));
-    }
+  // Cross-event validation.
+  for (const EarlyRecovery& e : find_early_recoveries(p.spec.events)) {
+    p.error(p.event_lines[e.index],
+            std::string(to_string(p.spec.events[e.index].kind)) + " " +
+                e.what);
   }
 
   ParseResult result;
@@ -1022,7 +1026,6 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
   out << "rules.rule_ttl = " << format_duration(c.rules.rule_ttl) << "\n";
   out << "rules.flow_table_capacity = " << c.rules.flow_table_capacity
       << "\n";
-  out << "batching.flow_batch_size = " << c.batching.flow_batch_size << "\n";
   out << "runtime.num_shards = " << c.runtime.num_shards << "\n";
   out << "controller.servers = " << c.controller.servers << "\n";
   out << "ctrl.loss_rate = " << fmt_double(c.controller.loss_rate) << "\n";

@@ -76,12 +76,6 @@ enum class EventKind : std::uint8_t {
 /// Canonical spelling of an event primitive (the `.scn` keyword).
 [[nodiscard]] const char* to_string(EventKind kind) noexcept;
 
-/// The failure kind a recovery event undoes (kRecoverSwitch ->
-/// kFailSwitch, ...), or std::nullopt for non-recovery kinds. Shared by
-/// the parser, the runner's validator and the fuzzer so "recovery
-/// scheduled before its failure" means the same thing everywhere.
-[[nodiscard]] std::optional<EventKind> paired_failure_kind(
-    EventKind kind) noexcept;
 
 /// One line of the `[events]` section. Only the fields relevant to
 /// `kind` are meaningful; the rest keep their defaults (which is what
@@ -100,6 +94,21 @@ struct ScenarioEvent {
 
   bool operator==(const ScenarioEvent&) const = default;
 };
+
+/// A recovery event scheduled before every failure of its component: a
+/// script bug, since it fires as a no-op and the later failure stands
+/// unrecovered. A recovery with no matching failure anywhere in the
+/// script stays legal (a runtime no-op skip), so scripts can recover
+/// pre-failed fixtures.
+struct EarlyRecovery {
+  std::size_t index = 0;  ///< position of the recovery in the event list
+  std::string what;  ///< "sw=<n> at <t> fires before its <failure> at <t>"
+};
+/// Every early recovery of `events`, in event order: the one rule behind
+/// the parser's line-numbered errors and ScenarioRunner's validation of
+/// programmatically built specs.
+[[nodiscard]] std::vector<EarlyRecovery> find_early_recoveries(
+    const std::vector<ScenarioEvent>& events);
 
 /// `[topology]` — multi-tenant edge topology sizing (topo::builder).
 struct TopologySpec {

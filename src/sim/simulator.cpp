@@ -33,7 +33,7 @@ void Simulator::cancel(EventId id) {
 void Simulator::dispatch(const Event& e) {
   now_ = e.time;
   // Publish the clock for log-line t= timestamps (one relaxed store per
-  // dispatched event; flow batches amortize it across the whole batch).
+  // dispatched event; a replay span amortizes it across its flows).
   set_log_sim_time(now_);
   if (cancelled_.erase(e.id) > 0) return;
 

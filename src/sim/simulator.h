@@ -67,10 +67,10 @@ class Simulator {
 
   /// Timestamp of the next live (non-cancelled) event, or `kNoPendingEvent`
   /// when the queue is empty. Cancelled carcasses at the head are drained
-  /// lazily. The batched datapath uses this as its safety fence: a flow
-  /// batch may only extend while every flow in it starts strictly before
-  /// the next scheduled event, which keeps batched runs bit-identical to
-  /// single-event-per-flow runs.
+  /// lazily. The replay loop uses this as its safety fence: a span of
+  /// flows may only extend while every flow in it starts strictly before
+  /// the next scheduled event, which keeps span-driven runs bit-identical
+  /// to single-event-per-flow runs.
   static constexpr SimTime kNoPendingEvent =
       std::numeric_limits<SimTime>::max();
   [[nodiscard]] SimTime next_event_time();
@@ -170,8 +170,8 @@ struct CursorTracker {
 
 /// Schedules a self-continuing one-event-at-a-time cursor chain starting
 /// with cursor 0 at `first_at`. This owns the lifetime-sensitive pattern
-/// shared by the replay flow injectors (sequential, batched and sharded):
-/// the stored continuation holds only a weak self-reference — a strong
+/// of the replay loop's flow chain (fresh or checkpoint-resumed): the
+/// stored continuation holds only a weak self-reference — a strong
 /// one would form a shared_ptr cycle and leak it after every replay —
 /// while each scheduled event captures a strong reference, which is what
 /// keeps the chain alive across Simulator::run_until().

@@ -172,7 +172,7 @@ TEST(CkptTest, ExtraCheckpointsResumeBitIdentically) {
 TEST_P(CkptMatrixTest, ExtraCheckpointFencesAreMetricsNeutral) {
   // lazyctrl_run --checkpoint-every relies on this: a run with extra
   // snapshot fences must finish with RunMetrics bit-identical to the
-  // plain run (the fences shift simulator event ids and batch windows,
+  // plain run (the fences shift simulator event ids and replay spans,
   // neither of which may affect any recorded metric).
   const auto [layout, shards] = GetParam();
   const auto spec = parse_or_die(spec_text(layout, shards));
@@ -335,7 +335,8 @@ TEST(CkptRobustnessTest, VersionSkew) {
 
 TEST(CkptRobustnessTest, PreviousFormatVersionIsRejected) {
   // Each version bump so far removed a key from the embedded canonical
-  // spec text (2: runtime.mode, 3: runtime.sync_window), so an older
+  // spec text (2: runtime.mode, 3: runtime.sync_window,
+  // 4: batching.flow_batch_size), so an older
   // snapshot would not even parse; the version gate must reject it up
   // front.
   auto bytes = valid_snapshot();

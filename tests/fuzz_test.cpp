@@ -277,8 +277,8 @@ TEST(FuzzHarnessTest, SmokeSeedPassesAllChecks) {
 }
 
 TEST(FuzzHarnessTest, ConfigMatrixIsIdenticalOnSeveralSeeds) {
-  // fib.layout x runtime.num_shards x batching.flow_batch_size only change
-  // how a run executes, never what it computes.
+  // fib.layout x runtime.num_shards only change how a run executes, never
+  // what it computes.
   FuzzOptions opt;
   opt.scale = 0.1;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -455,90 +456,91 @@ TEST(NetworkTest, DeterministicReplay) {
             b.metrics().grouping_update_count);
 }
 
-// The core guarantee of the batched datapath: batched and single-packet
-// replay must produce IDENTICAL forwarding decisions and metrics — the
-// batch fence (Simulator::next_event_time) and the in-batch install
-// staleness check exist exactly for this.
-void expect_identical_metrics(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_EQ(a.flows_seen, b.flows_seen);
-  EXPECT_EQ(a.packets_accounted, b.packets_accounted);
-  EXPECT_EQ(a.controller_packet_ins, b.controller_packet_ins);
-  EXPECT_EQ(a.flows_local_delivery, b.flows_local_delivery);
-  EXPECT_EQ(a.flows_intra_group, b.flows_intra_group);
-  EXPECT_EQ(a.flows_inter_group, b.flows_inter_group);
-  EXPECT_EQ(a.flows_flow_table_hit, b.flows_flow_table_hit);
-  EXPECT_EQ(a.bf_false_positive_copies, b.bf_false_positive_copies);
-  EXPECT_EQ(a.grouping_update_count, b.grouping_update_count);
-  EXPECT_EQ(a.transition_punts, b.transition_punts);
-  EXPECT_DOUBLE_EQ(a.first_packet_latency_ms.mean(),
-                   b.first_packet_latency_ms.mean());
-  EXPECT_DOUBLE_EQ(a.controller_queue_delay_ms.mean(),
-                   b.controller_queue_delay_ms.mean());
+// The replay loop handles a span of flows per simulator event: the
+// flows that start before the next pending event, within one rule TTL of
+// the span's first flow and at most Network::kMaxSpanFlows of them. Span
+// boundaries must never change a result. The reference run schedules a
+// no-op event at every flow's start before replay(), which ends every
+// span after one flow (or one run of equal start times).
+struct SpanRun {
+  RunMetrics metrics;
+  std::uint64_t events;  ///< simulator events processed, no-ops included
+};
+
+SpanRun run_spans(const topo::Topology& topo, const workload::Trace& trace,
+                  const Config& cfg, const graph::WeightedGraph* history,
+                  bool one_flow_spans,
+                  const std::function<void(Network&)>& before_replay = {}) {
+  Network net(topo, cfg);
+  if (history != nullptr) {
+    net.bootstrap(*history);
+  } else {
+    net.bootstrap();
+  }
+  if (before_replay) before_replay(net);
+  if (one_flow_spans) {
+    for (const workload::Flow& f : trace.flows) {
+      net.simulator().schedule_at(f.start, [] {});
+    }
+  }
+  net.replay(trace);
+  return {net.metrics(), net.simulator().processed_events()};
 }
 
-TEST(NetworkBatchTest, BatchedReplayIdenticalToSinglePacket) {
+/// Replays `trace` with full spans and with one-flow spans and requires
+/// identical metrics; the reference must really have cut more spans.
+void expect_span_independent(
+    const topo::Topology& topo, const workload::Trace& trace,
+    const Config& cfg, const graph::WeightedGraph* history = nullptr,
+    const std::function<void(Network&)>& before_replay = {}) {
+  const SpanRun spans =
+      run_spans(topo, trace, cfg, history, false, before_replay);
+  const SpanRun one_flow =
+      run_spans(topo, trace, cfg, history, true, before_replay);
+  EXPECT_TRUE(spans.metrics.identical_to(one_flow.metrics))
+      << spans.metrics.diff_report(one_flow.metrics);
+  EXPECT_GT(one_flow.events, spans.events + trace.flow_count());
+}
+
+TEST(NetworkSpanTest, SpansIdenticalToOneFlowSpans) {
   auto topo = test_topology(21);
   auto trace = test_trace(topo, 8000, 22);
   const auto history = workload::build_intensity_graph(trace, topo);
 
   for (const bool dynamic : {false, true}) {
-    Config single_cfg = lazy_config(6);
-    single_cfg.grouping.dynamic_regrouping = dynamic;
-    single_cfg.batching.flow_batch_size = 1;
-    Config batched_cfg = single_cfg;
-    batched_cfg.batching.flow_batch_size = 64;
-
-    Network single(topo, single_cfg);
-    single.bootstrap(history);
-    single.replay(trace);
-    Network batched(topo, batched_cfg);
-    batched.bootstrap(history);
-    batched.replay(trace);
-    expect_identical_metrics(single.metrics(), batched.metrics());
+    SCOPED_TRACE(dynamic);
+    Config cfg = lazy_config(6);
+    cfg.grouping.dynamic_regrouping = dynamic;
+    expect_span_independent(topo, trace, cfg, &history);
   }
 }
 
-TEST(NetworkBatchTest, BatchedOpenFlowIdenticalToSinglePacket) {
+TEST(NetworkSpanTest, OpenFlowSpansIdenticalToOneFlowSpans) {
   auto topo = test_topology(23);
   auto trace = test_trace(topo, 8000, 24);
-
-  Config single_cfg = openflow_config();
-  single_cfg.batching.flow_batch_size = 1;
-  Config batched_cfg = single_cfg;
-  batched_cfg.batching.flow_batch_size = 32;
-
-  Network single(topo, single_cfg);
-  single.bootstrap();
-  single.replay(trace);
-  Network batched(topo, batched_cfg);
-  batched.bootstrap();
-  batched.replay(trace);
-  expect_identical_metrics(single.metrics(), batched.metrics());
+  expect_span_independent(topo, trace, openflow_config());
 }
 
-TEST(NetworkBatchTest, BatchedReplayIdenticalUnderDgmAndMigration) {
-  // The stress case for the batch fence: DGM maintenance events, stats
-  // windows and a mid-replay migration all interleave with flow batches.
+TEST(NetworkSpanTest, SpansIdenticalUnderDgmMigrationAndTies) {
+  // The stress case for the span fence: DGM maintenance events, stats
+  // windows and a mid-replay migration all interleave with spans, start
+  // times rounded to 10 ms tie many flows to each other and to control
+  // events, and a 30 s TTL cuts spans between control events.
   auto topo = test_topology(25);
   auto trace = test_trace(topo, 8000, 26);
+  for (workload::Flow& f : trace.flows) {
+    f.start -= f.start % (10 * kMillisecond);
+  }
   const auto history = workload::build_intensity_graph(trace, topo);
   const HostId moved = topo.hosts()[0].id;
 
-  auto run = [&](std::size_t batch) {
-    Config cfg = lazy_config(6);
-    cfg.dgm.mode = DgmMode::kPeriodic;
-    cfg.dgm.maintenance_period = 10 * kMinute;
-    cfg.batching.flow_batch_size = batch;
-    Network net(topo, cfg);
-    net.bootstrap(history);
+  Config cfg = lazy_config(6);
+  cfg.dgm.mode = DgmMode::kPeriodic;
+  cfg.dgm.maintenance_period = 10 * kMinute;
+  cfg.rules.rule_ttl = 30 * kSecond;
+  expect_span_independent(topo, trace, cfg, &history, [&](Network& net) {
     net.schedule_migration(moved, SwitchId{5}, kHour);
-    net.replay(trace);
-    return net.metrics();
-  };
-
-  const RunMetrics single = run(1);
-  const RunMetrics batched = run(64);
-  expect_identical_metrics(single, batched);
+  });
 }
 
 }  // namespace

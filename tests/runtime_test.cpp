@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "core/network.h"
 #include "runtime/shard_plan.h"
-#include "runtime/sharded_runtime.h"
 #include "topo/builder.h"
 #include "workload/generators.h"
 #include "workload/intensity.h"
@@ -129,11 +128,13 @@ RunMetrics run_sequential(const topo::Topology& topo,
   return net.metrics();
 }
 
+using RuntimeStats = Network::RuntimeObsStats;
+
 RunMetrics run_sharded(const topo::Topology& topo,
                        const workload::Trace& trace, Config cfg,
                        std::size_t shards,
                        const graph::WeightedGraph* history = nullptr,
-                       ShardedRuntime::Stats* stats_out = nullptr) {
+                       RuntimeStats* stats_out = nullptr) {
   cfg.runtime.num_shards = shards;
   Network net(topo, cfg);
   if (history != nullptr) {
@@ -141,9 +142,8 @@ RunMetrics run_sharded(const topo::Topology& topo,
   } else {
     net.bootstrap();
   }
-  ShardedRuntime sharded(net);
-  sharded.replay(trace);
-  if (stats_out != nullptr) *stats_out = sharded.stats();
+  net.replay(trace);
+  if (stats_out != nullptr) *stats_out = net.runtime_obs();
   return net.metrics();
 }
 
@@ -212,7 +212,7 @@ TEST(ShardedRuntimeTest, DeterministicIdenticalToSequentialLazyCtrl) {
   ASSERT_GT(sequential.flows_inter_group, 0u);
 
   for (const std::size_t shards : {2u, 4u, 16u}) {
-    ShardedRuntime::Stats stats;
+    RuntimeStats stats;
     const RunMetrics sharded =
         run_sharded(topo, trace, cfg, shards, &history, &stats);
     SCOPED_TRACE(shards);
@@ -236,26 +236,21 @@ TEST(ShardedRuntimeTest, DeterministicIdenticalUnderDgmAndMigration) {
   cfg.dgm.min_flow_evidence = 50.0;
 
   const auto run = [&](std::size_t shards,
-                       ShardedRuntime::Stats* stats) -> RunMetrics {
+                       RuntimeStats* stats) -> RunMetrics {
     Config c = cfg;
     c.runtime.num_shards = shards;
     Network net(topo, c);
     net.bootstrap(history);
     net.schedule_migration(HostId{3}, SwitchId{7}, kHour);
-    if (shards == 1) {
-      net.replay(trace);
-      return net.metrics();
-    }
-    ShardedRuntime sharded(net);
-    sharded.replay(trace);
-    if (stats != nullptr) *stats = sharded.stats();
+    net.replay(trace);
+    *stats = net.runtime_obs();
     return net.metrics();
   };
 
-  const RunMetrics sequential = run(1, nullptr);
+  RuntimeStats stats;
+  const RunMetrics sequential = run(1, &stats);
   ASSERT_GT(sequential.dgm_rounds, 0u);  // DGM must actually be running
 
-  ShardedRuntime::Stats stats;
   const RunMetrics sharded = run(4, &stats);
   expect_bit_identical(sequential, sharded);
   EXPECT_GT(stats.spans, 0u);
@@ -272,22 +267,27 @@ TEST(ShardedRuntimeTest, DeterministicIdenticalToSequentialOpenFlow) {
   expect_bit_identical(sequential, sharded);
 }
 
-TEST(ShardedRuntimeTest, NetworkReplayDelegatesOnRuntimeConfig) {
-  // Network::replay with num_shards > 1 must route through the sharded
-  // runtime and still produce identical results.
+TEST(ShardedRuntimeTest, RuntimeCountersCountOnlyShardedReplays) {
+  // runtime_obs() describes the sharded runtime's work: untouched by a
+  // one-shard replay, one count per span and per flow otherwise.
   const auto topo = test_topology(61);
   const auto trace = drifting_trace(topo, 6000, 62);
   const auto history =
       workload::build_intensity_graph(trace, topo, 0, kHour);
-  Config cfg = lazy_config();
 
-  const RunMetrics sequential = run_sequential(topo, trace, cfg, &history);
+  RuntimeStats stats;
+  const RunMetrics sequential =
+      run_sharded(topo, trace, lazy_config(), 1, &history, &stats);
+  EXPECT_EQ(stats.spans, 0u);
+  EXPECT_EQ(stats.flows, 0u);
+  EXPECT_EQ(stats.redecided_flows, 0u);
+  EXPECT_EQ(stats.repartitions, 0u);
 
-  cfg.runtime.num_shards = 4;
-  Network net(topo, cfg);
-  net.bootstrap(history);
-  net.replay(trace);  // delegates internally
-  expect_bit_identical(sequential, net.metrics());
+  const RunMetrics sharded =
+      run_sharded(topo, trace, lazy_config(), 4, &history, &stats);
+  expect_bit_identical(sequential, sharded);
+  EXPECT_GT(stats.spans, 0u);
+  EXPECT_EQ(stats.flows, trace.flow_count());
 }
 
 /// An OpenFlow install burst at one switch inside ONE span: a source host
@@ -342,7 +342,7 @@ TEST(ShardedRuntimeTest, SpanInstallStalenessIsRepairedExactly) {
     // there is stale outright: 35 first-pass flows + 100 repeats.
     const RunMetrics sequential = run_sequential(topo, trace, cfg);
     ASSERT_EQ(sequential.flows_flow_table_hit, 101u);
-    ShardedRuntime::Stats stats;
+    RuntimeStats stats;
     const RunMetrics sharded =
         run_sharded(topo, trace, cfg, 2, nullptr, &stats);
     expect_bit_identical(sequential, sharded);
@@ -355,7 +355,7 @@ TEST(ShardedRuntimeTest, SpanInstallStalenessIsRepairedExactly) {
     // decides all of them.
     cfg.rules.flow_table_capacity = 16;
     const RunMetrics sequential = run_sequential(topo, trace, cfg);
-    ShardedRuntime::Stats stats;
+    RuntimeStats stats;
     const RunMetrics sharded =
         run_sharded(topo, trace, cfg, 2, nullptr, &stats);
     expect_bit_identical(sequential, sharded);
@@ -377,7 +377,7 @@ TEST(ShardedRuntimeTest, BoundedFlowTableIdenticalToSequentialLazyCtrl) {
   cfg.rules.flow_table_capacity = 8;
 
   const RunMetrics sequential = run_sequential(topo, trace, cfg, &history);
-  ShardedRuntime::Stats stats;
+  RuntimeStats stats;
   const RunMetrics sharded =
       run_sharded(topo, trace, cfg, 2, &history, &stats);
   expect_bit_identical(sequential, sharded);
@@ -417,7 +417,7 @@ TEST(ShardedRuntimeTest, SpansEndOnlyAtControlEventFences) {
   cfg.state_report_period = 30 * kSecond;
 
   const RunMetrics sequential = run_sequential(topo, trace, cfg);
-  ShardedRuntime::Stats stats;
+  RuntimeStats stats;
   const RunMetrics sharded = run_sharded(topo, trace, cfg, 2, nullptr, &stats);
   expect_bit_identical(sequential, sharded);
   EXPECT_EQ(stats.spans, 4u);
@@ -469,7 +469,7 @@ TEST(ShardedRuntimeTest, SpanNarrowerThanRuleTtlKeepsRefreshedRules) {
 
   const RunMetrics sequential = run_sequential(topo, trace, cfg);
   ASSERT_EQ(sequential.flows_flow_table_hit, 1u);
-  ShardedRuntime::Stats stats;
+  RuntimeStats stats;
   const RunMetrics sharded = run_sharded(topo, trace, cfg, 2, nullptr, &stats);
   expect_bit_identical(sequential, sharded);
   // Before the fence, the burst plus the repeat, the late flow alone.
@@ -481,17 +481,39 @@ TEST(ShardedRuntimeTest, SpanSplitsAtTheFlowCap) {
   // More than two caps' worth of flows 1 us apart, all before the first
   // control event: the fence interval splits into spans at the cap.
   const auto topo = test_topology(82);
-  const std::size_t n = 2 * ShardedRuntime::kMaxSpanFlows + 100;
+  const std::size_t n = 2 * Network::kMaxSpanFlows + 100;
   const auto trace = spaced_trace(topo, n, kMicrosecond, kMinute);
   ASSERT_LT(trace.flows.back().start, 30 * kSecond);
   const Config cfg = lazy_config();
 
   const RunMetrics sequential = run_sequential(topo, trace, cfg);
-  ShardedRuntime::Stats stats;
+  RuntimeStats stats;
   const RunMetrics sharded = run_sharded(topo, trace, cfg, 2, nullptr, &stats);
   expect_bit_identical(sequential, sharded);
   EXPECT_EQ(stats.spans, 3u);
   EXPECT_EQ(stats.flows, n);
+}
+
+TEST(ShardedRuntimeTest, OneShardSpansFollowTheSameRule) {
+  // The same flows with the horizon before the first control event: the
+  // only simulator events left are the flow chain's, one per span, and
+  // one shard cuts exactly the spans two shards do.
+  const auto topo = test_topology(82);
+  const std::size_t n = 2 * Network::kMaxSpanFlows + 100;
+  const auto trace = spaced_trace(topo, n, kMicrosecond, kSecond);
+  ASSERT_LT(trace.flows.back().start, trace.horizon);
+
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    Config cfg = lazy_config();
+    cfg.runtime.num_shards = shards;
+    Network net(topo, cfg);
+    net.bootstrap();
+    net.replay(trace);
+    EXPECT_EQ(net.metrics().flows_seen, n);
+    EXPECT_EQ(net.simulator().processed_events(), 3u);
+    EXPECT_EQ(net.runtime_obs().spans, shards == 1 ? 0u : 3u);
+  }
 }
 
 }  // namespace

@@ -152,10 +152,11 @@ TEST(ScenarioSpecTest, UnknownKeyReportsLineNumber) {
 }
 
 TEST(ScenarioSpecTest, RemovedShardModeKeyIsAnUnknownKey) {
-  // The sharded runtime has one mode and no sync window (spans end at
-  // control-event fences); the old keys are not silently accepted but
-  // diagnosed like any other unknown key.
-  for (const std::string key : {"runtime.mode", "runtime.sync_window"}) {
+  // The sharded runtime has one mode and no sync window, and replay has
+  // no flow batch size (one span rule for any shard count); the old keys
+  // are not silently accepted but diagnosed like any other unknown key.
+  for (const std::string key : {"runtime.mode", "runtime.sync_window",
+                                "batching.flow_batch_size"}) {
     SCOPED_TRACE(key);
     const std::string text =
         "[scenario]\n"                 // 1
@@ -173,8 +174,9 @@ TEST(ScenarioSpecTest, RemovedShardModeKeyIsAnUnknownKey) {
 }
 
 TEST(ScenarioSpecTest, RemovedShardModeOverrideIsRejected) {
-  // --set config.runtime.<key>=... goes through the same key dispatch.
-  for (const std::string key : {"runtime.mode", "runtime.sync_window"}) {
+  // --set config.<key>=... goes through the same key dispatch.
+  for (const std::string key : {"runtime.mode", "runtime.sync_window",
+                                "batching.flow_batch_size"}) {
     SCOPED_TRACE(key);
     ScenarioSpec spec;
     std::string err;

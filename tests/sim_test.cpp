@@ -1,13 +1,10 @@
-// Tests for the discrete-event simulator and latency channels.
+// Tests for the discrete-event simulator.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <memory>
-
-#include <string>
 #include <vector>
 
-#include "sim/channel.h"
 #include "sim/simulator.h"
 
 namespace lazyctrl::sim {
@@ -189,42 +186,6 @@ TEST(SimulatorTest, EventsScheduledDuringRunAreExecuted) {
   EXPECT_EQ(depth, 5);
 }
 
-TEST(ChannelTest, DeliversAfterLatency) {
-  Simulator s;
-  Channel ch(s, 100);
-  SimTime delivered_at = -1;
-  s.schedule_at(50, [&] {
-    ch.deliver([&] { delivered_at = s.now(); });
-  });
-  s.run();
-  EXPECT_EQ(delivered_at, 150);
-  EXPECT_EQ(ch.delivered_count(), 1u);
-}
-
-TEST(ChannelTest, DropsWhenDown) {
-  Simulator s;
-  Channel ch(s, 10);
-  ch.set_up(false);
-  bool delivered = false;
-  EXPECT_FALSE(ch.deliver([&] { delivered = true; }));
-  s.run();
-  EXPECT_FALSE(delivered);
-  EXPECT_EQ(ch.dropped_count(), 1u);
-  EXPECT_EQ(ch.delivered_count(), 0u);
-}
-
-TEST(ChannelTest, RecoversAfterSetUp) {
-  Simulator s;
-  Channel ch(s, 10);
-  ch.set_up(false);
-  ch.deliver([] {});
-  ch.set_up(true);
-  bool delivered = false;
-  EXPECT_TRUE(ch.deliver([&] { delivered = true; }));
-  s.run();
-  EXPECT_TRUE(delivered);
-}
-
 TEST(SimulatorTest, NextEventTimeEmptyQueue) {
   Simulator s;
   EXPECT_EQ(s.next_event_time(), Simulator::kNoPendingEvent);
@@ -247,73 +208,6 @@ TEST(SimulatorTest, NextEventTimeSkipsCancelledEvents) {
   EXPECT_EQ(s.next_event_time(), 20);
   EXPECT_EQ(s.pending_events(), 1u);
 }
-
-// --- batched delivery ---
-
-TEST(ChannelTest, BatchDeliversOnceAfterLatency) {
-  Simulator s;
-  Channel ch(s, 100);
-  SimTime delivered_at = -1;
-  std::size_t delivered_count = 0;
-  int callback_runs = 0;
-  s.schedule_at(50, [&] {
-    EXPECT_TRUE(ch.deliver_batch(8, [&](std::size_t n) {
-      delivered_at = s.now();
-      delivered_count = n;
-      ++callback_runs;
-    }));
-  });
-  s.run();
-  EXPECT_EQ(delivered_at, 150);
-  EXPECT_EQ(delivered_count, 8u);
-  EXPECT_EQ(callback_runs, 1);  // ONE event for the whole batch
-  EXPECT_EQ(ch.delivered_count(), 8u);
-}
-
-TEST(ChannelTest, BatchDropsAllWhenDown) {
-  Simulator s;
-  Channel ch(s, 10);
-  ch.set_up(false);
-  bool delivered = false;
-  EXPECT_FALSE(ch.deliver_batch(5, [&](std::size_t) { delivered = true; }));
-  s.run();
-  EXPECT_FALSE(delivered);
-  EXPECT_EQ(ch.dropped_count(), 5u);
-  EXPECT_EQ(ch.delivered_count(), 0u);
-}
-
-TEST(ChannelTest, EmptyBatchIsNoop) {
-  Simulator s;
-  Channel ch(s, 10);
-  bool delivered = false;
-  EXPECT_TRUE(ch.deliver_batch(0, [&](std::size_t) { delivered = true; }));
-  s.run();
-  EXPECT_FALSE(delivered);
-  EXPECT_EQ(ch.delivered_count(), 0u);
-  EXPECT_EQ(s.processed_events(), 0u);
-}
-
-TEST(ChannelTest, BatchOrderingMatchesSingleDeliveries) {
-  // A batch scheduled before later singles must deliver before them, and
-  // repeated runs are deterministic: batching only coalesces the event,
-  // never reorders across events.
-  std::vector<std::string> order_a;
-  std::vector<std::string> order_b;
-  for (auto* order : {&order_a, &order_b}) {
-    Simulator s;
-    Channel ch(s, 10);
-    ch.deliver_batch(3, [order](std::size_t n) {
-      order->push_back("batch" + std::to_string(n));
-    });
-    ch.deliver([order] { order->push_back("single1"); });
-    ch.deliver([order] { order->push_back("single2"); });
-    s.run();
-  }
-  EXPECT_EQ(order_a,
-            (std::vector<std::string>{"batch3", "single1", "single2"}));
-  EXPECT_EQ(order_a, order_b);
-}
-
 
 // --- EventFn (small-buffer-optimized event callback) ---
 

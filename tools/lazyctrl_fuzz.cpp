@@ -22,8 +22,8 @@
 // Each seed runs four oracles (src/scenario/fuzz.h): the invariant-
 // checked run, the bit-identity rerun carrying a checkpoint fence, the
 // checkpoint-restore resume whose finished metrics must match the
-// rerun's, and the config matrix (fib.layout x runtime.num_shards x
-// batching.flow_batch_size, 8 runs that must all be bit-identical). The
+// rerun's, and the config matrix (fib.layout x runtime.num_shards, 4
+// runs that must all be bit-identical). The
 // shrunk repro's failure is printed again after shrinking, so a matrix
 // failure names the diverging configuration pair and the first diverging
 // metric of the minimal spec. When a shrunk failure still reaches its
