@@ -6,7 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <span>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "workload/trace.h"
@@ -68,53 +72,341 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-// ---- enum spellings ----
+// ---- value rules ----
 
-struct EventName {
-  EventKind kind;
-  const char* name;
-};
-constexpr EventName kEventNames[] = {
-    {EventKind::kFailSwitch, "fail_switch"},
-    {EventKind::kRecoverSwitch, "recover_switch"},
-    {EventKind::kFailPeerLink, "fail_peer_link"},
-    {EventKind::kRecoverPeerLink, "recover_peer_link"},
-    {EventKind::kFailControlLink, "fail_control_link"},
-    {EventKind::kRecoverControlLink, "recover_control_link"},
-    {EventKind::kControllerOutage, "controller_outage"},
-    {EventKind::kMigrationBurst, "migration_burst"},
-    {EventKind::kTenantArrival, "tenant_arrival"},
-    {EventKind::kTenantDeparture, "tenant_departure"},
-    {EventKind::kTrafficSurge, "traffic_surge"},
-    {EventKind::kForceRegroup, "force_regroup"},
-    {EventKind::kSetControlLoss, "set_control_loss"},
-    {EventKind::kSetControlDup, "set_control_dup"},
-    {EventKind::kSetCtrlQueueCap, "set_ctrl_queue_cap"},
-    {EventKind::kReconcile, "reconcile"},
-    {EventKind::kCheckpoint, "checkpoint_at"},
+/// What a key or event parameter accepts. The field's type bounds the
+/// value too: an integer must fit its field, and a choice is stored as its
+/// position in the row's name list.
+enum class Rule : std::uint8_t {
+  kInt,               ///< non-negative integer
+  kPositive,          ///< integer >= 1
+  kNumber,            ///< finite number
+  kProbability,       ///< number in [0, 1]
+  kFactor,            ///< number > 1
+  kFlag,              ///< true|false (also on|off, yes|no, 1|0)
+  kDuration,          ///< duration literal (parse_duration)
+  kPositiveDuration,  ///< duration > 0
+  kText,              ///< the rest of the line, verbatim
+  kNote,              ///< text, left out of the canonical form when empty
+  kChoice,            ///< one of the row's names
 };
 
-bool event_kind_from(const std::string& name, EventKind* out) {
-  for (const EventName& e : kEventNames) {
-    if (name == e.name) {
-      *out = e.kind;
+using Names = std::span<const char* const>;
+
+/// Sets `*out` to the position of `text` in `names`.
+template <class T>
+bool parse_choice(const std::string& text, Names names, T* out) {
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (text == names[i]) {
+      *out = static_cast<T>(i);
       return true;
     }
   }
   return false;
 }
 
-// ---- parser state ----
+/// Parses `text` under `rule` into `*out`; leaves `*out` alone on failure.
+template <class T>
+bool parse_value(const std::string& text, Rule rule, Names names, T* out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    *out = text;
+    return true;
+  } else if constexpr (std::is_same_v<T, double>) {
+    double v = 0;
+    if (!parse_f64(text, &v) ||
+        (rule == Rule::kProbability && (v < 0.0 || v > 1.0)) ||
+        (rule == Rule::kFactor && v <= 1.0)) {
+      return false;
+    }
+    *out = v;
+    return true;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return rule == Rule::kFlag ? parse_bool(text, out)
+                               : parse_choice(text, names, out);
+  } else if constexpr (std::is_enum_v<T>) {
+    return parse_choice(text, names, out);
+  } else if constexpr (std::is_same_v<T, SimDuration>) {
+    SimDuration v = 0;
+    if (!parse_duration(text, &v) ||
+        (rule == Rule::kPositiveDuration && v == 0)) {
+      return false;
+    }
+    *out = v;
+    return true;
+  } else {
+    std::uint64_t v = 0;
+    if (!parse_u64(text, &v) ||
+        v > static_cast<std::uint64_t>(std::numeric_limits<T>::max()) ||
+        (rule == Rule::kPositive && v == 0)) {
+      return false;
+    }
+    *out = static_cast<T>(v);
+    return true;
+  }
+}
 
-enum class Section {
-  kNone,
+/// Canonical text of `v`; parse_value() reads it back to the same value.
+template <class T>
+std::string format_value(const T& v, Rule rule, Names names) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return v;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return fmt_double(v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return rule == Rule::kFlag ? (v ? "true" : "false") : names[v];
+  } else if constexpr (std::is_enum_v<T>) {
+    return names[static_cast<std::size_t>(v)];
+  } else if constexpr (std::is_same_v<T, SimDuration>) {
+    return format_duration(v);
+  } else {
+    return std::to_string(v);
+  }
+}
+
+/// What `rule` accepts into a field like `field`, for diagnostics.
+template <class T>
+std::string expects(Rule rule, Names names, const T& /*field*/) {
+  std::string what;
+  switch (rule) {
+    case Rule::kInt: what = "a non-negative integer"; break;
+    case Rule::kPositive: what = "a positive integer"; break;
+    case Rule::kNumber: return "a number";
+    case Rule::kProbability: return "a number in [0, 1]";
+    case Rule::kFactor: return "a number > 1";
+    case Rule::kFlag: return "true|false";
+    case Rule::kDuration: return "a duration (e.g. 30s, 5m, 200ms)";
+    case Rule::kPositiveDuration: return "a positive duration";
+    case Rule::kText:
+    case Rule::kNote: return "text";
+    case Rule::kChoice:
+      for (const char* name : names) {
+        what += (what.empty() ? "" : " | ") + std::string(name);
+      }
+      return what;
+  }
+  if constexpr (std::is_integral_v<T> && sizeof(T) < sizeof(std::uint64_t)) {
+    what += " no larger than " + std::to_string(std::numeric_limits<T>::max());
+  }
+  return what;
+}
+
+// ---- the key list ----
+
+enum class Section : std::uint8_t {
   kScenario,
   kTopology,
   kWorkload,
   kConfig,
   kEvents,
+  kNone,
   kUnknown,  ///< reported once at the header; member lines are skipped
 };
+constexpr const char* kSectionNames[] = {"scenario", "topology", "workload",
+                                         "config", "events"};
+
+// Each enum's spellings, indexed by its value.
+constexpr const char* kWorkloadKinds[] = {"real_like", "synthetic",
+                                          "drifting_locality"};
+constexpr const char* kProfiles[] = {"business_day", "flat"};  // flat_profile
+constexpr const char* kBootstraps[] = {"index", "history"};
+constexpr const char* kControlModes[] = {"openflow", "lazyctrl"};
+constexpr const char* kDgmModes[] = {"off", "periodic", "drift_triggered"};
+constexpr const char* kFibLayouts[] = {"linear", "sliced"};
+
+struct Key {
+  Section section;
+  const char* name;
+  Rule rule;
+  Names names = {};  ///< kChoice only
+};
+
+/// Calls fn(Key, field) for every `.scn` key, in canonical order: the one
+/// declaration behind parse_scenario(), apply_override() and
+/// serialize_scenario(), so a key accepted in a file is accepted by --set
+/// and printed by --print-spec. `Spec` is ScenarioSpec or its const.
+template <class Spec, class Fn>
+void for_each_key(Spec& s, Fn&& fn) {
+  using enum Rule;
+  constexpr Section S = Section::kScenario;
+  constexpr Section T = Section::kTopology;
+  constexpr Section W = Section::kWorkload;
+  constexpr Section C = Section::kConfig;
+  auto& top = s.topology;
+  auto& w = s.workload;
+  auto& c = s.config;
+  auto& g = c.grouping;
+  auto& dgm = c.dgm;
+  auto& ctl = c.controller;
+  auto& lat = c.latency;
+
+  fn(Key{S, "name", kText}, s.name);
+  fn(Key{S, "description", kNote}, s.description);
+  fn(Key{S, "seed", kInt}, s.seed);
+
+  fn(Key{T, "switches", kPositive}, top.switches);
+  fn(Key{T, "tenants", kPositive}, top.tenants);
+  fn(Key{T, "min_vms_per_tenant", kPositive}, top.min_vms_per_tenant);
+  fn(Key{T, "max_vms_per_tenant", kPositive}, top.max_vms_per_tenant);
+  fn(Key{T, "vms_per_switch", kPositive}, top.vms_per_switch);
+
+  fn(Key{W, "kind", kChoice, kWorkloadKinds}, w.kind);
+  fn(Key{W, "flows", kInt}, w.flows);
+  fn(Key{W, "horizon", kPositiveDuration}, w.horizon);
+  fn(Key{W, "profile", kChoice, kProfiles}, w.flat_profile);
+  // Generator-specific keys are accepted under any kind, so they are
+  // always printed: parse(serialize(s)) == s must hold exactly.
+  fn(Key{W, "p", kNumber}, w.p);
+  fn(Key{W, "q", kNumber}, w.q);
+  fn(Key{W, "communities", kPositive}, w.communities);
+  fn(Key{W, "intra_share", kNumber}, w.intra_share);
+  fn(Key{W, "phases", kPositive}, w.phases);
+  fn(Key{W, "drift_fraction", kNumber}, w.drift_fraction);
+
+  fn(Key{C, "mode", kChoice, kControlModes}, c.mode);
+  fn(Key{C, "bootstrap", kChoice, kBootstraps}, s.bootstrap_history);
+  fn(Key{C, "group_size_limit", kPositive}, g.group_size_limit);
+  fn(Key{C, "dynamic_regrouping", kFlag}, g.dynamic_regrouping);
+  fn(Key{C, "workload_growth_trigger", kNumber}, g.workload_growth_trigger);
+  fn(Key{C, "min_update_interval", kDuration}, g.min_update_interval);
+  fn(Key{C, "stats_window", kPositiveDuration}, g.stats_window);
+  fn(Key{C, "intensity_ewma_decay", kNumber}, g.intensity_ewma_decay);
+  fn(Key{C, "min_update_flow_evidence", kNumber}, g.min_update_flow_evidence);
+  fn(Key{C, "max_incupdate_iterations", kInt}, g.max_incupdate_iterations);
+  fn(Key{C, "parallel_incupdate", kFlag}, g.parallel_incupdate);
+  fn(Key{C, "preload_on_update", kFlag}, g.preload_on_update);
+  fn(Key{C, "transition_window", kDuration}, g.transition_window);
+  fn(Key{C, "host_exclusion_tenant_threshold", kInt},
+     g.host_exclusion_tenant_threshold);
+  fn(Key{C, "dgm.mode", kChoice, kDgmModes}, dgm.mode);
+  fn(Key{C, "dgm.maintenance_period", kDuration}, dgm.maintenance_period);
+  fn(Key{C, "dgm.inter_fraction_limit", kNumber}, dgm.inter_fraction_limit);
+  fn(Key{C, "dgm.degradation_factor", kNumber}, dgm.degradation_factor);
+  fn(Key{C, "dgm.degradation_floor", kNumber}, dgm.degradation_floor);
+  fn(Key{C, "dgm.size_skew_limit", kNumber}, dgm.size_skew_limit);
+  fn(Key{C, "dgm.min_flow_evidence", kNumber}, dgm.min_flow_evidence);
+  fn(Key{C, "dgm.cooldown", kDuration}, dgm.cooldown);
+  fn(Key{C, "dgm.max_moves_per_round", kInt}, dgm.max_moves_per_round);
+  fn(Key{C, "dgm.max_merges_per_round", kInt}, dgm.max_merges_per_round);
+  fn(Key{C, "dgm.max_splits_per_round", kInt}, dgm.max_splits_per_round);
+  fn(Key{C, "dgm.min_gain_fraction", kNumber}, dgm.min_gain_fraction);
+  fn(Key{C, "fib.layout", kChoice, kFibLayouts}, c.fib.layout);
+  fn(Key{C, "fib.bloom_bits", kPositive}, c.fib.bloom_bits);
+  fn(Key{C, "fib.bloom_hashes", kPositive}, c.fib.bloom_hashes);
+  fn(Key{C, "fib.report_false_positives", kFlag},
+     c.fib.report_false_positives);
+  fn(Key{C, "rules.rule_ttl", kDuration}, c.rules.rule_ttl);
+  fn(Key{C, "rules.flow_table_capacity", kInt}, c.rules.flow_table_capacity);
+  fn(Key{C, "runtime.num_shards", kPositive}, c.runtime.num_shards);
+  fn(Key{C, "controller.servers", kPositive}, ctl.servers);
+  fn(Key{C, "ctrl.loss_rate", kProbability}, ctl.loss_rate);
+  fn(Key{C, "ctrl.dup_rate", kProbability}, ctl.dup_rate);
+  fn(Key{C, "ctrl.queue_cap", kInt}, ctl.queue_cap);
+  fn(Key{C, "ctrl.punt_retry_limit", kInt}, ctl.punt_retry_limit);
+  fn(Key{C, "ctrl.punt_retry_base", kPositiveDuration}, ctl.punt_retry_base);
+  fn(Key{C, "ctrl.reconcile_period", kDuration}, ctl.reconcile_period);
+  fn(Key{C, "latency.host_link", kDuration}, lat.host_link);
+  fn(Key{C, "latency.datapath", kDuration}, lat.datapath);
+  fn(Key{C, "latency.switch_processing", kDuration}, lat.switch_processing);
+  fn(Key{C, "latency.control_link", kDuration}, lat.control_link);
+  fn(Key{C, "latency.controller_service", kDuration}, lat.controller_service);
+  fn(Key{C, "state_report_period", kDuration}, c.state_report_period);
+  fn(Key{C, "failover", kFlag}, c.failover_enabled);
+  fn(Key{C, "keepalive_period", kDuration}, c.keepalive_period);
+  fn(Key{C, "keepalive_loss_threshold", kInt}, c.keepalive_loss_threshold);
+  fn(Key{C, "switch_reboot_delay", kDuration}, c.switch_reboot_delay);
+}
+
+/// Sets `section`'s `key` from `value`.
+bool set_key(ScenarioSpec& spec, Section section, const std::string& key,
+             const std::string& value, std::string* err) {
+  bool found = false;
+  bool ok = false;
+  for_each_key(spec, [&](const Key& k, auto& field) {
+    if (found || k.section != section || key != k.name) return;
+    found = true;
+    ok = parse_value(value, k.rule, k.names, &field);
+    if (!ok) {
+      *err = key + " expects " + expects(k.rule, k.names, field) + ", got '" +
+             value + "'";
+    }
+  });
+  if (!found) {
+    *err = "unknown [" +
+           std::string(kSectionNames[static_cast<std::size_t>(section)]) +
+           "] key '" + key + "'";
+  }
+  return ok;
+}
+
+// ---- event primitives ----
+
+struct Param {
+  /// One bit per parameter, for EventRow::params.
+  enum Bit : std::uint8_t {
+    kSw = 1 << 0,
+    kTenant = 1 << 1,
+    kHosts = 1 << 2,
+    kSpread = 1 << 3,
+    kDuration = 1 << 4,
+    kFactor = 1 << 5,
+    kRate = 1 << 6,
+    kCap = 1 << 7,
+  };
+  Bit bit;
+  const char* name;
+  Rule rule;
+  /// Placeholder in "<event> requires <name>=<placeholder>"; nullptr when
+  /// the parameter is optional and keeps its ScenarioEvent default.
+  const char* required;
+  const char* what = nullptr;  ///< replaces the rule's text in diagnostics
+};
+
+/// Calls fn(Param, field) for every event parameter, in canonical order.
+/// `Event` is ScenarioEvent or its const.
+template <class Event, class Fn>
+void for_each_param(Event& ev, Fn&& fn) {
+  using enum Rule;
+  fn(Param{Param::kSw, "sw", kInt, "<index>", "a switch index"}, ev.sw);
+  fn(Param{Param::kTenant, "tenant", kInt, "<index>", "a tenant index"},
+     ev.tenant);
+  fn(Param{Param::kHosts, "hosts", kPositive, "<count>"}, ev.hosts);
+  fn(Param{Param::kSpread, "spread", kDuration, nullptr}, ev.spread);
+  fn(Param{Param::kDuration, "duration", kPositiveDuration, "<time>"},
+     ev.duration);
+  fn(Param{Param::kFactor, "factor", kFactor, nullptr}, ev.factor);
+  fn(Param{Param::kRate, "rate", kProbability, "<prob>"}, ev.rate);
+  fn(Param{Param::kCap, "cap", kInt, "<count>"}, ev.cap);  // 0 = unlimited
+}
+
+struct EventRow {
+  const char* name;
+  int params;  ///< Param::Bit mask of the parameters the event accepts
+};
+
+/// Every event primitive, indexed by EventKind.
+constexpr EventRow kEvents[] = {
+    {"fail_switch", Param::kSw},
+    {"recover_switch", Param::kSw},
+    {"fail_peer_link", Param::kSw},
+    {"recover_peer_link", Param::kSw},
+    {"fail_control_link", Param::kSw},
+    {"recover_control_link", Param::kSw},
+    {"controller_outage", Param::kDuration},
+    {"migration_burst", Param::kHosts | Param::kSpread},
+    {"tenant_arrival", Param::kTenant},
+    {"tenant_departure", Param::kTenant},
+    {"traffic_surge", Param::kDuration | Param::kFactor},
+    {"force_regroup", 0},
+    {"set_control_loss", Param::kRate},
+    {"set_control_dup", Param::kRate},
+    {"set_ctrl_queue_cap", Param::kCap},
+    {"reconcile", 0},
+    {"checkpoint_at", 0},
+};
+static_assert(std::size(kEvents) ==
+              static_cast<std::size_t>(EventKind::kCheckpoint) + 1);
+
+// ---- parser state ----
 
 struct Parser {
   ScenarioSpec spec;
@@ -128,394 +420,6 @@ struct Parser {
     errors.push_back({line, std::move(message)});
   }
 };
-
-// Each section's key dispatch doubles as the apply_override() grammar, so
-// a key accepted in a file is always accepted on the command line too.
-
-bool set_scenario_key(ScenarioSpec& spec, const std::string& key,
-                      const std::string& value, std::string* err) {
-  if (key == "name") {
-    spec.name = value;
-    return true;
-  }
-  if (key == "description") {
-    spec.description = value;
-    return true;
-  }
-  if (key == "seed") {
-    if (!parse_u64(value, &spec.seed)) {
-      *err = "seed expects a non-negative integer, got '" + value + "'";
-      return false;
-    }
-    return true;
-  }
-  *err = "unknown [scenario] key '" + key + "'";
-  return false;
-}
-
-bool set_topology_key(ScenarioSpec& spec, const std::string& key,
-                      const std::string& value, std::string* err) {
-  std::uint64_t v = 0;
-  std::size_t* target = nullptr;
-  if (key == "switches") target = &spec.topology.switches;
-  else if (key == "tenants") target = &spec.topology.tenants;
-  else if (key == "min_vms_per_tenant")
-    target = &spec.topology.min_vms_per_tenant;
-  else if (key == "max_vms_per_tenant")
-    target = &spec.topology.max_vms_per_tenant;
-  else if (key == "vms_per_switch") target = &spec.topology.vms_per_switch;
-  if (target == nullptr) {
-    *err = "unknown [topology] key '" + key + "'";
-    return false;
-  }
-  if (!parse_u64(value, &v) || v == 0) {
-    *err = key + " expects a positive integer, got '" + value + "'";
-    return false;
-  }
-  *target = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool set_workload_key(ScenarioSpec& spec, const std::string& key,
-                      const std::string& value, std::string* err) {
-  WorkloadSpec& w = spec.workload;
-  if (key == "kind") {
-    if (value == "real_like") w.kind = WorkloadKind::kRealLike;
-    else if (value == "synthetic") w.kind = WorkloadKind::kSynthetic;
-    else if (value == "drifting_locality")
-      w.kind = WorkloadKind::kDriftingLocality;
-    else {
-      *err = "kind expects real_like | synthetic | drifting_locality, got '" +
-             value + "'";
-      return false;
-    }
-    return true;
-  }
-  if (key == "profile") {
-    if (value == "flat") w.flat_profile = true;
-    else if (value == "business_day") w.flat_profile = false;
-    else {
-      *err = "profile expects business_day | flat, got '" + value + "'";
-      return false;
-    }
-    return true;
-  }
-  if (key == "horizon") {
-    if (!parse_duration(value, &w.horizon) || w.horizon <= 0) {
-      *err = "horizon expects a positive duration, got '" + value + "'";
-      return false;
-    }
-    return true;
-  }
-  if (key == "flows" || key == "communities" || key == "phases") {
-    std::uint64_t v = 0;
-    if (!parse_u64(value, &v)) {
-      *err = key + " expects a non-negative integer, got '" + value + "'";
-      return false;
-    }
-    if (key == "flows") w.flows = static_cast<std::size_t>(v);
-    else if (key == "communities") {
-      if (v == 0) {
-        *err = "communities must be positive";
-        return false;
-      }
-      w.communities = static_cast<std::size_t>(v);
-    } else {
-      if (v == 0) {
-        *err = "phases must be positive";
-        return false;
-      }
-      w.phases = static_cast<std::size_t>(v);
-    }
-    return true;
-  }
-  double* dtarget = nullptr;
-  if (key == "p") dtarget = &w.p;
-  else if (key == "q") dtarget = &w.q;
-  else if (key == "intra_share") dtarget = &w.intra_share;
-  else if (key == "drift_fraction") dtarget = &w.drift_fraction;
-  if (dtarget != nullptr) {
-    if (!parse_f64(value, dtarget)) {
-      *err = key + " expects a number, got '" + value + "'";
-      return false;
-    }
-    return true;
-  }
-  *err = "unknown [workload] key '" + key + "'";
-  return false;
-}
-
-bool set_config_key(ScenarioSpec& spec, const std::string& key,
-                    const std::string& value, std::string* err) {
-  core::Config& c = spec.config;
-
-  const auto dur = [&](SimDuration* target) {
-    if (!parse_duration(value, target)) {
-      *err = key + " expects a duration (e.g. 30s, 5m, 200ms), got '" +
-             value + "'";
-      return false;
-    }
-    return true;
-  };
-  const auto u64 = [&](auto* target) {
-    std::uint64_t v = 0;
-    if (!parse_u64(value, &v)) {
-      *err = key + " expects a non-negative integer, got '" + value + "'";
-      return false;
-    }
-    *target = static_cast<std::remove_reference_t<decltype(*target)>>(v);
-    return true;
-  };
-  const auto f64 = [&](double* target) {
-    if (!parse_f64(value, target)) {
-      *err = key + " expects a number, got '" + value + "'";
-      return false;
-    }
-    return true;
-  };
-  const auto boolean = [&](bool* target) {
-    if (!parse_bool(value, target)) {
-      *err = key + " expects true|false, got '" + value + "'";
-      return false;
-    }
-    return true;
-  };
-
-  // top level
-  if (key == "mode") {
-    if (value == "lazyctrl") c.mode = core::ControlMode::kLazyCtrl;
-    else if (value == "openflow") c.mode = core::ControlMode::kOpenFlow;
-    else {
-      *err = "mode expects lazyctrl | openflow, got '" + value + "'";
-      return false;
-    }
-    return true;
-  }
-  if (key == "bootstrap") {
-    if (value == "history") spec.bootstrap_history = true;
-    else if (value == "index") spec.bootstrap_history = false;
-    else {
-      *err = "bootstrap expects history | index, got '" + value + "'";
-      return false;
-    }
-    return true;
-  }
-  if (key == "failover") return boolean(&c.failover_enabled);
-  if (key == "keepalive_period") return dur(&c.keepalive_period);
-  if (key == "keepalive_loss_threshold") {
-    return u64(&c.keepalive_loss_threshold);
-  }
-  if (key == "switch_reboot_delay") return dur(&c.switch_reboot_delay);
-  if (key == "state_report_period") return dur(&c.state_report_period);
-  if (key == "controller.servers") {
-    if (!u64(&c.controller.servers)) return false;
-    if (c.controller.servers == 0) {
-      *err = "controller.servers must be positive";
-      return false;
-    }
-    return true;
-  }
-  // unreliable control plane
-  if (key == "ctrl.loss_rate" || key == "ctrl.dup_rate") {
-    double* target = key == "ctrl.loss_rate" ? &c.controller.loss_rate
-                                             : &c.controller.dup_rate;
-    if (!f64(target)) return false;
-    if (*target < 0.0 || *target > 1.0) {
-      *err = key + " must be in [0, 1]";
-      return false;
-    }
-    return true;
-  }
-  if (key == "ctrl.queue_cap") return u64(&c.controller.queue_cap);
-  if (key == "ctrl.punt_retry_limit") {
-    return u64(&c.controller.punt_retry_limit);
-  }
-  if (key == "ctrl.punt_retry_base") {
-    if (!dur(&c.controller.punt_retry_base)) return false;
-    if (c.controller.punt_retry_base <= 0) {
-      *err = "ctrl.punt_retry_base must be positive";
-      return false;
-    }
-    return true;
-  }
-  if (key == "ctrl.reconcile_period") {
-    return dur(&c.controller.reconcile_period);
-  }
-  // latency model
-  if (key == "latency.host_link") return dur(&c.latency.host_link);
-  if (key == "latency.datapath") return dur(&c.latency.datapath);
-  if (key == "latency.switch_processing") {
-    return dur(&c.latency.switch_processing);
-  }
-  if (key == "latency.control_link") return dur(&c.latency.control_link);
-  if (key == "latency.controller_service") {
-    return dur(&c.latency.controller_service);
-  }
-  // grouping
-  if (key == "group_size_limit") {
-    if (!u64(&c.grouping.group_size_limit)) return false;
-    if (c.grouping.group_size_limit == 0) {
-      *err = "group_size_limit must be positive";
-      return false;
-    }
-    return true;
-  }
-  if (key == "dynamic_regrouping") {
-    return boolean(&c.grouping.dynamic_regrouping);
-  }
-  if (key == "workload_growth_trigger") {
-    return f64(&c.grouping.workload_growth_trigger);
-  }
-  if (key == "min_update_interval") return dur(&c.grouping.min_update_interval);
-  if (key == "stats_window") {
-    if (!dur(&c.grouping.stats_window)) return false;
-    if (c.grouping.stats_window <= 0) {
-      *err = "stats_window must be positive";
-      return false;
-    }
-    return true;
-  }
-  if (key == "intensity_ewma_decay") {
-    return f64(&c.grouping.intensity_ewma_decay);
-  }
-  if (key == "min_update_flow_evidence") {
-    return f64(&c.grouping.min_update_flow_evidence);
-  }
-  if (key == "max_incupdate_iterations") {
-    return u64(&c.grouping.max_incupdate_iterations);
-  }
-  if (key == "parallel_incupdate") {
-    return boolean(&c.grouping.parallel_incupdate);
-  }
-  if (key == "preload_on_update") return boolean(&c.grouping.preload_on_update);
-  if (key == "transition_window") return dur(&c.grouping.transition_window);
-  if (key == "host_exclusion_tenant_threshold") {
-    return u64(&c.grouping.host_exclusion_tenant_threshold);
-  }
-  // dgm
-  if (key == "dgm.mode") {
-    if (value == "off") c.dgm.mode = core::DgmMode::kOff;
-    else if (value == "periodic") c.dgm.mode = core::DgmMode::kPeriodic;
-    else if (value == "drift_triggered") {
-      c.dgm.mode = core::DgmMode::kDriftTriggered;
-    } else {
-      *err = "dgm.mode expects off | periodic | drift_triggered, got '" +
-             value + "'";
-      return false;
-    }
-    return true;
-  }
-  if (key == "dgm.maintenance_period") return dur(&c.dgm.maintenance_period);
-  if (key == "dgm.inter_fraction_limit") {
-    return f64(&c.dgm.inter_fraction_limit);
-  }
-  if (key == "dgm.degradation_factor") return f64(&c.dgm.degradation_factor);
-  if (key == "dgm.degradation_floor") return f64(&c.dgm.degradation_floor);
-  if (key == "dgm.size_skew_limit") return f64(&c.dgm.size_skew_limit);
-  if (key == "dgm.min_flow_evidence") return f64(&c.dgm.min_flow_evidence);
-  if (key == "dgm.cooldown") return dur(&c.dgm.cooldown);
-  if (key == "dgm.max_moves_per_round") return u64(&c.dgm.max_moves_per_round);
-  if (key == "dgm.max_merges_per_round") {
-    return u64(&c.dgm.max_merges_per_round);
-  }
-  if (key == "dgm.max_splits_per_round") {
-    return u64(&c.dgm.max_splits_per_round);
-  }
-  if (key == "dgm.min_gain_fraction") return f64(&c.dgm.min_gain_fraction);
-  // fib
-  if (key == "fib.layout") {
-    if (value == "sliced") c.fib.layout = core::GFibLayout::kSliced;
-    else if (value == "linear") c.fib.layout = core::GFibLayout::kLinear;
-    else {
-      *err = "fib.layout expects sliced | linear, got '" + value + "'";
-      return false;
-    }
-    return true;
-  }
-  if (key == "fib.bloom_bits") {
-    if (!u64(&c.fib.bloom_bits)) return false;
-    if (c.fib.bloom_bits == 0) {
-      *err = "fib.bloom_bits must be positive";
-      return false;
-    }
-    return true;
-  }
-  if (key == "fib.bloom_hashes") {
-    if (!u64(&c.fib.bloom_hashes)) return false;
-    if (c.fib.bloom_hashes == 0) {
-      *err = "fib.bloom_hashes must be positive";
-      return false;
-    }
-    return true;
-  }
-  if (key == "fib.report_false_positives") {
-    return boolean(&c.fib.report_false_positives);
-  }
-  // rules
-  if (key == "rules.rule_ttl") return dur(&c.rules.rule_ttl);
-  if (key == "rules.flow_table_capacity") {
-    return u64(&c.rules.flow_table_capacity);
-  }
-  // runtime
-  if (key == "runtime.num_shards") {
-    if (!u64(&c.runtime.num_shards)) return false;
-    if (c.runtime.num_shards == 0) {
-      *err = "runtime.num_shards must be positive";
-      return false;
-    }
-    return true;
-  }
-
-  *err = "unknown [config] key '" + key + "'";
-  return false;
-}
-
-// ---- event parsing ----
-
-/// Which parameters each primitive accepts / requires.
-struct EventParamRule {
-  bool sw = false;
-  bool tenant = false;
-  bool hosts = false;
-  bool spread = false;    ///< optional when accepted
-  bool duration = false;
-  bool factor = false;    ///< optional when accepted
-  bool rate = false;
-  bool cap = false;
-};
-
-EventParamRule param_rule(EventKind kind) {
-  switch (kind) {
-    case EventKind::kFailSwitch:
-    case EventKind::kRecoverSwitch:
-    case EventKind::kFailPeerLink:
-    case EventKind::kRecoverPeerLink:
-    case EventKind::kFailControlLink:
-    case EventKind::kRecoverControlLink:
-      return {.sw = true};
-    case EventKind::kControllerOutage:
-      return {.duration = true};
-    case EventKind::kMigrationBurst:
-      return {.hosts = true, .spread = true};
-    case EventKind::kTenantArrival:
-    case EventKind::kTenantDeparture:
-      return {.tenant = true};
-    case EventKind::kTrafficSurge:
-      return {.duration = true, .factor = true};
-    case EventKind::kForceRegroup:
-      return {};
-    case EventKind::kSetControlLoss:
-    case EventKind::kSetControlDup:
-      return {.rate = true};
-    case EventKind::kSetCtrlQueueCap:
-      return {.cap = true};
-    case EventKind::kReconcile:
-      return {};
-    case EventKind::kCheckpoint:
-      return {};
-  }
-  return {};
-}
 
 void parse_event_line(Parser& p, int line, const std::string& text) {
   std::istringstream in(text);
@@ -538,18 +442,17 @@ void parse_event_line(Parser& p, int line, const std::string& text) {
     p.error(line, "event line has a time but no event name");
     return;
   }
-  if (!event_kind_from(tokens[1], &ev.kind)) {
+  std::size_t row = 0;
+  while (row < std::size(kEvents) && tokens[1] != kEvents[row].name) ++row;
+  if (row == std::size(kEvents)) {
     p.error(line, "unknown event '" + tokens[1] + "'");
     return;
   }
-  const EventParamRule rule = param_rule(ev.kind);
+  ev.kind = static_cast<EventKind>(row);
+  const std::string event = kEvents[row].name;
+  const int accepted = kEvents[row].params;
 
-  bool have_sw = false;
-  bool have_tenant = false;
-  bool have_hosts = false;
-  bool have_duration = false;
-  bool have_rate = false;
-  bool have_cap = false;
+  int seen = 0;  // parameters present, even with a bad value
   bool ok = true;
   for (std::size_t i = 2; i < tokens.size(); ++i) {
     const std::string& tok = tokens[i];
@@ -561,135 +464,35 @@ void parse_event_line(Parser& p, int line, const std::string& text) {
     }
     const std::string key = tok.substr(0, eq);
     const std::string value = tok.substr(eq + 1);
-    const auto reject = [&](const char* why) {
-      p.error(line, "parameter '" + key + "' " + why + " for " +
-                        std::string(to_string(ev.kind)));
-      ok = false;
-    };
-    if (key == "sw") {
-      if (!rule.sw) {
-        reject("is not valid");
-        continue;
-      }
-      have_sw = true;  // present, even if the value is bad
-      std::uint64_t v = 0;
-      if (!parse_u64(value, &v) || v > 0xFFFFFFFFu) {
-        p.error(line, "sw expects a switch index, got '" + value + "'");
+    bool known = false;
+    for_each_param(ev, [&](const Param& prm, auto& field) {
+      if (key != prm.name) return;
+      known = true;
+      if (!(accepted & prm.bit)) {
+        p.error(line, "parameter '" + key + "' is not valid for " + event);
         ok = false;
-        continue;
+        return;
       }
-      ev.sw = static_cast<std::uint32_t>(v);
-    } else if (key == "tenant") {
-      if (!rule.tenant) {
-        reject("is not valid");
-        continue;
-      }
-      have_tenant = true;  // present, even if the value is bad
-      std::uint64_t v = 0;
-      if (!parse_u64(value, &v) || v > 0xFFFFFFFFu) {
-        p.error(line, "tenant expects a tenant index, got '" + value + "'");
-        ok = false;
-        continue;
-      }
-      ev.tenant = static_cast<std::uint32_t>(v);
-    } else if (key == "hosts") {
-      if (!rule.hosts) {
-        reject("is not valid");
-        continue;
-      }
-      have_hosts = true;  // present, even if the value is bad
-      std::uint64_t v = 0;
-      if (!parse_u64(value, &v) || v == 0 || v > 0xFFFFFFFFu) {
-        p.error(line, "hosts expects a positive count, got '" + value + "'");
-        ok = false;
-        continue;
-      }
-      ev.hosts = static_cast<std::uint32_t>(v);
-    } else if (key == "spread") {
-      if (!rule.spread) {
-        reject("is not valid");
-        continue;
-      }
-      if (!parse_duration(value, &ev.spread)) {
-        p.error(line, "spread expects a duration, got '" + value + "'");
+      seen |= prm.bit;
+      if (!parse_value(value, prm.rule, {}, &field)) {
+        p.error(line, key + " expects " +
+                          (prm.what ? prm.what
+                                    : expects(prm.rule, {}, field)) +
+                          ", got '" + value + "'");
         ok = false;
       }
-    } else if (key == "duration") {
-      if (!rule.duration) {
-        reject("is not valid");
-        continue;
-      }
-      have_duration = true;  // present, even if the value is bad
-      if (!parse_duration(value, &ev.duration) || ev.duration <= 0) {
-        p.error(line,
-                "duration expects a positive duration, got '" + value + "'");
-        ok = false;
-        continue;
-      }
-    } else if (key == "factor") {
-      if (!rule.factor) {
-        reject("is not valid");
-        continue;
-      }
-      if (!parse_f64(value, &ev.factor) || ev.factor <= 1.0) {
-        p.error(line, "factor expects a number > 1, got '" + value + "'");
-        ok = false;
-      }
-    } else if (key == "rate") {
-      if (!rule.rate) {
-        reject("is not valid");
-        continue;
-      }
-      have_rate = true;  // present, even if the value is bad
-      if (!parse_f64(value, &ev.rate) || ev.rate < 0.0 || ev.rate > 1.0) {
-        p.error(line, "rate expects a number in [0, 1], got '" + value + "'");
-        ok = false;
-        continue;
-      }
-    } else if (key == "cap") {
-      if (!rule.cap) {
-        reject("is not valid");
-        continue;
-      }
-      have_cap = true;  // present, even if the value is bad (0 = unlimited)
-      if (!parse_u64(value, &ev.cap)) {
-        p.error(line,
-                "cap expects a non-negative integer, got '" + value + "'");
-        ok = false;
-        continue;
-      }
-    } else {
+    });
+    if (!known) {
       p.error(line, "unknown event parameter '" + key + "'");
       ok = false;
     }
   }
-
-  if (rule.sw && !have_sw) {
-    p.error(line, std::string(to_string(ev.kind)) + " requires sw=<index>");
-    ok = false;
-  }
-  if (rule.tenant && !have_tenant) {
-    p.error(line,
-            std::string(to_string(ev.kind)) + " requires tenant=<index>");
-    ok = false;
-  }
-  if (rule.hosts && !have_hosts) {
-    p.error(line, std::string(to_string(ev.kind)) + " requires hosts=<count>");
-    ok = false;
-  }
-  if (rule.duration && !have_duration) {
-    p.error(line,
-            std::string(to_string(ev.kind)) + " requires duration=<time>");
-    ok = false;
-  }
-  if (rule.rate && !have_rate) {
-    p.error(line, std::string(to_string(ev.kind)) + " requires rate=<prob>");
-    ok = false;
-  }
-  if (rule.cap && !have_cap) {
-    p.error(line, std::string(to_string(ev.kind)) + " requires cap=<count>");
-    ok = false;
-  }
+  for_each_param(ev, [&](const Param& prm, const auto&) {
+    if (prm.required && (accepted & prm.bit) && !(seen & prm.bit)) {
+      p.error(line, event + " requires " + prm.name + "=" + prm.required);
+      ok = false;
+    }
+  });
   if (ok) {
     p.spec.events.push_back(ev);
     p.event_lines.push_back(line);
@@ -714,10 +517,8 @@ std::optional<EventKind> paired_failure_kind(EventKind kind) noexcept {
 }  // namespace
 
 const char* to_string(EventKind kind) noexcept {
-  for (const EventName& e : kEventNames) {
-    if (e.kind == kind) return e.name;
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kEvents) ? kEvents[i].name : "?";
 }
 
 std::vector<EarlyRecovery> find_early_recoveries(
@@ -745,12 +546,8 @@ std::vector<EarlyRecovery> find_early_recoveries(
 }
 
 const char* to_string(WorkloadKind kind) noexcept {
-  switch (kind) {
-    case WorkloadKind::kRealLike: return "real_like";
-    case WorkloadKind::kSynthetic: return "synthetic";
-    case WorkloadKind::kDriftingLocality: return "drifting_locality";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kWorkloadKinds) ? kWorkloadKinds[i] : "?";
 }
 
 bool parse_duration(const std::string& text, SimDuration* out) {
@@ -835,12 +632,7 @@ ParseResult parse_scenario(const std::string& text) {
         continue;
       }
       const std::string name = trim(s.substr(1, s.size() - 2));
-      if (name == "scenario") section = Section::kScenario;
-      else if (name == "topology") section = Section::kTopology;
-      else if (name == "workload") section = Section::kWorkload;
-      else if (name == "config") section = Section::kConfig;
-      else if (name == "events") section = Section::kEvents;
-      else {
+      if (!parse_choice(name, kSectionNames, &section)) {
         p.error(line, "unknown section [" + name + "]");
         section = Section::kUnknown;
       }
@@ -870,24 +662,7 @@ ParseResult parse_scenario(const std::string& text) {
     }
 
     std::string err;
-    bool ok = true;
-    switch (section) {
-      case Section::kScenario:
-        ok = set_scenario_key(p.spec, key, value, &err);
-        break;
-      case Section::kTopology:
-        ok = set_topology_key(p.spec, key, value, &err);
-        break;
-      case Section::kWorkload:
-        ok = set_workload_key(p.spec, key, value, &err);
-        break;
-      case Section::kConfig:
-        ok = set_config_key(p.spec, key, value, &err);
-        break;
-      default:
-        break;
-    }
-    if (!ok) p.error(line, err);
+    if (!set_key(p.spec, section, key, value, &err)) p.error(line, err);
   }
 
   // Cross-field validation (anchored to line 0: these are document-level).
@@ -931,140 +706,27 @@ std::string ParseResult::error_text() const {
 
 std::string serialize_scenario(const ScenarioSpec& spec) {
   std::ostringstream out;
-  const core::Config& c = spec.config;
-
-  out << "[scenario]\n";
-  out << "name = " << spec.name << "\n";
-  if (!spec.description.empty()) {
-    out << "description = " << spec.description << "\n";
-  }
-  out << "seed = " << spec.seed << "\n";
-
-  out << "\n[topology]\n";
-  out << "switches = " << spec.topology.switches << "\n";
-  out << "tenants = " << spec.topology.tenants << "\n";
-  out << "min_vms_per_tenant = " << spec.topology.min_vms_per_tenant << "\n";
-  out << "max_vms_per_tenant = " << spec.topology.max_vms_per_tenant << "\n";
-  out << "vms_per_switch = " << spec.topology.vms_per_switch << "\n";
-
-  const WorkloadSpec& w = spec.workload;
-  out << "\n[workload]\n";
-  out << "kind = " << to_string(w.kind) << "\n";
-  out << "flows = " << w.flows << "\n";
-  out << "horizon = " << format_duration(w.horizon) << "\n";
-  out << "profile = " << (w.flat_profile ? "flat" : "business_day") << "\n";
-  // Generator-specific keys are always emitted (the parser accepts them
-  // under any kind, so dropping kind-irrelevant values would break the
-  // exact parse(serialize(s)) == s round trip).
-  out << "p = " << fmt_double(w.p) << "\n";
-  out << "q = " << fmt_double(w.q) << "\n";
-  out << "communities = " << w.communities << "\n";
-  out << "intra_share = " << fmt_double(w.intra_share) << "\n";
-  out << "phases = " << w.phases << "\n";
-  out << "drift_fraction = " << fmt_double(w.drift_fraction) << "\n";
-
-  out << "\n[config]\n";
-  out << "mode = "
-      << (c.mode == core::ControlMode::kLazyCtrl ? "lazyctrl" : "openflow")
-      << "\n";
-  out << "bootstrap = " << (spec.bootstrap_history ? "history" : "index")
-      << "\n";
-  out << "group_size_limit = " << c.grouping.group_size_limit << "\n";
-  out << "dynamic_regrouping = "
-      << (c.grouping.dynamic_regrouping ? "true" : "false") << "\n";
-  out << "workload_growth_trigger = "
-      << fmt_double(c.grouping.workload_growth_trigger) << "\n";
-  out << "min_update_interval = "
-      << format_duration(c.grouping.min_update_interval) << "\n";
-  out << "stats_window = " << format_duration(c.grouping.stats_window)
-      << "\n";
-  out << "intensity_ewma_decay = "
-      << fmt_double(c.grouping.intensity_ewma_decay) << "\n";
-  out << "min_update_flow_evidence = "
-      << fmt_double(c.grouping.min_update_flow_evidence) << "\n";
-  out << "max_incupdate_iterations = " << c.grouping.max_incupdate_iterations
-      << "\n";
-  out << "parallel_incupdate = "
-      << (c.grouping.parallel_incupdate ? "true" : "false") << "\n";
-  out << "preload_on_update = "
-      << (c.grouping.preload_on_update ? "true" : "false") << "\n";
-  out << "transition_window = "
-      << format_duration(c.grouping.transition_window) << "\n";
-  out << "host_exclusion_tenant_threshold = "
-      << c.grouping.host_exclusion_tenant_threshold << "\n";
-  const char* dgm_mode = "off";
-  if (c.dgm.mode == core::DgmMode::kPeriodic) dgm_mode = "periodic";
-  if (c.dgm.mode == core::DgmMode::kDriftTriggered) {
-    dgm_mode = "drift_triggered";
-  }
-  out << "dgm.mode = " << dgm_mode << "\n";
-  out << "dgm.maintenance_period = "
-      << format_duration(c.dgm.maintenance_period) << "\n";
-  out << "dgm.inter_fraction_limit = "
-      << fmt_double(c.dgm.inter_fraction_limit) << "\n";
-  out << "dgm.degradation_factor = " << fmt_double(c.dgm.degradation_factor)
-      << "\n";
-  out << "dgm.degradation_floor = " << fmt_double(c.dgm.degradation_floor)
-      << "\n";
-  out << "dgm.size_skew_limit = " << fmt_double(c.dgm.size_skew_limit)
-      << "\n";
-  out << "dgm.min_flow_evidence = " << fmt_double(c.dgm.min_flow_evidence)
-      << "\n";
-  out << "dgm.cooldown = " << format_duration(c.dgm.cooldown) << "\n";
-  out << "dgm.max_moves_per_round = " << c.dgm.max_moves_per_round << "\n";
-  out << "dgm.max_merges_per_round = " << c.dgm.max_merges_per_round << "\n";
-  out << "dgm.max_splits_per_round = " << c.dgm.max_splits_per_round << "\n";
-  out << "dgm.min_gain_fraction = " << fmt_double(c.dgm.min_gain_fraction)
-      << "\n";
-  out << "fib.layout = "
-      << (c.fib.layout == core::GFibLayout::kSliced ? "sliced" : "linear")
-      << "\n";
-  out << "fib.bloom_bits = " << c.fib.bloom_bits << "\n";
-  out << "fib.bloom_hashes = " << c.fib.bloom_hashes << "\n";
-  out << "fib.report_false_positives = "
-      << (c.fib.report_false_positives ? "true" : "false") << "\n";
-  out << "rules.rule_ttl = " << format_duration(c.rules.rule_ttl) << "\n";
-  out << "rules.flow_table_capacity = " << c.rules.flow_table_capacity
-      << "\n";
-  out << "runtime.num_shards = " << c.runtime.num_shards << "\n";
-  out << "controller.servers = " << c.controller.servers << "\n";
-  out << "ctrl.loss_rate = " << fmt_double(c.controller.loss_rate) << "\n";
-  out << "ctrl.dup_rate = " << fmt_double(c.controller.dup_rate) << "\n";
-  out << "ctrl.queue_cap = " << c.controller.queue_cap << "\n";
-  out << "ctrl.punt_retry_limit = " << c.controller.punt_retry_limit << "\n";
-  out << "ctrl.punt_retry_base = "
-      << format_duration(c.controller.punt_retry_base) << "\n";
-  out << "ctrl.reconcile_period = "
-      << format_duration(c.controller.reconcile_period) << "\n";
-  out << "latency.host_link = " << format_duration(c.latency.host_link)
-      << "\n";
-  out << "latency.datapath = " << format_duration(c.latency.datapath) << "\n";
-  out << "latency.switch_processing = "
-      << format_duration(c.latency.switch_processing) << "\n";
-  out << "latency.control_link = "
-      << format_duration(c.latency.control_link) << "\n";
-  out << "latency.controller_service = "
-      << format_duration(c.latency.controller_service) << "\n";
-  out << "state_report_period = " << format_duration(c.state_report_period)
-      << "\n";
-  out << "failover = " << (c.failover_enabled ? "true" : "false") << "\n";
-  out << "keepalive_period = " << format_duration(c.keepalive_period) << "\n";
-  out << "keepalive_loss_threshold = " << c.keepalive_loss_threshold << "\n";
-  out << "switch_reboot_delay = " << format_duration(c.switch_reboot_delay)
-      << "\n";
+  Section section = Section::kNone;
+  for_each_key(spec, [&](const Key& k, const auto& field) {
+    const std::string value = format_value(field, k.rule, k.names);
+    if (k.rule == Rule::kNote && value.empty()) return;
+    if (k.section != section) {
+      if (section != Section::kNone) out << "\n";
+      section = k.section;
+      out << "[" << kSectionNames[static_cast<std::size_t>(section)] << "]\n";
+    }
+    out << k.name << " = " << value << "\n";
+  });
 
   out << "\n[events]\n";
   for (const ScenarioEvent& ev : spec.events) {
     out << "at=" << format_duration(ev.at) << " " << to_string(ev.kind);
-    const EventParamRule rule = param_rule(ev.kind);
-    if (rule.sw) out << " sw=" << ev.sw;
-    if (rule.tenant) out << " tenant=" << ev.tenant;
-    if (rule.hosts) out << " hosts=" << ev.hosts;
-    if (rule.spread) out << " spread=" << format_duration(ev.spread);
-    if (rule.duration) out << " duration=" << format_duration(ev.duration);
-    if (rule.factor) out << " factor=" << fmt_double(ev.factor);
-    if (rule.rate) out << " rate=" << fmt_double(ev.rate);
-    if (rule.cap) out << " cap=" << ev.cap;
+    const int accepted = kEvents[static_cast<std::size_t>(ev.kind)].params;
+    for_each_param(ev, [&](const Param& prm, const auto& field) {
+      if (accepted & prm.bit) {
+        out << " " << prm.name << "=" << format_value(field, prm.rule, {});
+      }
+    });
     out << "\n";
   }
   return out.str();
@@ -1088,15 +750,16 @@ bool apply_override(ScenarioSpec& spec, const std::string& assignment,
     }
     return false;
   }
-  const std::string section = dotted.substr(0, dot);
-  const std::string key = dotted.substr(dot + 1);
+  const std::string name = dotted.substr(0, dot);
+  Section section = Section::kUnknown;
   std::string err;
   bool ok = false;
-  if (section == "scenario") ok = set_scenario_key(spec, key, value, &err);
-  else if (section == "topology") ok = set_topology_key(spec, key, value, &err);
-  else if (section == "workload") ok = set_workload_key(spec, key, value, &err);
-  else if (section == "config") ok = set_config_key(spec, key, value, &err);
-  else err = "unknown section '" + section + "' in override";
+  if (!parse_choice(name, kSectionNames, &section) ||
+      section == Section::kEvents) {
+    err = "unknown section '" + name + "' in override";
+  } else {
+    ok = set_key(spec, section, dotted.substr(dot + 1), value, &err);
+  }
   if (!ok && error) *error = err;
   return ok;
 }

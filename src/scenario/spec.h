@@ -149,8 +149,11 @@ struct WorkloadSpec {
 
 /// A parsed scenario: metadata + topology + workload + run config +
 /// event script. `config` is a full core::Config; the `[config]` section
-/// exposes the load-bearing knobs by name (see spec.cpp / SCENARIOS.md)
-/// and leaves the rest at their defaults.
+/// exposes the load-bearing knobs by name and leaves the rest at their
+/// defaults. Every `.scn` key is declared once, in the key list of
+/// spec.cpp (`for_each_key`): its section, name, field and value rule.
+/// The parser, apply_override() and serialize_scenario() all walk that
+/// list; docs/SCENARIOS.md documents each key.
 struct ScenarioSpec {
   // [scenario]
   std::string name = "unnamed";
@@ -205,7 +208,8 @@ struct ParseResult {
 /// Applies one `section.key=value` assignment (e.g.
 /// "config.runtime.num_shards=2", "workload.flows=500",
 /// "scenario.seed=9") through the same key grammar as the parser.
-/// Returns false and sets `*error` on an unknown key or malformed value.
+/// Returns false, sets `*error` and leaves `spec` unchanged on an unknown
+/// key or a value its rule rejects (an integer must fit its field).
 bool apply_override(ScenarioSpec& spec, const std::string& assignment,
                     std::string* error);
 

@@ -348,6 +348,224 @@ TEST(ScenarioSpecTest, ApplyOverride) {
   EXPECT_FALSE(apply_override(spec, "sector.x=5", &err));
 }
 
+TEST(ScenarioSpecTest, RejectsIntegersOutsideTheFieldRange) {
+  // An integer key must fit its field: a value one past the field's
+  // largest is an error (line-numbered in a file, a failed --set), not a
+  // wrapped value, and the largest value itself is accepted and printed.
+  struct Case {
+    const char* key;
+    const char* too_big;
+    const char* largest;
+  };
+  for (const Case& c : {Case{"max_incupdate_iterations", "2147483648",
+                             "2147483647"},
+                        Case{"keepalive_loss_threshold", "2147483648",
+                             "2147483647"},
+                        Case{"ctrl.punt_retry_limit", "4294967296",
+                             "4294967295"}}) {
+    SCOPED_TRACE(c.key);
+    const std::string key = c.key;
+    const ParseResult bad =
+        parse_scenario("[config]\n" + key + " = " + c.too_big + "\n");
+    ASSERT_EQ(bad.errors.size(), 1u) << bad.error_text();
+    EXPECT_EQ(bad.errors[0].line, 2);
+    EXPECT_NE(bad.errors[0].message.find(key), std::string::npos)
+        << bad.errors[0].message;
+
+    ScenarioSpec spec;
+    std::string err;
+    EXPECT_FALSE(
+        apply_override(spec, "config." + key + "=" + c.too_big, &err));
+    EXPECT_NE(err.find(key), std::string::npos) << err;
+    EXPECT_TRUE(spec == ScenarioSpec{});
+
+    const ParseResult max =
+        parse_scenario("[config]\n" + key + " = " + c.largest + "\n");
+    ASSERT_TRUE(max.ok()) << max.error_text();
+    const std::string canonical = serialize_scenario(max.spec);
+    EXPECT_NE(canonical.find(key + " = " + c.largest + "\n"),
+              std::string::npos)
+        << canonical;
+    const ParseResult back = parse_scenario(canonical);
+    ASSERT_TRUE(back.ok()) << back.error_text();
+    EXPECT_TRUE(back.spec == max.spec);
+    EXPECT_TRUE(apply_override(spec, "config." + key + "=" + c.largest, &err))
+        << err;
+    EXPECT_TRUE(spec == max.spec);
+  }
+}
+
+TEST(ScenarioSpecTest, CanonicalTextIsStable) {
+  // Every snapshot embeds this text in its SPEC section, so a reordered,
+  // respelled or reformatted line changes snapshot bytes: pin it.
+  EXPECT_EQ(serialize_scenario(parse_scenario(kFullSpec).spec),
+            R"([scenario]
+name = everything
+description = exercises every section
+seed = 42
+
+[topology]
+switches = 24
+tenants = 12
+min_vms_per_tenant = 4
+max_vms_per_tenant = 10
+vms_per_switch = 8
+
+[workload]
+kind = synthetic
+flows = 3000
+horizon = 30m
+profile = flat
+p = 70
+q = 20
+communities = 6
+intra_share = 0.85
+phases = 4
+drift_fraction = 0.25
+
+[config]
+mode = lazyctrl
+bootstrap = history
+group_size_limit = 6
+dynamic_regrouping = true
+workload_growth_trigger = 0.3
+min_update_interval = 2m
+stats_window = 30s
+intensity_ewma_decay = 0.85
+min_update_flow_evidence = 200
+max_incupdate_iterations = 4
+parallel_incupdate = false
+preload_on_update = true
+transition_window = 200ms
+host_exclusion_tenant_threshold = 0
+dgm.mode = periodic
+dgm.maintenance_period = 5m
+dgm.inter_fraction_limit = 0.15
+dgm.degradation_factor = 1.5
+dgm.degradation_floor = 0.02
+dgm.size_skew_limit = 0.75
+dgm.min_flow_evidence = 200
+dgm.cooldown = 2m
+dgm.max_moves_per_round = 8
+dgm.max_merges_per_round = 2
+dgm.max_splits_per_round = 2
+dgm.min_gain_fraction = 0.02
+fib.layout = linear
+fib.bloom_bits = 16384
+fib.bloom_hashes = 8
+fib.report_false_positives = false
+rules.rule_ttl = 90s
+rules.flow_table_capacity = 0
+runtime.num_shards = 2
+controller.servers = 2
+ctrl.loss_rate = 0.05
+ctrl.dup_rate = 0.01
+ctrl.queue_cap = 8
+ctrl.punt_retry_limit = 4
+ctrl.punt_retry_base = 3ms
+ctrl.reconcile_period = 5m
+latency.host_link = 20us
+latency.datapath = 150us
+latency.switch_processing = 10us
+latency.control_link = 250us
+latency.controller_service = 50us
+state_report_period = 30s
+failover = true
+keepalive_period = 1s
+keepalive_loss_threshold = 3
+switch_reboot_delay = 10s
+
+[events]
+at=5m fail_switch sw=3
+at=6m recover_switch sw=3
+at=10m controller_outage duration=20s
+at=12m migration_burst hosts=5 spread=30s
+at=15m traffic_surge duration=5m factor=2.5
+at=20m force_regroup
+at=21m set_control_loss rate=0.1
+at=22m set_control_dup rate=0.02
+at=23m set_ctrl_queue_cap cap=16
+at=24m reconcile
+)");
+  EXPECT_EQ(serialize_scenario(ScenarioSpec{}), R"([scenario]
+name = unnamed
+seed = 1
+
+[topology]
+switches = 48
+tenants = 30
+min_vms_per_tenant = 10
+max_vms_per_tenant = 30
+vms_per_switch = 12
+
+[workload]
+kind = real_like
+flows = 20000
+horizon = 2h
+profile = business_day
+p = 90
+q = 10
+communities = 6
+intra_share = 0.85
+phases = 4
+drift_fraction = 0.25
+
+[config]
+mode = lazyctrl
+bootstrap = history
+group_size_limit = 46
+dynamic_regrouping = true
+workload_growth_trigger = 0.3
+min_update_interval = 2m
+stats_window = 1m
+intensity_ewma_decay = 0.85
+min_update_flow_evidence = 200
+max_incupdate_iterations = 4
+parallel_incupdate = false
+preload_on_update = true
+transition_window = 200ms
+host_exclusion_tenant_threshold = 0
+dgm.mode = off
+dgm.maintenance_period = 5m
+dgm.inter_fraction_limit = 0.15
+dgm.degradation_factor = 1.5
+dgm.degradation_floor = 0.02
+dgm.size_skew_limit = 0.75
+dgm.min_flow_evidence = 200
+dgm.cooldown = 2m
+dgm.max_moves_per_round = 8
+dgm.max_merges_per_round = 2
+dgm.max_splits_per_round = 2
+dgm.min_gain_fraction = 0.02
+fib.layout = sliced
+fib.bloom_bits = 16384
+fib.bloom_hashes = 8
+fib.report_false_positives = false
+rules.rule_ttl = 1m
+rules.flow_table_capacity = 0
+runtime.num_shards = 1
+controller.servers = 1
+ctrl.loss_rate = 0
+ctrl.dup_rate = 0
+ctrl.queue_cap = 0
+ctrl.punt_retry_limit = 3
+ctrl.punt_retry_base = 2ms
+ctrl.reconcile_period = 0s
+latency.host_link = 20us
+latency.datapath = 150us
+latency.switch_processing = 10us
+latency.control_link = 500us
+latency.controller_service = 50us
+state_report_period = 30s
+failover = false
+keepalive_period = 1s
+keepalive_loss_threshold = 3
+switch_reboot_delay = 10s
+
+[events]
+)");
+}
+
 // ---------------------------------------------------------------- runner
 
 /// A compact but eventful scenario exercising every sim-time seam:
