@@ -23,9 +23,13 @@
 // bit-identical to the uninterrupted run's, from the restored topology +
 // grouping.
 //
+// Each section's fields are listed once, in StateAccess::Walk: save()
+// runs the list with a writing direction and restore_runner() with a
+// reading one, so a field's width and place cannot differ between them.
 // File format and robustness contract: see ckpt/io.h. The restore path
-// validates every count and enum against live state and never crashes
-// on corrupt, truncated or version-skewed input (tests/ckpt_test.cpp).
+// validates every count, enum and index against live state, so corrupt,
+// truncated or version-skewed input fails with a diagnosis and a
+// snapshot it accepts finishes its replay (tests/ckpt_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -34,11 +38,6 @@
 #include <vector>
 
 #include "ckpt/io.h"
-
-namespace lazyctrl {
-class RunningStats;
-class TimeBucketSeries;
-}  // namespace lazyctrl
 
 namespace lazyctrl::scenario {
 class ScenarioRunner;
@@ -68,10 +67,8 @@ class StateAccess {
       const std::vector<std::uint8_t>& bytes, std::string* error);
 
  private:
-  static void write_series(Writer& w, const TimeBucketSeries& s);
-  static void read_series(Reader& r, TimeBucketSeries& s);
-  static void write_running(Writer& w, const RunningStats& s);
-  static void read_running(Reader& r, RunningStats& s);
+  /// One function template per snapshot section (checkpoint.cpp).
+  struct Walk;
 };
 
 /// Writes snapshot bytes to `path` (atomically enough for test/CLI use:

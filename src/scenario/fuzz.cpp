@@ -319,10 +319,9 @@ std::string check_config_matrix(const ScenarioSpec& spec) {
       ScenarioSpec point = spec;
       point.config.fib.layout = layout;
       point.config.runtime.num_shards = shards;
-      const std::string name =
-          std::string("fib.layout=") +
-          (layout == core::GFibLayout::kLinear ? "linear" : "sliced") +
-          " runtime.num_shards=" + std::to_string(shards);
+      const std::string name = std::string("fib.layout=") +
+                               to_string(layout) + " runtime.num_shards=" +
+                               std::to_string(shards);
       ScenarioRunner runner(point);
       std::string error;
       if (!runner.run(&error)) return name + ": run failed: " + error;

@@ -213,6 +213,13 @@ constexpr const char* kControlModes[] = {"openflow", "lazyctrl"};
 constexpr const char* kDgmModes[] = {"off", "periodic", "drift_triggered"};
 constexpr const char* kFibLayouts[] = {"linear", "sliced"};
 
+/// The spelling of enum value `v` in its table, "?" outside it.
+template <std::size_t N, class E>
+const char* spelling(const char* const (&table)[N], E v) noexcept {
+  const auto i = static_cast<std::size_t>(v);
+  return i < N ? table[i] : "?";
+}
+
 struct Key {
   Section section;
   const char* name;
@@ -546,8 +553,15 @@ std::vector<EarlyRecovery> find_early_recoveries(
 }
 
 const char* to_string(WorkloadKind kind) noexcept {
-  const auto i = static_cast<std::size_t>(kind);
-  return i < std::size(kWorkloadKinds) ? kWorkloadKinds[i] : "?";
+  return spelling(kWorkloadKinds, kind);
+}
+
+const char* to_string(core::ControlMode mode) noexcept {
+  return spelling(kControlModes, mode);
+}
+
+const char* to_string(core::GFibLayout layout) noexcept {
+  return spelling(kFibLayouts, layout);
 }
 
 bool parse_duration(const std::string& text, SimDuration* out) {

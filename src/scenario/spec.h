@@ -128,6 +128,9 @@ enum class WorkloadKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(WorkloadKind kind) noexcept;
+/// `.scn` spellings of the `mode` and `fib.layout` values.
+[[nodiscard]] const char* to_string(core::ControlMode mode) noexcept;
+[[nodiscard]] const char* to_string(core::GFibLayout layout) noexcept;
 
 /// `[workload]` — trace generator selection and sizing.
 struct WorkloadSpec {

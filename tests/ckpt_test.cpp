@@ -417,6 +417,82 @@ TEST(CkptRobustnessTest, CountBombInClibCannotDriveAllocation) {
   expect_diagnosed_failure(bytes, "C-LIB count bomb");
 }
 
+TEST(CkptRobustnessTest, GroupCountBombCannotDriveAllocation) {
+  // The GRPG body is the switch -> group map (u64 count, u32 per switch)
+  // followed by the group count; a count above the switch count must
+  // fail the restore, not size the per-group G-FIB and member vectors.
+  auto bytes = valid_snapshot();
+  const std::size_t body = section_offset(bytes, fourcc("GRPG")) + 12;
+  std::uint64_t switches = 0;
+  std::memcpy(&switches, bytes.data() + body, 8);
+  ASSERT_EQ(switches, 12u);
+  const std::size_t at = body + 8 + 4 * switches;
+  std::uint64_t groups = 0;
+  std::memcpy(&groups, bytes.data() + at, 8);
+  ASSERT_EQ(groups, 3u);
+  const std::uint64_t bomb = std::uint64_t{1} << 40;
+  std::memcpy(bytes.data() + at, &bomb, 8);
+  restamp(&bytes);
+  expect_diagnosed_failure(bytes, "group count bomb");
+}
+
+TEST(CkptRobustnessTest, WindowCounterPeerOutsideCountersIsDiagnosed) {
+  // Each SWCH record carries the switch's per-peer window counters and
+  // the peers the next stats window drains; a drained peer that indexes
+  // no counter must fail the restore, not finish() out of bounds.
+  auto bytes = valid_snapshot();
+  const auto u64_at = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, 8);
+    return v;
+  };
+  // Section header + switch count, then switches 0..2 record by record.
+  std::size_t pos = section_offset(bytes, fourcc("SWCH")) + 12 + 8;
+  for (int sw = 0; sw < 3; ++sw) {
+    pos += 4 + 4 + 8;             // group, designated, transition end
+    pos += 8 + 16 * u64_at(pos);  // L-FIB entries
+    pos += 8 + 8 * u64_at(pos);   // window counters
+    pos += 8 + 4 * u64_at(pos);   // touched peers
+    pos += 8 + 8 + 8;             // capacity, evictions, next expiry
+    pos += 8 + 62 * u64_at(pos);  // flow rules, 62 bytes each
+  }
+  pos += 4 + 4 + 8;  // switch 3
+  pos += 8 + 16 * u64_at(pos);
+  ASSERT_EQ(u64_at(pos), 7u) << "switch 3's window counters";
+  pos += 8 + 8 * 7;
+  ASSERT_GE(u64_at(pos), 1u) << "switch 3's touched peers";
+  const std::size_t peer_at = pos + 8;
+  std::uint32_t peer = 0;
+  std::memcpy(&peer, bytes.data() + peer_at, 4);
+  ASSERT_EQ(peer, 4u);
+  const std::uint32_t far = 100000000;
+  std::memcpy(bytes.data() + peer_at, &far, 4);
+  restamp(&bytes);
+  std::string err;
+  EXPECT_EQ(ScenarioRunner::restore(bytes, &err), nullptr)
+      << "restore accepted a window peer outside the counters";
+  EXPECT_NE(err.find("window counter peer"), std::string::npos) << err;
+}
+
+TEST(CkptRobustnessTest, TrafficPairOutsideTopologyIsDiagnosed) {
+  // The DGMS body starts with the traffic monitor's EWMA entries (u64
+  // count, then u64 switch-pair key + f64 per entry); the intensity graph
+  // a regrouping round builds is indexed by both switches of a key, so a
+  // switch outside the topology must fail the restore.
+  auto bytes = valid_snapshot();
+  const std::size_t body = section_offset(bytes, fourcc("DGMS")) + 12;
+  std::uint64_t entries = 0;
+  std::memcpy(&entries, bytes.data() + body, 8);
+  ASSERT_GE(entries, 1u);
+  const std::uint64_t key = (std::uint64_t{5} << 32) | 1000000;
+  std::memcpy(bytes.data() + body + 8, &key, 8);
+  restamp(&bytes);
+  std::string err;
+  EXPECT_EQ(ScenarioRunner::restore(bytes, &err), nullptr)
+      << "restore accepted a traffic pair outside the topology";
+  EXPECT_NE(err.find("traffic pair"), std::string::npos) << err;
+}
+
 TEST(CkptRobustnessTest, CorruptEmbeddedSpecIsDiagnosed) {
   // The SPEC body is a length-prefixed string holding the scenario text;
   // mangling a byte of the text must surface the parser's diagnosis.
@@ -438,11 +514,14 @@ TEST(CkptRobustnessTest, DescriptorKindOutOfRangeIsDiagnosed) {
 }
 
 TEST(CkptRobustnessTest, SingleByteFlipsNeverCrash) {
-  // Sampled single-byte corruption over the whole payload (CRC restamped
-  // so section decoding actually runs): restore must either succeed or
-  // fail with a diagnosis — never crash, hang or throw.
+  // Every payload byte flipped in turn (CRC restamped so section decoding
+  // actually runs): restore must either fail with a diagnosis or return
+  // a runner whose finish() replays to the horizon — never crash, hang,
+  // throw or read out of bounds.
   const auto& valid = valid_snapshot();
-  for (std::size_t at = kHeaderSize; at < valid.size(); at += 211) {
+  std::size_t rejected = 0;
+  std::size_t finished = 0;
+  for (std::size_t at = kHeaderSize; at < valid.size(); ++at) {
     auto bytes = valid;
     bytes[at] ^= 0xFF;
     restamp(&bytes);
@@ -450,8 +529,14 @@ TEST(CkptRobustnessTest, SingleByteFlipsNeverCrash) {
     const auto restored = ScenarioRunner::restore(bytes, &err);
     if (restored == nullptr) {
       EXPECT_FALSE(err.empty()) << "undiagnosed failure at offset " << at;
+      ++rejected;
+    } else {
+      EXPECT_TRUE(restored->finish(&err)) << "offset " << at << ": " << err;
+      ++finished;
     }
   }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(finished, 0u);
 }
 
 // ------------------------------------------------------- file helpers

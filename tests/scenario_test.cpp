@@ -348,6 +348,26 @@ TEST(ScenarioSpecTest, ApplyOverride) {
   EXPECT_FALSE(apply_override(spec, "sector.x=5", &err));
 }
 
+TEST(ScenarioSpecTest, LayoutAndModeSpellingsParseBack) {
+  // to_string() of a mode / fib.layout is the value its .scn key takes.
+  ScenarioSpec spec;
+  std::string err;
+  for (const auto layout :
+       {core::GFibLayout::kLinear, core::GFibLayout::kSliced}) {
+    ASSERT_TRUE(apply_override(
+        spec, std::string("config.fib.layout=") + to_string(layout), &err))
+        << err;
+    EXPECT_EQ(spec.config.fib.layout, layout);
+  }
+  for (const auto mode :
+       {core::ControlMode::kOpenFlow, core::ControlMode::kLazyCtrl}) {
+    ASSERT_TRUE(apply_override(
+        spec, std::string("config.mode=") + to_string(mode), &err))
+        << err;
+    EXPECT_EQ(spec.config.mode, mode);
+  }
+}
+
 TEST(ScenarioSpecTest, RejectsIntegersOutsideTheFieldRange) {
   // An integer key must fit its field: a value one past the field's
   // largest is an error (line-numbered in a file, a failed --set), not a

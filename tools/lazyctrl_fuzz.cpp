@@ -134,9 +134,7 @@ int main(int argc, char** argv) {
       std::printf("seed %llu  %-12s ok (%zu events, %zu flows, %s)\n",
                   static_cast<unsigned long long>(seed), spec.name.c_str(),
                   spec.events.size(), spec.workload.flows,
-                  spec.config.mode == core::ControlMode::kLazyCtrl
-                      ? "lazyctrl"
-                      : "openflow");
+                  scenario::to_string(spec.config.mode));
       continue;
     }
     ++failures;
