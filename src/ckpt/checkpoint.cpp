@@ -1,6 +1,7 @@
 #include "ckpt/checkpoint.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <string>
 #include <type_traits>
@@ -390,8 +391,9 @@ struct StateAccess::Walk {
   }
 
   // SWCH: per-switch state. G-FIBs are rebuilt on restore (pure function
-  // of topology + grouping + hidden hosts), so only the L-FIB, the flow
-  // table and the window counters travel.
+  // of topology + grouping + hidden hosts), so only the membership
+  // fields, the L-FIB and the flow table travel. The stats window's
+  // traffic counts are per switch pair, in DGMS.
   template <class IO>
   static void swch(IO& io, core::Network& net) {
     std::uint64_t n = net.switches_.size();
@@ -423,17 +425,6 @@ struct StateAccess::Walk {
       io.u32(entry.host);
       io.u32(entry.tenant);
       if constexpr (IO::kLoading) es.lfib_.learn(mac, entry.host, entry.tenant);
-    }
-    io.count(es.window_flows_, 8);
-    for (std::uint64_t& flows : es.window_flows_) io.u64(flows);
-    io.count(es.window_touched_, 4);
-    for (SwitchId& peer : es.window_touched_) {
-      io.u32(peer);
-      io.check(peer.value() < es.window_flows_.size(), [&] {
-        return "window counter peer " + std::to_string(peer.value()) +
-               " outside the switch's " +
-               std::to_string(es.window_flows_.size()) + " counters";
-      });
     }
     flow_table(io, es.table_);
   }
@@ -525,30 +516,66 @@ struct StateAccess::Walk {
     }
   }
 
-  // DGMS: traffic monitor estimate + (when enabled) the maintainer.
+  // DGMS: the traffic monitor — its EWMA estimate and current stats
+  // window as ascending (pair key, value) lists, then its flow mass — and
+  // (when enabled) the maintainer.
   template <class IO>
   static void dgms(IO& io, core::Network& net) {
     dgm::TrafficMonitor& tm = *net.traffic_monitor_;
-    // A key packs a switch pair (high and low 32 bits), and both
-    // switches index the intensity graph.
-    const auto check_pair = [&](std::uint64_t key) {
-      const std::uint64_t top = std::max(key >> 32, key & 0xFFFFFFFF);
+    // A key packs two distinct switches of the topology, the higher id in
+    // its high 32 bits; each list ascends strictly, because roll_window
+    // merges the two in one pass.
+    std::uint64_t previous = 0;
+    const auto check_key = [&](std::uint64_t key) {
+      const std::uint64_t hi = key >> 32;
+      const std::uint64_t lo = key & 0xFFFFFFFF;
+      const std::uint64_t top = std::max(hi, lo);
       io.check(top < tm.switch_count_, [&] {
         return "traffic pair names switch " + std::to_string(top) +
                ", topology has " + std::to_string(tm.switch_count_);
       });
+      io.check(lo < hi, [&] {
+        return "traffic pair key " + std::to_string(key) +
+               " does not pack two distinct switches, higher id first";
+      });
+      io.check(key > previous, [&] {
+        return "traffic pairs out of order: key " + std::to_string(key) +
+               " after " + std::to_string(previous);
+      });
+      previous = key;
     };
-    io.sorted(tm.ewma_, 16, [&](auto& e) {
-      io.u64(e.first);
-      io.f64(e.second);
-      check_pair(e.first);
-    });
-    io.sorted(tm.window_, 16, [&](auto& e) {
-      io.u64(e.first);
-      io.u64(e.second);
-      check_pair(e.first);
-    });
+    io.count(tm.ewma_, 16);
+    for (auto& [key, value] : tm.ewma_) {
+      io.u64(key);
+      io.f64(value);
+      check_key(key);
+      // roll_window drops every value below the prune threshold.
+      io.check(std::isfinite(value) && value >= tm.options_.prune_threshold,
+               [&] {
+                 return "traffic estimate " + std::to_string(value) +
+                        " is not finite or is below the prune threshold";
+               });
+    }
+    std::vector<dgm::TrafficMonitor::Count> window = tm.sorted_window();
+    io.count(window, 16);
+    previous = 0;
+    for (auto& [key, flows] : window) {
+      io.u64(key);
+      io.u64(flows);
+      check_key(key);
+      io.check(flows > 0, [&] {
+        return "traffic window counts 0 flows for pair key " +
+               std::to_string(key);
+      });
+      if constexpr (IO::kLoading) {
+        if (io.ok()) tm.count_pair(key, flows);
+      }
+    }
     io.f64(tm.flow_mass_);
+    io.check(std::isfinite(tm.flow_mass_) && tm.flow_mass_ >= 0, [&] {
+      return "traffic flow mass " + std::to_string(tm.flow_mass_) +
+             " is not finite or is negative";
+    });
     bool present = net.dgm_ != nullptr;
     io.boolean(present);
     io.check(present == (net.dgm_ != nullptr), [&] {

@@ -71,15 +71,4 @@ EdgeSwitch::Decision EdgeSwitch::decide(const net::Packet& p, SimTime now,
   return d;
 }
 
-std::unordered_map<SwitchId, std::uint64_t> EdgeSwitch::take_window_counts() {
-  std::unordered_map<SwitchId, std::uint64_t> out;
-  out.reserve(window_touched_.size());
-  for (const SwitchId peer : window_touched_) {
-    out.emplace(peer, window_flows_[peer.value()]);
-    window_flows_[peer.value()] = 0;
-  }
-  window_touched_.clear();
-  return out;
-}
-
 }  // namespace lazyctrl::core

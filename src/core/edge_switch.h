@@ -2,8 +2,9 @@
 //
 // Holds the tables of a LazyCtrl edge switch — flow table and L-FIB, plus
 // a view of its group's shared G-FIB bank (core/gfib.h) — together with
-// group membership and the per-window traffic counters the
-// state-advertisement module reports upstream. The `decide` method is the
+// group membership. The per-window traffic counts its state advertisements
+// report upstream live in dgm::TrafficMonitor, per switch pair, as the
+// aggregate those reports deliver. The `decide` method is the
 // packet-forwarding routine of Fig. 5 restricted to the first packet of a
 // flow (the only packet that can change control-plane state); the network
 // harness turns the decision into latencies and metric updates.
@@ -11,7 +12,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -106,19 +106,6 @@ class EdgeSwitch {
   /// sharded runtime's workers both call it one flow at a time.
   Decision decide(const net::Packet& p, SimTime now, ControlMode mode);
 
-  // --- state advertisement counters (per stats window) ---
-  /// Per-flow hot-path increment: a flat array indexed by peer id plus a
-  /// touched-list, so recording costs one bounds check and one add instead
-  /// of a hash-map operation per flow.
-  void record_new_flow_to(SwitchId peer) {
-    const std::size_t idx = peer.value();
-    if (idx >= window_flows_.size()) window_flows_.resize(idx + 1, 0);
-    if (window_flows_[idx] == 0) window_touched_.push_back(peer);
-    ++window_flows_[idx];
-  }
-  /// Drains and returns the per-peer new-flow counts for this window.
-  std::unordered_map<SwitchId, std::uint64_t> take_window_counts();
-
   /// Deterministic punt retry schedule (unreliable control plane): the
   /// wait before re-sending a punt whose attempt `attempt` (0-based) got
   /// no reply — exponential backoff doubling from ctrl.punt_retry_base
@@ -130,9 +117,8 @@ class EdgeSwitch {
       const ControllerConfig& ctrl, std::uint64_t seed) noexcept;
 
  private:
-  /// Snapshot codec (src/ckpt): restores the per-window advertisement
-  /// counters (window_flows_/window_touched_, in recorded order) that
-  /// have no public write path.
+  /// Snapshot codec (src/ckpt): reads and writes the membership fields,
+  /// the L-FIB and the flow table in place.
   friend class lazyctrl::ckpt::StateAccess;
 
   SwitchId id_;
@@ -145,8 +131,6 @@ class EdgeSwitch {
   SwitchId designated_;
   SimTime transition_until_ = 0;
   SimDuration rule_ttl_;
-  std::vector<std::uint64_t> window_flows_;  ///< indexed by peer switch id
-  std::vector<SwitchId> window_touched_;     ///< peers with non-zero counts
   /// Candidate scratch of decide(); Decision::candidates views it, so
   /// decide() performs no allocation after warm-up.
   std::vector<SwitchId> decide_scratch_;

@@ -497,7 +497,7 @@ void Network::on_flow(const workload::Flow& flow,
   const SwitchId src_sw = src.attached_switch;
   const SwitchId dst_sw = dst.attached_switch;
   EdgeSwitch& sw = *switches_[src_sw.value()];
-  if (src_sw != dst_sw) sw.record_new_flow_to(dst_sw);
+  traffic_monitor_->record_flow(src_sw, dst_sw);
 
   const net::Packet pkt = make_flow_packet(src, dst, flow);
   const bool lazy = config_.mode == ControlMode::kLazyCtrl;
@@ -737,14 +737,10 @@ void Network::roll_stats_window() {
   const SimTime now = simulator_.now();
   controller_.roll_window(now);
 
-  // Drain per-switch traffic counters into the decayed intensity estimate
-  // (state advertisement -> designated -> controller path). The decay
-  // smooths per-window noise so regrouping reacts to persistent shifts.
-  for (const auto& sw : switches_) {
-    for (const auto& [peer, count] : sw->take_window_counts()) {
-      traffic_monitor_->record_flow(sw->id(), peer, count);
-    }
-  }
+  // Fold the window's switch-pair counts (the aggregate the state
+  // advertisements deliver, designated switch -> controller) into the
+  // decayed intensity estimate. The decay smooths per-window noise so
+  // regrouping reacts to persistent shifts.
   traffic_monitor_->roll_window();
 
   if (config_.mode != ControlMode::kLazyCtrl) return;

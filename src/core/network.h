@@ -198,10 +198,6 @@ class Network : private dgm::GroupingHost {
   [[nodiscard]] const dgm::MaintainerStats* dgm_stats() const noexcept {
     return dgm_ ? &dgm_->stats() : nullptr;
   }
-  /// The decayed traffic estimate driving regrouping decisions.
-  [[nodiscard]] const dgm::TrafficMonitor& traffic_monitor() const noexcept {
-    return *traffic_monitor_;
-  }
 
   // --- scenario injection seams (driven by scenario::ScenarioRunner) ---
   // Everything here commits coordinator-side state between replay spans
@@ -504,9 +500,10 @@ class Network : private dgm::GroupingHost {
   /// L-FIB dissemination and G-FIBs until activate_tenant().
   std::unordered_set<std::uint32_t> dormant_hosts_;
 
-  /// Decayed switch-pair intensity estimate (drained from the per-switch
-  /// state-advertisement counters each stats window). Feeds both the legacy
-  /// IncUpdate trigger and the DGM maintainer.
+  /// Switch-pair traffic: on_flow counts every cross-switch flow into its
+  /// current window (the aggregate the state advertisements report), and
+  /// each stats window folds into its decayed intensity estimate. Feeds
+  /// both the legacy IncUpdate trigger and the DGM maintainer.
   std::unique_ptr<dgm::TrafficMonitor> traffic_monitor_;
   /// The DGM control loop (null unless config.dgm.mode != kOff).
   std::unique_ptr<dgm::Maintainer> dgm_;

@@ -3,7 +3,9 @@
 // DGM keeps LazyCtrl's switch groups near-optimal while traffic drifts,
 // without ever rerunning the full multilevel partitioner on the hot path:
 //
-//   TrafficMonitor  — O(1)-per-flow decayed inter-switch intensity matrix
+//   TrafficMonitor  — decayed inter-switch intensity matrix; every
+//                     cross-switch flow counts per switch pair into its
+//                     current window (the state advertisements' aggregate)
 //   DriftDetector   — inter-group-fraction / size-skew trigger logic
 //   IncrementalRegrouper — bounded moves / merges / splits -> MigrationPlan
 //   MigrationExecutor    — staged, validated application via GroupingHost

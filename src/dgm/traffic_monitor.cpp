@@ -1,30 +1,17 @@
 #include "dgm/traffic_monitor.h"
 
 #include <algorithm>
-#include <vector>
 
 namespace lazyctrl::dgm {
 
 namespace {
 
-std::uint64_t pair_key(SwitchId a, SwitchId b) {
-  std::uint32_t lo = a.value(), hi = b.value();
-  if (lo > hi) std::swap(lo, hi);
-  return (static_cast<std::uint64_t>(hi) << 32) | lo;
-}
-
-/// Keys of an unordered pair map in ascending order. Every consumption
-/// site that sums doubles or emits edges walks keys through this, so the
-/// result is independent of the hash map's bucket order — a requirement
-/// of checkpoint/restore (a rebuilt map has a different insertion
-/// history, hence a different iteration order).
-template <typename Map>
-std::vector<std::uint64_t> sorted_keys(const Map& m) {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(m.size());
-  for (const auto& [key, value] : m) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  return keys;
+/// SplitMix-style finalizer (as in core::LFib): the table size is a power
+/// of two, so all the entropy must land in the low bits.
+std::size_t slot_hash(std::uint64_t key) noexcept {
+  key = (key ^ (key >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  key = (key ^ (key >> 27)) * 0x94D049BB133111EBULL;
+  return static_cast<std::size_t>(key ^ (key >> 31));
 }
 
 }  // namespace
@@ -35,34 +22,76 @@ TrafficMonitor::TrafficMonitor(std::size_t switch_count,
   options_.ewma_decay = std::clamp(options_.ewma_decay, 0.0, 0.999);
 }
 
-void TrafficMonitor::record_flow(SwitchId src, SwitchId dst,
-                                 std::uint64_t count) {
-  if (src == dst || count == 0) return;
-  window_[pair_key(src, dst)] += count;
+void TrafficMonitor::count_pair(std::uint64_t key, std::uint64_t count) {
+  const std::size_t mask = window_.size() - 1;
+  for (std::size_t i = slot_hash(key) & mask;; i = (i + 1) & mask) {
+    Count& slot = window_[i];
+    if (slot.first == key) {
+      slot.second += count;
+      return;
+    }
+    if (slot.first != 0) continue;
+    // Grow at 3/4 load so probe chains stay short.
+    if ((window_pairs_ + 1) * 4 > window_.size() * 3) break;
+    slot = {key, count};
+    ++window_pairs_;
+    return;
+  }
+  std::vector<Count> old(window_.size() * 2);
+  old.swap(window_);
+  window_pairs_ = 0;
+  for (const auto& [k, c] : old) {
+    if (k != 0) count_pair(k, c);
+  }
+  count_pair(key, count);
+}
+
+std::vector<TrafficMonitor::Count> TrafficMonitor::sorted_window() const {
+  std::vector<Count> out;
+  out.reserve(window_pairs_);
+  for (const Count& slot : window_) {
+    if (slot.first != 0) out.push_back(slot);
+  }
+  std::sort(out.begin(), out.end());  // keys are unique
+  return out;
 }
 
 void TrafficMonitor::roll_window() {
+  const std::vector<Count> window = sorted_window();
+  std::fill(window_.begin(), window_.end(), Count{});
+  window_pairs_ = 0;
+
+  // One merge of two ascending lists. Per key: decay the estimate, then
+  // add the window's count, and drop a value below the prune threshold.
+  // flow_mass_ is decayed, then grows by each count in ascending key
+  // order: a floating-point sum, so its order is part of the result.
   const double decay = options_.ewma_decay;
-  for (auto& [key, value] : ewma_) value *= decay;
   flow_mass_ *= decay;
-  for (const std::uint64_t key : sorted_keys(window_)) {
-    const auto count = static_cast<double>(window_.at(key));
-    ewma_[key] += count;
-    flow_mass_ += count;
+  std::vector<std::pair<std::uint64_t, double>> next;
+  next.reserve(ewma_.size() + window.size());
+  auto e = ewma_.begin();
+  auto w = window.begin();
+  while (e != ewma_.end() || w != window.end()) {
+    const bool decayed =
+        w == window.end() || (e != ewma_.end() && e->first <= w->first);
+    const std::uint64_t key = decayed ? e->first : w->first;
+    double value = decayed ? (e++)->second * decay : 0.0;
+    if (w != window.end() && w->first == key) {
+      const auto count = static_cast<double>((w++)->second);
+      value += count;
+      flow_mass_ += count;
+    }
+    if (!(value < options_.prune_threshold)) next.emplace_back(key, value);
   }
-  window_.clear();
-  std::erase_if(ewma_, [this](const auto& kv) {
-    return kv.second < options_.prune_threshold;
-  });
+  ewma_ = std::move(next);
 }
 
 graph::WeightedGraph TrafficMonitor::intensity_graph() const {
   graph::WeightedGraph g(switch_count_);
   const double window_sec = to_seconds(options_.window);
-  for (const std::uint64_t key : sorted_keys(ewma_)) {
-    const auto hi = static_cast<graph::VertexId>(key >> 32);
-    const auto lo = static_cast<graph::VertexId>(key & 0xFFFFFFFF);
-    g.add_edge(lo, hi, ewma_.at(key) / window_sec);
+  for (const auto& [key, value] : ewma_) {
+    g.add_edge(static_cast<graph::VertexId>(key & 0xFFFFFFFF),
+               static_cast<graph::VertexId>(key >> 32), value / window_sec);
   }
   return g;
 }
@@ -70,27 +99,18 @@ graph::WeightedGraph TrafficMonitor::intensity_graph() const {
 TrafficMonitor::TrafficSplit TrafficMonitor::split(
     const core::Grouping& grouping) const {
   TrafficSplit s;
-  for (const std::uint64_t key : sorted_keys(ewma_)) {
-    const auto hi = static_cast<std::uint32_t>(key >> 32);
-    const auto lo = static_cast<std::uint32_t>(key & 0xFFFFFFFF);
-    if (hi >= grouping.switch_to_group.size() ||
-        lo >= grouping.switch_to_group.size()) {
-      continue;
-    }
-    const double count = ewma_.at(key);
-    if (grouping.switch_to_group[lo] == grouping.switch_to_group[hi]) {
-      s.intra += count;
+  const std::vector<std::uint32_t>& group = grouping.switch_to_group;
+  for (const auto& [key, value] : ewma_) {
+    const std::uint64_t hi = key >> 32;
+    const std::uint64_t lo = key & 0xFFFFFFFF;
+    if (hi >= group.size()) continue;  // lo < hi
+    if (group[lo] == group[hi]) {
+      s.intra += value;
     } else {
-      s.inter += count;
+      s.inter += value;
     }
   }
   return s;
-}
-
-void TrafficMonitor::reset() {
-  ewma_.clear();
-  window_.clear();
-  flow_mass_ = 0.0;
 }
 
 }  // namespace lazyctrl::dgm

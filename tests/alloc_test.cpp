@@ -10,7 +10,9 @@
 // capture, a map insert) fails loudly instead of showing up only as a
 // perf regression. The same counters pin workload::finalize_trace's
 // memory bound: it sorts in place, so a trace of n flows never pays
-// std::stable_sort's n/2-flow scratch buffer.
+// std::stable_sort's n/2-flow scratch buffer, and the traffic monitor's
+// per-flow recording, which allocates nothing once a roll has left its
+// window table sized.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +25,7 @@
 #include "common/rng.h"
 #include "core/config.h"
 #include "core/edge_switch.h"
+#include "dgm/traffic_monitor.h"
 #include "net/packet.h"
 #include "workload/trace.h"
 
@@ -209,6 +212,34 @@ INSTANTIATE_TEST_SUITE_P(Layouts, DatapathAllocTest,
 
 }  // namespace
 }  // namespace lazyctrl::core
+
+namespace lazyctrl::dgm {
+namespace {
+
+TEST(TrafficMonitorAllocTest, RecordingIntoARolledWindowIsAllocationFree) {
+  // Every flow Network::on_flow replays is counted into the monitor's
+  // window; a roll empties the window table but keeps its capacity, so
+  // the next window's recording allocates nothing.
+  TrafficMonitor m(300, TrafficMonitorOptions{});
+  const auto record_all = [&] {
+    for (std::uint32_t a = 0; a < 300; a += 3) {
+      for (std::uint32_t b = 0; b < 300; b += 7) {
+        m.record_flow(SwitchId{a}, SwitchId{b}, 1 + a % 5);
+      }
+    }
+  };
+  record_all();  // sizes the window table
+  m.roll_window();
+  ASSERT_GT(m.tracked_pairs(), 1000u);
+
+  const std::uint64_t before = g_alloc_count.load();
+  record_all();
+  const std::uint64_t after = g_alloc_count.load();
+  EXPECT_EQ(after - before, 0u) << "recording allocated after a roll";
+}
+
+}  // namespace
+}  // namespace lazyctrl::dgm
 
 namespace lazyctrl::workload {
 namespace {

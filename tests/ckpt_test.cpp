@@ -8,10 +8,12 @@
 // partial restore.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -258,6 +260,73 @@ TEST(CkptFencePurityTest, EveryExampleScenarioFenceIsClean) {
   EXPECT_EQ(scenarios, 6u) << "expected the six committed example scenarios";
 }
 
+// A second fixture whose run regroups after its checkpoint: drift-
+// triggered DGM follows drifting switch communities, so finish() reads
+// the restored traffic estimate back into intensity graphs and inter-
+// group splits. The fence at 20.5 min sits mid stats window, so the
+// current window travels too.
+std::string regroup_spec_text() {
+  return R"([scenario]
+name = ckpt_regroup
+description = drift-triggered regrouping after the checkpoint fence
+seed = 5
+
+[topology]
+switches = 24
+tenants = 12
+min_vms_per_tenant = 4
+max_vms_per_tenant = 10
+vms_per_switch = 6
+
+[workload]
+kind = drifting_locality
+flows = 3000
+horizon = 40m
+communities = 4
+intra_share = 0.85
+phases = 3
+drift_fraction = 0.3
+
+[config]
+mode = lazyctrl
+group_size_limit = 8
+stats_window = 1m
+dgm.mode = drift_triggered
+dgm.maintenance_period = 2m
+dgm.cooldown = 2m
+dgm.min_flow_evidence = 20
+
+[events]
+at=1230s checkpoint_at
+)";
+}
+
+const ScenarioRunner& regroup_run() {
+  static const std::unique_ptr<ScenarioRunner> runner = [] {
+    auto r =
+        std::make_unique<ScenarioRunner>(parse_or_die(regroup_spec_text()));
+    std::string err;
+    EXPECT_TRUE(r->run(&err)) << err;
+    EXPECT_EQ(r->snapshots().size(), 1u);
+    return r;
+  }();
+  return *runner;
+}
+
+TEST(CkptTest, RegroupFixtureRegroupsAfterItsFence) {
+  const ScenarioRunner& full = regroup_run();
+  ASSERT_EQ(full.snapshots().size(), 1u);
+  std::string err;
+  auto resumed = ScenarioRunner::restore(full.snapshots()[0].bytes, &err);
+  ASSERT_NE(resumed, nullptr) << err;
+  const std::uint64_t plans_at_fence = resumed->metrics().dgm_plans_applied;
+  ASSERT_TRUE(resumed->finish(&err)) << err;
+  EXPECT_GT(full.metrics().dgm_plans_applied, plans_at_fence)
+      << "no regrouping after the fence";
+  EXPECT_TRUE(resumed->metrics().identical_to(full.metrics()))
+      << resumed->metrics().diff_report(full.metrics());
+}
+
 // ------------------------------------------------- snapshot robustness
 //
 // Every case feeds a damaged snapshot to restore() and requires a clean
@@ -303,6 +372,44 @@ std::size_t section_offset(const std::vector<std::uint8_t>& bytes,
   return 0;
 }
 
+/// The traffic monitor's fields at the head of the DGMS body: the EWMA
+/// estimate (u64 count, then u64 pair key + f64 value per entry), the
+/// current window (u64 count, then u64 pair key + u64 flows per entry)
+/// and the f64 flow mass.
+struct TrafficFields {
+  std::size_t estimate_at = 0;  ///< the estimate's count
+  std::uint64_t estimate = 0;
+  std::size_t window_at = 0;  ///< the window's count
+  std::uint64_t window = 0;
+  std::size_t mass_at = 0;
+  std::size_t end = 0;
+};
+
+TrafficFields traffic_fields(const std::vector<std::uint8_t>& bytes) {
+  TrafficFields f;
+  f.estimate_at = section_offset(bytes, fourcc("DGMS")) + 12;
+  std::memcpy(&f.estimate, bytes.data() + f.estimate_at, 8);
+  f.window_at = f.estimate_at + 8 + 16 * f.estimate;
+  std::memcpy(&f.window, bytes.data() + f.window_at, 8);
+  f.mass_at = f.window_at + 8 + 16 * f.window;
+  f.end = f.mass_at + 8;
+  return f;
+}
+
+/// Restores `bytes` after `edit` and a re-stamp; requires a diagnosed
+/// failure whose message contains `expected`.
+template <class Edit>
+void expect_edit_diagnosed(const std::vector<std::uint8_t>& valid,
+                           const std::string& expected, Edit&& edit) {
+  auto bytes = valid;
+  edit(bytes);
+  restamp(&bytes);
+  std::string err;
+  EXPECT_EQ(ScenarioRunner::restore(bytes, &err), nullptr)
+      << "restore accepted it (expected: " << expected << ")";
+  EXPECT_NE(err.find(expected), std::string::npos) << err;
+}
+
 void expect_diagnosed_failure(const std::vector<std::uint8_t>& bytes,
                               const std::string& what) {
   std::string err;
@@ -336,7 +443,8 @@ TEST(CkptRobustnessTest, VersionSkew) {
 TEST(CkptRobustnessTest, PreviousFormatVersionIsRejected) {
   // Each version bump so far removed a key from the embedded canonical
   // spec text (2: runtime.mode, 3: runtime.sync_window,
-  // 4: batching.flow_batch_size), so an older
+  // 4: batching.flow_batch_size) or moved state between sections (5: the
+  // stats window's traffic counts, from SWCH to DGMS), so an older
   // snapshot would not even parse; the version gate must reject it up
   // front.
   auto bytes = valid_snapshot();
@@ -436,44 +544,6 @@ TEST(CkptRobustnessTest, GroupCountBombCannotDriveAllocation) {
   expect_diagnosed_failure(bytes, "group count bomb");
 }
 
-TEST(CkptRobustnessTest, WindowCounterPeerOutsideCountersIsDiagnosed) {
-  // Each SWCH record carries the switch's per-peer window counters and
-  // the peers the next stats window drains; a drained peer that indexes
-  // no counter must fail the restore, not finish() out of bounds.
-  auto bytes = valid_snapshot();
-  const auto u64_at = [&](std::size_t at) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, bytes.data() + at, 8);
-    return v;
-  };
-  // Section header + switch count, then switches 0..2 record by record.
-  std::size_t pos = section_offset(bytes, fourcc("SWCH")) + 12 + 8;
-  for (int sw = 0; sw < 3; ++sw) {
-    pos += 4 + 4 + 8;             // group, designated, transition end
-    pos += 8 + 16 * u64_at(pos);  // L-FIB entries
-    pos += 8 + 8 * u64_at(pos);   // window counters
-    pos += 8 + 4 * u64_at(pos);   // touched peers
-    pos += 8 + 8 + 8;             // capacity, evictions, next expiry
-    pos += 8 + 62 * u64_at(pos);  // flow rules, 62 bytes each
-  }
-  pos += 4 + 4 + 8;  // switch 3
-  pos += 8 + 16 * u64_at(pos);
-  ASSERT_EQ(u64_at(pos), 7u) << "switch 3's window counters";
-  pos += 8 + 8 * 7;
-  ASSERT_GE(u64_at(pos), 1u) << "switch 3's touched peers";
-  const std::size_t peer_at = pos + 8;
-  std::uint32_t peer = 0;
-  std::memcpy(&peer, bytes.data() + peer_at, 4);
-  ASSERT_EQ(peer, 4u);
-  const std::uint32_t far = 100000000;
-  std::memcpy(bytes.data() + peer_at, &far, 4);
-  restamp(&bytes);
-  std::string err;
-  EXPECT_EQ(ScenarioRunner::restore(bytes, &err), nullptr)
-      << "restore accepted a window peer outside the counters";
-  EXPECT_NE(err.find("window counter peer"), std::string::npos) << err;
-}
-
 TEST(CkptRobustnessTest, TrafficPairOutsideTopologyIsDiagnosed) {
   // The DGMS body starts with the traffic monitor's EWMA entries (u64
   // count, then u64 switch-pair key + f64 per entry); the intensity graph
@@ -491,6 +561,65 @@ TEST(CkptRobustnessTest, TrafficPairOutsideTopologyIsDiagnosed) {
   EXPECT_EQ(ScenarioRunner::restore(bytes, &err), nullptr)
       << "restore accepted a traffic pair outside the topology";
   EXPECT_NE(err.find("traffic pair"), std::string::npos) << err;
+}
+
+TEST(CkptRobustnessTest, NonFiniteTrafficEstimateIsDiagnosed) {
+  // roll_window drops every estimate below the prune threshold, so no
+  // live monitor holds one; a restored NaN or infinity would silently
+  // steer every later regrouping.
+  const auto& valid = valid_snapshot();
+  const TrafficFields f = traffic_fields(valid);
+  ASSERT_GE(f.estimate, 1u);
+  const std::size_t value_at = f.estimate_at + 8 + 8;  // first entry's f64
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), -1.0, 0.0, 1e-4}) {
+    SCOPED_TRACE(bad);
+    expect_edit_diagnosed(valid, "traffic estimate", [&](auto& bytes) {
+      std::memcpy(bytes.data() + value_at, &bad, 8);
+    });
+  }
+}
+
+TEST(CkptRobustnessTest, TrafficMassAndWindowCountsAreDiagnosed) {
+  const auto& valid = regroup_run().snapshots()[0].bytes;
+  const TrafficFields f = traffic_fields(valid);
+  ASSERT_GE(f.window, 1u) << "the fence must sit mid stats window";
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0}) {
+    SCOPED_TRACE(bad);
+    expect_edit_diagnosed(valid, "traffic flow mass", [&](auto& bytes) {
+      std::memcpy(bytes.data() + f.mass_at, &bad, 8);
+    });
+  }
+  expect_edit_diagnosed(valid, "traffic window counts 0", [&](auto& bytes) {
+    const std::uint64_t zero = 0;
+    std::memcpy(bytes.data() + f.window_at + 8 + 8, &zero, 8);
+  });
+}
+
+TEST(CkptRobustnessTest, TrafficPairsOutOfOrderAreDiagnosed) {
+  // roll_window merges the estimate and the window as ascending key
+  // lists, so each must ascend strictly and hold pair keys only.
+  const auto& valid = valid_snapshot();
+  const TrafficFields f = traffic_fields(valid);
+  ASSERT_GE(f.estimate, 2u);
+  const std::size_t first = f.estimate_at + 8;
+  expect_edit_diagnosed(valid, "out of order", [&](auto& bytes) {
+    std::swap_ranges(bytes.begin() + first, bytes.begin() + first + 16,
+                     bytes.begin() + first + 16);
+  });
+  expect_edit_diagnosed(valid, "out of order", [&](auto& bytes) {
+    std::copy_n(bytes.begin() + first, 16, bytes.begin() + first + 16);
+  });
+  // Switches 3 and 3; then 5 above 2, packed the wrong way round.
+  for (const std::uint64_t key :
+       {(std::uint64_t{3} << 32) | 3, (std::uint64_t{2} << 32) | 5}) {
+    expect_edit_diagnosed(valid, "two distinct switches", [&](auto& bytes) {
+      std::memcpy(bytes.data() + first, &key, 8);
+    });
+  }
 }
 
 TEST(CkptRobustnessTest, CorruptEmbeddedSpecIsDiagnosed) {
@@ -537,6 +666,78 @@ TEST(CkptRobustnessTest, SingleByteFlipsNeverCrash) {
   }
   EXPECT_GT(rejected, 0u);
   EXPECT_GT(finished, 0u);
+}
+
+TEST(CkptRobustnessTest, DgmsByteFlipsFinishOrAreDiagnosed) {
+  // Every byte of the regrouping fixture's traffic-monitor fields
+  // (estimate, window, flow mass) flipped in turn: a snapshot restore
+  // accepts must finish its replay, whose regrouping rounds read the
+  // estimate back into intensity graphs and splits.
+  const auto& valid = regroup_run().snapshots()[0].bytes;
+  const TrafficFields f = traffic_fields(valid);
+  ASSERT_GE(f.estimate, 1u);
+  ASSERT_GE(f.window, 1u);
+  std::size_t rejected = 0;
+  std::size_t finished = 0;
+  for (std::size_t at = f.estimate_at; at < f.end; ++at) {
+    auto bytes = valid;
+    bytes[at] ^= 0xFF;
+    restamp(&bytes);
+    std::string err;
+    const auto restored = ScenarioRunner::restore(bytes, &err);
+    if (restored == nullptr) {
+      EXPECT_FALSE(err.empty()) << "undiagnosed failure at offset " << at;
+      ++rejected;
+    } else {
+      EXPECT_TRUE(restored->finish(&err)) << "offset " << at << ": " << err;
+      ++finished;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(finished, 0u);
+}
+
+// ------------------------------------------------- snapshot footprint
+
+TEST(CkptTest, SwitchSectionStaysSmallOnAWideNetwork) {
+  // 600 switches hosting two tenants spread over all of them, so flows
+  // leave every switch for peers up to the highest id before the fence.
+  // The stats window's traffic counts travel per switch pair in DGMS; a
+  // per-switch array indexed by peer id would put ~600 counters into every
+  // SWCH record (~2.5 MB here).
+  auto runner = std::make_unique<ScenarioRunner>(parse_or_die(R"([scenario]
+name = ckpt_wide
+description = wide network footprint
+seed = 3
+
+[topology]
+switches = 600
+tenants = 2
+min_vms_per_tenant = 1200
+max_vms_per_tenant = 1200
+vms_per_switch = 4
+
+[workload]
+kind = synthetic
+flows = 30000
+horizon = 10m
+profile = flat
+
+[config]
+mode = openflow
+
+[events]
+at=9m checkpoint_at
+)"));
+  std::string err;
+  ASSERT_TRUE(runner->run(&err)) << err;
+  ASSERT_EQ(runner->snapshots().size(), 1u);
+  const std::vector<std::uint8_t>& bytes = runner->snapshots()[0].bytes;
+  ASSERT_FALSE(bytes.empty()) << runner->snapshots()[0].error;
+  const std::size_t at = section_offset(bytes, fourcc("SWCH"));
+  std::uint64_t len = 0;
+  std::memcpy(&len, bytes.data() + at + 4, 8);
+  EXPECT_LT(len, 1'000'000u) << "SWCH section of 600 switches";
 }
 
 // ------------------------------------------------------- file helpers

@@ -5,6 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -59,6 +64,191 @@ TEST(TrafficMonitorTest, SplitClassifiesByGrouping) {
   EXPECT_DOUBLE_EQ(split.intra, 80.0);
   EXPECT_DOUBLE_EQ(split.inter, 20.0);
   EXPECT_DOUBLE_EQ(split.inter_fraction(), 0.2);
+}
+
+/// Reference traffic monitor over hash maps (TrafficMonitor's earlier
+/// layout): an unordered_map estimate and window, and a roll that decays
+/// every value, adds the window in sorted key order, then prunes.
+/// TrafficMonitor's flat tables must match it bit for bit.
+class ReferenceMonitor {
+ public:
+  ReferenceMonitor(std::size_t switch_count, TrafficMonitorOptions options)
+      : switch_count_(switch_count), options_(options) {
+    options_.ewma_decay = std::clamp(options_.ewma_decay, 0.0, 0.999);
+  }
+
+  void record_flow(SwitchId src, SwitchId dst, std::uint64_t count) {
+    if (src == dst || count == 0) return;
+    window_[pair_key(src, dst)] += count;
+  }
+
+  void roll_window() {
+    const double decay = options_.ewma_decay;
+    for (auto& [key, value] : ewma_) value *= decay;
+    flow_mass_ *= decay;
+    for (const std::uint64_t key : sorted_keys(window_)) {
+      const auto count = static_cast<double>(window_.at(key));
+      ewma_[key] += count;
+      flow_mass_ += count;
+    }
+    window_.clear();
+    std::erase_if(ewma_, [this](const auto& kv) {
+      return kv.second < options_.prune_threshold;
+    });
+  }
+
+  [[nodiscard]] double flow_mass() const { return flow_mass_; }
+  [[nodiscard]] std::size_t tracked_pairs() const { return ewma_.size(); }
+  [[nodiscard]] std::vector<std::pair<std::uint64_t, double>> entries()
+      const {
+    std::vector<std::pair<std::uint64_t, double>> out;
+    for (const std::uint64_t key : sorted_keys(ewma_)) {
+      out.emplace_back(key, ewma_.at(key));
+    }
+    return out;
+  }
+
+  [[nodiscard]] graph::WeightedGraph intensity_graph() const {
+    graph::WeightedGraph g(switch_count_);
+    const double window_sec = to_seconds(options_.window);
+    for (const auto& [key, value] : entries()) {
+      g.add_edge(static_cast<graph::VertexId>(key & 0xFFFFFFFF),
+                 static_cast<graph::VertexId>(key >> 32), value / window_sec);
+    }
+    return g;
+  }
+
+  [[nodiscard]] TrafficMonitor::TrafficSplit split(
+      const core::Grouping& grouping) const {
+    TrafficMonitor::TrafficSplit s;
+    const std::size_t n = grouping.switch_to_group.size();
+    for (const auto& [key, value] : entries()) {
+      const auto hi = static_cast<std::uint32_t>(key >> 32);
+      const auto lo = static_cast<std::uint32_t>(key & 0xFFFFFFFF);
+      if (hi >= n || lo >= n) continue;
+      if (grouping.switch_to_group[lo] == grouping.switch_to_group[hi]) {
+        s.intra += value;
+      } else {
+        s.inter += value;
+      }
+    }
+    return s;
+  }
+
+ private:
+  static std::uint64_t pair_key(SwitchId a, SwitchId b) {
+    std::uint32_t lo = a.value(), hi = b.value();
+    if (lo > hi) std::swap(lo, hi);
+    return (static_cast<std::uint64_t>(hi) << 32) | lo;
+  }
+  template <typename Map>
+  static std::vector<std::uint64_t> sorted_keys(const Map& m) {
+    std::vector<std::uint64_t> keys;
+    for (const auto& [key, value] : m) keys.push_back(key);
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+  std::size_t switch_count_;
+  TrafficMonitorOptions options_;
+  std::unordered_map<std::uint64_t, double> ewma_;
+  std::unordered_map<std::uint64_t, std::uint64_t> window_;
+  double flow_mass_ = 0.0;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// A graph's (pair key, edge weight) list in ascending key order.
+std::vector<std::pair<std::uint64_t, double>> edges_of(
+    const graph::WeightedGraph& g) {
+  std::vector<std::pair<std::uint64_t, double>> out;
+  for (graph::VertexId u = 0; u < g.vertex_count(); ++u) {
+    for (const graph::Neighbor& n : g.neighbors(u)) {
+      if (n.vertex > u) {
+        out.emplace_back((static_cast<std::uint64_t>(n.vertex) << 32) | u,
+                         n.weight);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(TrafficMonitorTest, MatchesHashMapReference) {
+  Rng rng(20261018);
+  std::size_t on_threshold = 0;  // estimates that landed exactly on it
+  std::size_t empty_rolls = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    const std::size_t switches = 2 + rng.next_below(299);  // 2..300
+    const double decay = std::array{0.0, 0.5, 0.85, 0.999}[trial % 4];
+    // Every other trial prunes at a value a count of 1 reaches exactly:
+    // itself (no decay), or decayed twice.
+    const double threshold =
+        trial % 8 < 4 ? 1e-3 : (decay > 0 ? 1.0 * decay * decay : 1.0);
+    // A 1 s window makes each intensity edge weight the estimate itself,
+    // so the graph exposes every (key, value) of the flat monitor.
+    const TrafficMonitorOptions options{1 * kSecond, decay, threshold};
+    TrafficMonitor flat(switches, options);
+    ReferenceMonitor ref(switches, options);
+    const std::size_t hot = std::min<std::size_t>(switches, 12);
+    for (int roll = 0; roll < 40; ++roll) {
+      const std::uint64_t records =
+          rng.next_bool(0.15) ? 0 : rng.next_below(300);
+      for (std::uint64_t i = 0; i < records; ++i) {
+        const std::size_t range = rng.next_bool(0.5) ? hot : switches;
+        const SwitchId a{static_cast<std::uint32_t>(rng.next_below(range))};
+        const SwitchId b{static_cast<std::uint32_t>(rng.next_below(range))};
+        const std::uint64_t count =
+            rng.next_bool(0.5) ? 1 : 1 + rng.next_below(1000);
+        flat.record_flow(a, b, count);
+        ref.record_flow(a, b, count);
+      }
+      if (records == 0) ++empty_rolls;
+      flat.roll_window();
+      ref.roll_window();
+
+      SCOPED_TRACE("trial " + std::to_string(trial) + " roll " +
+                   std::to_string(roll));
+      ASSERT_EQ(bits(flat.flow_mass()), bits(ref.flow_mass()));
+      ASSERT_EQ(flat.tracked_pairs(), ref.tracked_pairs());
+      const graph::WeightedGraph fg = flat.intensity_graph();
+      const graph::WeightedGraph rg = ref.intensity_graph();
+      const auto expected = ref.entries();
+      const auto got = edges_of(fg);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].first, expected[i].first);
+        ASSERT_EQ(bits(got[i].second), bits(expected[i].second));
+        if (expected[i].second == threshold) ++on_threshold;
+      }
+      ASSERT_EQ(fg.vertex_count(), rg.vertex_count());
+      ASSERT_EQ(fg.edge_count(), rg.edge_count());
+      ASSERT_EQ(bits(fg.total_edge_weight()), bits(rg.total_edge_weight()));
+      for (graph::VertexId u = 0; u < fg.vertex_count(); ++u) {
+        const auto fn = fg.neighbors(u);
+        const auto rn = rg.neighbors(u);
+        ASSERT_EQ(fn.size(), rn.size());
+        for (std::size_t i = 0; i < fn.size(); ++i) {
+          ASSERT_EQ(fn[i].vertex, rn[i].vertex);
+          ASSERT_EQ(bits(fn[i].weight), bits(rn[i].weight));
+        }
+      }
+      // A random grouping, sometimes covering only a prefix of switches.
+      core::Grouping grouping;
+      grouping.group_count = 1 + rng.next_below(switches);
+      grouping.switch_to_group.resize(
+          rng.next_bool(0.2) ? rng.next_below(switches + 1) : switches);
+      for (std::uint32_t& g : grouping.switch_to_group) {
+        g = static_cast<std::uint32_t>(rng.next_below(grouping.group_count));
+      }
+      const auto fs = flat.split(grouping);
+      const auto rs = ref.split(grouping);
+      ASSERT_EQ(bits(fs.intra), bits(rs.intra));
+      ASSERT_EQ(bits(fs.inter), bits(rs.inter));
+    }
+  }
+  EXPECT_GT(on_threshold, 0u) << "no estimate landed on the prune threshold";
+  EXPECT_GT(empty_rolls, 0u);
 }
 
 // --- DriftDetector ---

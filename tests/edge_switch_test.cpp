@@ -157,17 +157,6 @@ TEST(EdgeSwitchTest, TransitionWindow) {
   EXPECT_FALSE(sw.in_transition(100));
 }
 
-TEST(EdgeSwitchTest, WindowCountersDrain) {
-  EdgeSwitch sw = make_switch();
-  sw.record_new_flow_to(SwitchId{1});
-  sw.record_new_flow_to(SwitchId{1});
-  sw.record_new_flow_to(SwitchId{2});
-  auto counts = sw.take_window_counts();
-  EXPECT_EQ(counts[SwitchId{1}], 2u);
-  EXPECT_EQ(counts[SwitchId{2}], 1u);
-  EXPECT_TRUE(sw.take_window_counts().empty());
-}
-
 TEST(EdgeSwitchTest, DesignatedFlag) {
   EdgeSwitch sw = make_switch();
   sw.set_designated(SwitchId{3});
