@@ -11,7 +11,8 @@
 // whole body and reports medians in BENCH_micro_datapath.json.
 //
 // The micro section times the individual hot-path kernels (Bloom probe,
-// G-FIB scan, L-FIB lookup, flow-table lookup, Fig. 5 decision) in ns/op.
+// G-FIB scan, L-FIB lookup, flow-table lookup and rule upkeep, Fig. 5
+// decision) in ns/op.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -236,6 +237,38 @@ int body(benchx::BenchReport& report) {
     std::printf("  %-34s %8.1f ns/op\n", "flow-table lookup (4096 rules)",
                 qry);
     report.metric("flow_table_lookup_ns", qry, "ns");
+  }
+
+  {
+    // Rule upkeep in openflow_outage's table shape: ~40 live reactive
+    // rules, each step installs one and a lookup's expiry sweep removes
+    // the one installed 40 steps earlier.
+    openflow::FlowTable table;
+    net::Packet p;
+    p.tenant = TenantId{0};
+    p.src_mac = MacAddress::for_host(0);
+    SimTime now = 0;
+    const auto step = [&](std::size_t) {
+      openflow::FlowRule r;
+      r.priority = 10;
+      r.match.tenant = TenantId{0};
+      r.match.src_mac = MacAddress::for_host(0);
+      r.match.dst_mac =
+          MacAddress::for_host(static_cast<std::uint32_t>(now % 4096));
+      r.action.type = openflow::ActionType::kEncapTo;
+      r.installed_at = now;
+      r.expires_at = now + 40;
+      table.install(r);
+      p.dst_mac =
+          MacAddress::for_host(static_cast<std::uint32_t>((now / 2) % 4096));
+      do_not_optimize(table.lookup(p, now));
+      ++now;
+    };
+    for (std::size_t i = 0; i < 1024; ++i) step(i);  // fill to ~40 rules
+    const double churn = ns_per_op(1 << 18, step);
+    std::printf("  %-34s %8.1f ns/op\n",
+                "flow-table install+expire (40 rules)", churn);
+    report.metric("flow_table_churn_ns", churn, "ns");
   }
 
   {

@@ -33,7 +33,7 @@ const std::map<std::string, std::vector<std::string>>& required_metrics() {
         "cpu_cores"}},
       {"micro_datapath",
        {"throughput_replay_flows_per_sec", "gfib_scan_ns",
-        "gfib_scan_sliced_ns", "gfib_scan_speedup"}},
+        "gfib_scan_sliced_ns", "gfib_scan_speedup", "flow_table_churn_ns"}},
       {"ctrl_faults",
        {"delivered_fraction_loss_0", "delivered_fraction_loss_1pct",
         "delivered_fraction_loss_10pct", "degraded_fraction_loss_10pct",

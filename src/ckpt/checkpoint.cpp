@@ -434,8 +434,17 @@ struct StateAccess::Walk {
     io.u64(t.capacity_);
     io.u64(t.evictions_);
     io.i64(t.next_expiry_);
-    io.count(t.rules_, 47);
-    for (openflow::FlowRule& rule : t.rules_) {
+    // Only live rules travel, in table order; tombstones are not state.
+    std::uint64_t n = t.size();
+    io.count(n, 47);
+    if constexpr (IO::kLoading) {
+      t.rules_.assign(static_cast<std::size_t>(n), openflow::FlowRule{});
+      t.dead_.assign(t.rules_.size(), 0);
+      t.tombstones_ = 0;
+    }
+    for (std::size_t i = 0; i < t.rules_.size(); ++i) {
+      if (t.dead_[i]) continue;
+      openflow::FlowRule& rule = t.rules_[i];
       io.i64(rule.priority);
       // A wildcarded match field travels as a clear flag bit and a 0.
       openflow::Match& m = rule.match;

@@ -497,10 +497,12 @@ void Network::on_flow(const workload::Flow& flow,
   const SwitchId src_sw = src.attached_switch;
   const SwitchId dst_sw = dst.attached_switch;
   EdgeSwitch& sw = *switches_[src_sw.value()];
-  traffic_monitor_->record_flow(src_sw, dst_sw);
+  const bool lazy = config_.mode == ControlMode::kLazyCtrl;
+  // Switch-pair traffic feeds regrouping only, which OpenFlow mode never
+  // runs, so that mode records none.
+  if (lazy) traffic_monitor_->record_flow(src_sw, dst_sw);
 
   const net::Packet pkt = make_flow_packet(src, dst, flow);
-  const bool lazy = config_.mode == ControlMode::kLazyCtrl;
   // Grouping transition window (appendix B preload): no decision.
   if (lazy && handle_transition_flow(flow, src_sw, dst_sw, pkt)) return;
   const EdgeSwitch::Decision d =

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <ranges>
 #include <vector>
 
 #include "common/ids.h"
@@ -71,44 +72,56 @@ class FlowTable {
   explicit FlowTable(std::size_t capacity = 0) : capacity_(capacity) {}
 
   /// Installs a rule. Returns false if an identical-match, same-priority
-  /// rule was replaced rather than added.
+  /// rule was replaced rather than added. The identical rule is found
+  /// through the index (the rule's (tenant, dst) bucket chain, or the list
+  /// of wildcarded rules); only while the index is dirty does install scan
+  /// the rule list.
   bool install(FlowRule rule);
 
-  /// Highest-priority live rule matching `p`, or nullptr. Expired rules are
-  /// lazily removed. The hot path is O(1): rules whose match pins both
-  /// tenant and destination (every reactively installed rule) live in a
-  /// hash index keyed on (tenant, dst); only genuinely wildcarded rules
-  /// fall back to the priority-ordered scan.
+  /// Highest-priority live rule matching `p`, or nullptr. The hot path is
+  /// O(1): rules whose match pins both tenant and destination (every
+  /// reactively installed rule) live in a hash index keyed on (tenant,
+  /// dst); only genuinely wildcarded rules fall back to the
+  /// priority-ordered scan.
+  ///
+  /// Expiry is a deferred sweep: it runs only once `now` reaches
+  /// `next_expiry_`, a lower bound on the earliest expiry. A caller may
+  /// raise the returned rule's `expires_at` (the TTL refresh) without
+  /// telling the table, so the bound may fire early and sweep nothing; it
+  /// must never lower it. A sweep turns every rule with
+  /// `expires_at <= now` into a tombstone in place and tightens
+  /// `next_expiry_` to the earliest live expiry. After lookup(now)
+  /// returns, no live rule has `expires_at <= now`.
   [[nodiscard]] const FlowRule* lookup(const net::Packet& p, SimTime now);
 
   /// Removes all rules whose match exactly targets `dst` as destination.
   std::size_t remove_rules_for_destination(MacAddress dst);
 
-  void clear() noexcept {
-    rules_.clear();
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    chain_.clear();
-    wildcard_positions_.clear();
-    index_dirty_ = false;
-    next_expiry_ = kNoExpiry;
+  void clear() noexcept;
+  /// Live rules (tombstones excluded).
+  [[nodiscard]] std::size_t size() const noexcept {
+    return rules_.size() - tombstones_;
   }
-  [[nodiscard]] std::size_t size() const noexcept { return rules_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::uint64_t eviction_count() const noexcept {
     return evictions_;
   }
-  /// Snapshot of all live rules (descending priority), for stats requests.
-  [[nodiscard]] const std::vector<FlowRule>& rules() const noexcept {
-    return rules_;
+  /// The live rules in table order (descending priority, then install
+  /// order), for stats requests.
+  [[nodiscard]] auto rules() const {
+    return std::views::iota(std::size_t{0}, rules_.size()) |
+           std::views::filter([this](std::size_t i) { return !dead_[i]; }) |
+           std::views::transform(
+               [this](std::size_t i) -> const FlowRule& { return rules_[i]; });
   }
   /// Sum of match counters across live rules.
   [[nodiscard]] std::uint64_t total_matches() const noexcept;
 
  private:
-  /// Snapshot codec (src/ckpt): restores rules_ (in stored order — the
+  /// Snapshot codec (src/ckpt): saves the live rules in table order (the
   /// eviction tie-break depends on it), capacity_, evictions_ and
-  /// next_expiry_ verbatim, then marks the index dirty so the first
-  /// lookup rebuilds it.
+  /// next_expiry_, and restores them verbatim, then marks the index dirty
+  /// so the first lookup rebuilds it.
   friend class lazyctrl::ckpt::StateAccess;
 
   static constexpr std::uint32_t kNoPosition =
@@ -129,24 +142,51 @@ class FlowTable {
            (buckets_.size() - 1);
   }
 
+  [[nodiscard]] FlowRule* find_identical(const FlowRule& rule);
+  void expire(SimTime now);
+  void bury(std::size_t pos) noexcept {
+    dead_[pos] = 1;
+    ++tombstones_;
+  }
+  /// Drops the tombstones, keeping the live rules' order, and relinks the
+  /// index over the new positions unless it is dirty (rebuilt at the next
+  /// lookup anyway). Leaves `next_expiry_` and the bucket count alone.
+  void compact();
+  /// Grows the buckets, compacts and recomputes `next_expiry_`.
   void rebuild_index();
+  void link(std::uint32_t pos);
   void index_append(std::uint32_t pos);
 
   std::size_t capacity_;
   std::uint64_t evictions_ = 0;
-  std::vector<FlowRule> rules_;  // kept sorted by descending priority
+  /// Live rules and tombstones, sorted by descending priority (stable
+  /// within a priority). A tombstone is an expired rule that keeps its
+  /// slot, and its place in the index, until a compaction: the index stays
+  /// valid, so a sweep costs one pass over the expiries instead of a
+  /// rebuild. A rebuild compacts once tombstones pass a quarter of the
+  /// slots, and whenever the index is rebuilt for another reason; install
+  /// compacts instead of growing a full vector. Lookup, install and
+  /// eviction skip tombstones; everything outside the table sees only
+  /// live rules.
+  std::vector<FlowRule> rules_;
+  std::vector<std::uint8_t> dead_;  ///< dead_[pos] != 0: a tombstone
+  std::size_t tombstones_ = 0;
 
   // Exact-match index over rules that pin (tenant, dst): an open-addressed
   // bucket array chaining rule positions through `chain_`. All storage is
-  // plain vectors, so a rebuild after an eviction sweep is one O(n) pass
-  // with zero allocation once capacity is warm; the common install (equal
-  // priority, appended at the back) links into its bucket incrementally.
+  // plain vectors, so a rebuild is one O(n) pass with zero allocation once
+  // capacity is warm; the common install (equal priority, appended at the
+  // back) links into its bucket incrementally.
   std::vector<std::uint32_t> buckets_;  ///< head position + 1; 0 = empty
   std::vector<std::uint32_t> chain_;    ///< chain_[pos] = next position + 1
   /// Positions of rules whose match wildcards tenant or dst (ascending).
   std::vector<std::uint32_t> wildcard_positions_;
+  /// The index must be rebuilt before its next use: positions shifted, a
+  /// rule was evicted or removed, an exact-match install outgrew the
+  /// buckets, or tombstones are due for compaction. The rebuild also
+  /// recomputes `next_expiry_`.
   bool index_dirty_ = false;
-  /// Lower bound on the earliest rule expiry; gates the physical sweep.
+  /// Lower bound on the earliest live expiry; gates the sweep.
   SimTime next_expiry_ = kNoExpiry;
 };
 

@@ -89,7 +89,12 @@ class FlowRadixSort {
         Flow carried = *head[b];
         unsigned d = digit(carried, bits, width);
         while (d != b) {
-          std::swap(carried, *head[d]++);
+          Flow* const slot = head[d]++;
+          // Each step lands on another bucket's cursor, too many streams
+          // for the hardware prefetcher: fetch the slot this cursor
+          // reaches eight drops from now, if its bucket gets that far.
+          if (end[d] - slot > 8) __builtin_prefetch(slot + 8, 1);
+          std::swap(carried, *slot);
           d = digit(carried, bits, width);
         }
         *head[b]++ = carried;

@@ -10,9 +10,10 @@
 // capture, a map insert) fails loudly instead of showing up only as a
 // perf regression. The same counters pin workload::finalize_trace's
 // memory bound: it sorts in place, so a trace of n flows never pays
-// std::stable_sort's n/2-flow scratch buffer, and the traffic monitor's
+// std::stable_sort's n/2-flow scratch buffer, the traffic monitor's
 // per-flow recording, which allocates nothing once a roll has left its
-// window table sized.
+// window table sized, and the flow table's install/expire/compact churn,
+// which reuses its slots once warm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -209,6 +210,46 @@ INSTANTIATE_TEST_SUITE_P(Layouts, DatapathAllocTest,
                                       ? "Linear"
                                       : "Sliced";
                          });
+
+TEST(FlowTableAllocTest, InstallExpireCompactChurnIsAllocationFree) {
+  // openflow_outage's table shape: ~40 live reactive rules, one install
+  // and one expiry per step. Sweeps bury expired rules in place and a
+  // compaction drops the tombstones every few sweeps; once the slot,
+  // index and tombstone vectors have grown to the churn's high-water
+  // mark, none of that allocates.
+  openflow::FlowTable table;
+  net::Packet p;
+  p.tenant = TenantId{0};
+  p.src_mac = MacAddress::for_host(0);
+  SimTime now = 0;
+  std::size_t hits = 0;
+  const auto step = [&] {
+    openflow::FlowRule rule;
+    rule.priority = 10;
+    rule.match.tenant = TenantId{0};
+    rule.match.src_mac = MacAddress::for_host(0);
+    rule.match.dst_mac =
+        MacAddress::for_host(static_cast<std::uint32_t>(now % 4096));
+    rule.action.type = openflow::ActionType::kEncapTo;
+    rule.installed_at = now;
+    rule.expires_at = now + 40;
+    table.install(rule);
+    p.dst_mac =
+        MacAddress::for_host(static_cast<std::uint32_t>((now / 2) % 4096));
+    hits += table.lookup(p, now) != nullptr;
+    ++now;
+  };
+
+  for (int warm = 0; warm < 500; ++warm) step();
+  ASSERT_EQ(table.size(), 40u);
+
+  const std::uint64_t before = g_alloc_count.load();
+  for (int iter = 0; iter < 20'000; ++iter) step();
+  const std::uint64_t after = g_alloc_count.load();
+  EXPECT_EQ(after - before, 0u) << "flow-table churn allocated once warm";
+  EXPECT_EQ(table.size(), 40u);
+  EXPECT_GT(hits, 0u);  // lookups really hit live rules
+}
 
 }  // namespace
 }  // namespace lazyctrl::core
