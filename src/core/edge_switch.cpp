@@ -37,8 +37,13 @@ EdgeSwitch::Decision EdgeSwitch::decide(const net::Packet& p, SimTime now,
 
   // Step 1 (both modes): flow-table lookup.
   if (const openflow::FlowRule* rule = table_.lookup(p, now)) {
-    // Refresh the TTL (idle-timeout approximation).
-    const_cast<openflow::FlowRule*>(rule)->expires_at = now + rule_ttl_;
+    // Refresh the TTL (idle-timeout approximation). A rule installed
+    // without expiry stays permanent: giving it one would lower its
+    // expiry below the table's sweep bound, which FlowTable::lookup
+    // forbids callers to do.
+    if (rule->expires_at != openflow::kNoExpiry) {
+      const_cast<openflow::FlowRule*>(rule)->expires_at = now + rule_ttl_;
+    }
     d.kind = DecisionKind::kFlowTableHit;
     d.rule = rule;
     return d;

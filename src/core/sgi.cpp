@@ -111,7 +111,7 @@ double Sgi::merge_and_split(Grouping& grouping, std::uint32_t a,
     for (const graph::Neighbor& n : recent.neighbors(v)) {
       auto it = to_local.find(n.vertex);
       if (it == to_local.end() || n.vertex <= v) continue;
-      sub.add_edge(to_local[v], it->second, n.weight);
+      sub.add_unique_edge(to_local[v], it->second, n.weight);
       if (grouping.switch_to_group[v] != grouping.switch_to_group[n.vertex]) {
         current_cut += n.weight;
       }

@@ -157,7 +157,7 @@ MigrationPlan IncrementalRegrouper::plan(const core::Grouping& current,
         for (const graph::Neighbor& n : intensity.neighbors(v)) {
           auto it = to_local.find(n.vertex);
           if (it == to_local.end() || n.vertex <= v) continue;
-          sub.add_edge(to_local[v], it->second, n.weight);
+          sub.add_unique_edge(to_local[v], it->second, n.weight);
           if (work.switch_to_group[v] != work.switch_to_group[n.vertex]) {
             cut_before += n.weight;
           }

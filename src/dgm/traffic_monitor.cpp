@@ -90,8 +90,9 @@ graph::WeightedGraph TrafficMonitor::intensity_graph() const {
   graph::WeightedGraph g(switch_count_);
   const double window_sec = to_seconds(options_.window);
   for (const auto& [key, value] : ewma_) {
-    g.add_edge(static_cast<graph::VertexId>(key & 0xFFFFFFFF),
-               static_cast<graph::VertexId>(key >> 32), value / window_sec);
+    g.add_unique_edge(static_cast<graph::VertexId>(key & 0xFFFFFFFF),
+                      static_cast<graph::VertexId>(key >> 32),
+                      value / window_sec);
   }
   return g;
 }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <memory_resource>
 #include <numeric>
 #include <unordered_map>
 
@@ -10,21 +12,41 @@ namespace lazyctrl::graph {
 
 namespace {
 
-/// Connectivity of `v` to each part among its neighbours plus its own part.
-/// Returned map: part -> sum of edge weights from v into that part.
-std::unordered_map<PartId, Weight> part_connectivity(const WeightedGraph& g,
-                                                     const Partition& p,
-                                                     VertexId v) {
-  std::unordered_map<PartId, Weight> conn;
-  for (const Neighbor& n : g.neighbors(v)) {
-    conn[p.assignment[n.vertex]] += n.weight;
+/// Connectivity of `v` to each part among its neighbours: part -> sum of
+/// edge weights from v into that part. The map's nodes and buckets come
+/// from a stack arena that dies with it, so a vertex visit reaches the
+/// heap only past kArenaBytes. Gain ties go to the first part in the
+/// map's iteration order, which depends only on the keys, the hash and
+/// the insertion order, as for a heap-allocated std::unordered_map. A map
+/// kept across visits must not replace this one: clear() keeps the grown
+/// bucket count and reserve() sets one, and a different bucket count can
+/// change that order.
+class PartConnectivity {
+ public:
+  PartConnectivity(const WeightedGraph& g, const Partition& p, VertexId v) {
+    for (const Neighbor& n : g.neighbors(v)) {
+      conn_[p.assignment[n.vertex]] += n.weight;
+    }
   }
-  return conn;
-}
+  PartConnectivity(const PartConnectivity&) = delete;
+  PartConnectivity& operator=(const PartConnectivity&) = delete;
 
-}  // namespace
+  /// Edge weight from v into `part` (0 when v has no neighbour there).
+  [[nodiscard]] Weight to(PartId part) const {
+    const auto it = conn_.find(part);
+    return it == conn_.end() ? 0 : it->second;
+  }
+  [[nodiscard]] auto begin() const { return conn_.begin(); }
+  [[nodiscard]] auto end() const { return conn_.end(); }
 
-namespace {
+ private:
+  // Room for the nodes and bucket arrays of ~60 parts. Left uninitialized:
+  // the arena hands it out as raw storage.
+  static constexpr std::size_t kArenaBytes = 4096;
+  alignas(std::max_align_t) std::byte buffer_[kArenaBytes];
+  std::pmr::monotonic_buffer_resource arena_{buffer_, kArenaBytes};
+  std::pmr::unordered_map<PartId, Weight> conn_{&arena_};
+};
 
 /// One greedy pass: move boundary vertices to their best positive-gain part
 /// subject to the size constraint. Returns the gain achieved.
@@ -35,9 +57,8 @@ Weight greedy_pass(const WeightedGraph& g, Partition& p,
   Weight pass_gain = 0;
   for (VertexId v : order) {
     const PartId from = p.assignment[v];
-    const auto conn = part_connectivity(g, p, v);
-    Weight internal = 0;
-    if (auto it = conn.find(from); it != conn.end()) internal = it->second;
+    const PartConnectivity conn(g, p, v);
+    const Weight internal = conn.to(from);
 
     PartId best_part = from;
     Weight best_gain = 0;
@@ -86,9 +107,8 @@ Weight fm_pass(const WeightedGraph& g, Partition& p,
     for (VertexId v = 0; v < n; ++v) {
       if (moved[v]) continue;
       const PartId from = p.assignment[v];
-      const auto conn = part_connectivity(g, p, v);
-      Weight internal = 0;
-      if (auto it = conn.find(from); it != conn.end()) internal = it->second;
+      const PartConnectivity conn(g, p, v);
+      const Weight internal = conn.to(from);
       const Weight vw = g.vertex_weight(v);
       for (const auto& [part, w] : conn) {
         if (part == from) continue;
@@ -172,9 +192,8 @@ std::vector<BoundedMove> plan_bounded_moves(const WeightedGraph& g,
     best.gain = min_gain;
     for (VertexId v = 0; v < n; ++v) {
       const PartId from = p.assignment[v];
-      const auto conn = part_connectivity(g, p, v);
-      Weight internal = 0;
-      if (auto it = conn.find(from); it != conn.end()) internal = it->second;
+      const PartConnectivity conn(g, p, v);
+      const Weight internal = conn.to(from);
       const Weight vw = g.vertex_weight(v);
       for (const auto& [part, w] : conn) {
         if (part == from) continue;
@@ -236,16 +255,13 @@ bool repair_overweight(const WeightedGraph& g, Partition& p,
     Weight best_loss = std::numeric_limits<Weight>::max();
     for (VertexId v : members) {
       const Weight vw = g.vertex_weight(v);
-      const auto conn = part_connectivity(g, p, v);
-      Weight internal = 0;
-      if (auto it = conn.find(over); it != conn.end()) internal = it->second;
+      const PartConnectivity conn(g, p, v);
+      const Weight internal = conn.to(over);
       // Candidate destinations: connected parts first, then any with room.
       for (PartId dest = 0; dest < weights.size(); ++dest) {
         if (dest == over || frozen[dest]) continue;
         if (weights[dest] + vw > c.max_part_weight) continue;
-        Weight external = 0;
-        if (auto it = conn.find(dest); it != conn.end()) external = it->second;
-        const Weight loss = internal - external;
+        const Weight loss = internal - conn.to(dest);
         if (loss < best_loss) {
           best_loss = loss;
           best_v = v;

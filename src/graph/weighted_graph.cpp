@@ -1,5 +1,6 @@
 #include "graph/weighted_graph.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace lazyctrl::graph {
@@ -26,6 +27,15 @@ void WeightedGraph::add_edge(VertexId u, VertexId v, Weight w) {
       return;
     }
   }
+  add_unique_edge(u, v, w);
+}
+
+void WeightedGraph::add_unique_edge(VertexId u, VertexId v, Weight w) {
+  assert(u < vertex_count() && v < vertex_count());
+  assert(w >= 0);
+  assert(std::none_of(adjacency_[u].begin(), adjacency_[u].end(),
+                      [v](const Neighbor& n) { return n.vertex == v; }));
+  if (u == v || w <= 0) return;
   adjacency_[u].push_back({v, w});
   adjacency_[v].push_back({u, w});
   ++edge_count_;

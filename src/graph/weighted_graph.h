@@ -27,6 +27,11 @@ class WeightedGraph {
   /// Self-loops are ignored; negative weights are invalid.
   void add_edge(VertexId u, VertexId v, Weight w);
 
+  /// add_edge for a builder that adds each pair at most once: appends
+  /// without add_edge's O(degree) search for an existing {u, v}, which
+  /// only a debug build checks for. Same result as add_edge otherwise.
+  void add_unique_edge(VertexId u, VertexId v, Weight w);
+
   void set_vertex_weight(VertexId v, Weight w);
 
   [[nodiscard]] std::size_t vertex_count() const noexcept {

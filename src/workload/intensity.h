@@ -17,7 +17,8 @@ namespace lazyctrl::workload {
 /// start time lies in [from, to). Edge weight = flows per second between the
 /// two switches (host pair traffic aggregates onto the attachment switches).
 /// Vertices are switch ids; vertex weight is 1 per switch so the group size
-/// limit counts switches, as in the paper.
+/// limit counts switches, as in the paper. `trace` must be sorted by start,
+/// as finalize_trace leaves it: only the window's run of flows is read.
 graph::WeightedGraph build_intensity_graph(const Trace& trace,
                                            const topo::Topology& topology,
                                            SimTime from, SimTime to);

@@ -12,8 +12,9 @@
 // memory bound: it sorts in place, so a trace of n flows never pays
 // std::stable_sort's n/2-flow scratch buffer, the traffic monitor's
 // per-flow recording, which allocates nothing once a roll has left its
-// window table sized, and the flow table's install/expire/compact churn,
-// which reuses its slots once warm.
+// window table sized, the flow table's install/expire/compact churn,
+// which reuses its slots once warm, and partition refinement, whose
+// per-vertex connectivity maps live on the stack.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 #include "core/config.h"
 #include "core/edge_switch.h"
 #include "dgm/traffic_monitor.h"
+#include "graph/fm_refinement.h"
 #include "net/packet.h"
 #include "workload/trace.h"
 
@@ -281,6 +283,45 @@ TEST(TrafficMonitorAllocTest, RecordingIntoARolledWindowIsAllocationFree) {
 
 }  // namespace
 }  // namespace lazyctrl::dgm
+
+namespace lazyctrl::graph {
+namespace {
+
+TEST(RefinePartitionAllocTest, VertexVisitsAreAllocationFree) {
+  // Ten planted clusters of 50 vertices, weights of integer flow counts
+  // over a minute (equal gains are common), dealt round-robin into ten
+  // parts: every pass has moves to find. Greedy and FM passes both visit
+  // vertices (FM rescans all unmoved vertices per step, so a pass makes
+  // tens of thousands of visits); a visit's connectivity map lives on
+  // the stack, so only the per-call and per-pass vectors allocate.
+  constexpr std::size_t kClusters = 10, kSize = 50, kN = kClusters * kSize;
+  Rng rng(3);
+  WeightedGraph g(kN);
+  for (VertexId u = 0; u < kN; ++u) {
+    for (VertexId v = u + 1; v < kN; ++v) {
+      const bool same = u / kSize == v / kSize;
+      if (rng.next_bool(same ? 0.15 : 0.01)) {
+        g.add_edge(u, v, static_cast<Weight>(1 + rng.next_below(20)) / 60);
+      }
+    }
+  }
+  Partition p;
+  p.part_count = kClusters;
+  for (VertexId v = 0; v < kN; ++v) p.assignment.push_back(v % kClusters);
+  const PartitionConstraints c{kSize + 5.0};
+  RefineOptions o;
+  o.max_passes = 4;
+
+  const std::uint64_t before = g_alloc_count.load();
+  const Weight gain = refine_partition(g, p, c, o, rng);
+  const std::uint64_t allocations = g_alloc_count.load() - before;
+  ASSERT_GT(gain, 0);
+  EXPECT_LE(allocations, 8u + 4u * o.max_passes)
+      << "refinement allocated per vertex visit";
+}
+
+}  // namespace
+}  // namespace lazyctrl::graph
 
 namespace lazyctrl::workload {
 namespace {

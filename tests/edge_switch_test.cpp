@@ -138,6 +138,23 @@ TEST(EdgeSwitchDecideTest, HitRefreshesRuleTtl) {
             EdgeSwitch::DecisionKind::kToController);
 }
 
+TEST(EdgeSwitchDecideTest, HitKeepsStaticRulePermanent) {
+  Config cfg;
+  cfg.rules.rule_ttl = 10 * kSecond;
+  EdgeSwitch sw = make_switch(cfg);
+  sw.flow_table().install(encap_rule(5, SwitchId{9}));  // no expiry
+  sw.flow_table().install(encap_rule(6, SwitchId{9}, 15 * kSecond));
+  ASSERT_EQ(sw.decide(packet_to(5), 0, ControlMode::kLazyCtrl).kind,
+            EdgeSwitch::DecisionKind::kFlowTableHit);
+  // At 20 s the reactive rule's expiry sweeps the table. The hit at t=0
+  // must not have given the static rule an expiry for that sweep to take.
+  const SimTime later = 20 * kSecond;
+  EXPECT_EQ(sw.decide(packet_to(6), later, ControlMode::kLazyCtrl).kind,
+            EdgeSwitch::DecisionKind::kToController);
+  EXPECT_EQ(sw.decide(packet_to(5), later, ControlMode::kLazyCtrl).kind,
+            EdgeSwitch::DecisionKind::kFlowTableHit);
+}
+
 TEST(EdgeSwitchDecideTest, TenantScopedRules) {
   EdgeSwitch sw = make_switch();
   openflow::FlowRule r = encap_rule(5, SwitchId{9});

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "graph/bisection.h"
@@ -80,6 +83,42 @@ TEST(WeightedGraphTest, SelfLoopsAndZeroWeightIgnored) {
   g.add_edge(0, 0, 5.0);
   g.add_edge(0, 1, 0.0);
   EXPECT_EQ(g.edge_count(), 0u);
+}
+
+TEST(WeightedGraphTest, UniqueEdgeAppendMatchesAddEdge) {
+  // Each pair once, in a random order and orientation, plus a self-loop
+  // and a zero weight that both builders must ignore.
+  Rng rng(5);
+  std::vector<std::tuple<VertexId, VertexId, Weight>> edges;
+  for (VertexId u = 0; u < 40; ++u) {
+    for (VertexId v = u + 1; v < 40; ++v) {
+      if (!rng.next_bool(0.3)) continue;
+      const Weight w = rng.next_double() * 7.0;
+      edges.emplace_back(rng.next_bool(0.5) ? u : v,
+                         rng.next_bool(0.5) ? v : u, w);
+    }
+  }
+  edges.emplace_back(3, 3, 2.0);
+  edges.emplace_back(4, 9, 0.0);
+  rng.shuffle(edges);
+
+  WeightedGraph want(40), got(40);
+  for (const auto& [u, v, w] : edges) {
+    want.add_edge(u, v, w);
+    got.add_unique_edge(u, v, w);
+  }
+  ASSERT_GT(want.edge_count(), 100u);
+  EXPECT_EQ(got.edge_count(), want.edge_count());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_edge_weight()),
+            std::bit_cast<std::uint64_t>(want.total_edge_weight()));
+  for (VertexId v = 0; v < 40; ++v) {
+    ASSERT_EQ(got.neighbors(v).size(), want.neighbors(v).size()) << v;
+    for (std::size_t i = 0; i < want.neighbors(v).size(); ++i) {
+      EXPECT_EQ(got.neighbors(v)[i].vertex, want.neighbors(v)[i].vertex);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.neighbors(v)[i].weight),
+                std::bit_cast<std::uint64_t>(want.neighbors(v)[i].weight));
+    }
+  }
 }
 
 TEST(WeightedGraphTest, VertexWeights) {

@@ -3,10 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <ios>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/sgi.h"
+#include "dgm/regrouper.h"
+#include "dgm/traffic_monitor.h"
+#include "graph/bisection.h"
+#include "graph/partition.h"
 #include "graph/weighted_graph.h"
+#include "topo/builder.h"
+#include "workload/generators.h"
+#include "workload/intensity.h"
 
 namespace lazyctrl::core {
 namespace {
@@ -184,6 +195,190 @@ TEST(IncUpdateTest, DeterministicForSeed) {
   Grouping a = sgi.initial_grouping(g, ra);
   Grouping b = sgi.initial_grouping(g, rb);
   EXPECT_EQ(a.switch_to_group, b.switch_to_group);
+}
+
+}  // namespace
+}  // namespace lazyctrl::core
+
+// --- golden grouping fingerprints ---
+//
+// Which groups set-up and maintenance produce depends on more than the
+// graph's edge weights: refinement gives a gain tie to the first part in
+// a hash map's iteration order, and floating-point sums follow adjacency
+// order. These constants pin IniGroup on two seeded history graphs and
+// on a tie-heavy torus, one DGM plan and one bisection (libstdc++'s hash
+// tables), so a change to the graph builders or the partitioner that
+// moves a single switch fails here instead of quietly moving every
+// grouping metric downstream.
+namespace lazyctrl::core {
+namespace {
+
+/// FNV-1a over a sequence of 64-bit words.
+class Fingerprint {
+ public:
+  void mix(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (v >> (8 * byte)) & 0xFF;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void mix(double x) { mix(std::bit_cast<std::uint64_t>(x)); }
+  void mix(const std::vector<std::uint32_t>& assignment) {
+    mix(static_cast<std::uint64_t>(assignment.size()));
+    for (std::uint32_t a : assignment) mix(static_cast<std::uint64_t>(a));
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+topo::Topology fabric(std::size_t switches, std::size_t tenants,
+                      std::size_t min_vms, std::size_t max_vms,
+                      std::size_t vms_per_switch, std::uint64_t seed) {
+  Rng rng(seed);
+  topo::MultiTenantOptions opt;
+  opt.switch_count = switches;
+  opt.tenant_count = tenants;
+  opt.min_vms_per_tenant = min_vms;
+  opt.max_vms_per_tenant = max_vms;
+  opt.vms_per_switch = vms_per_switch;
+  return topo::build_multi_tenant(opt, rng);
+}
+
+/// The first hour of a flat real_like trace, as set-up reads it.
+graph::WeightedGraph real_like_history(const topo::Topology& topology,
+                                       std::size_t flows,
+                                       std::uint64_t seed) {
+  Rng rng(seed);
+  workload::RealLikeOptions opt;
+  opt.total_flows = flows;
+  opt.horizon = 2 * kHour;
+  opt.profile = workload::DiurnalProfile::flat();
+  const workload::Trace trace =
+      workload::generate_real_like(topology, opt, rng);
+  return workload::build_intensity_graph(trace, topology, 0, kHour);
+}
+
+std::uint64_t grouping_fingerprint(const graph::WeightedGraph& g,
+                                   const Grouping& grouping) {
+  Fingerprint f;
+  f.mix(grouping.switch_to_group);
+  f.mix(static_cast<std::uint64_t>(grouping.group_count));
+  f.mix(graph::cut_weight(
+      g, graph::Partition{grouping.switch_to_group, grouping.group_count}));
+  return f.value();
+}
+
+/// IniGroup on a side x side torus of unit weights, in groups of `side`:
+/// nearly every refinement gain ties, so the grouping follows the order
+/// in which refinement meets the parts of a vertex's neighbourhood.
+std::uint64_t torus_inigroup_fingerprint(std::size_t side) {
+  graph::WeightedGraph g(side * side);
+  for (std::size_t r = 0; r < side; ++r) {
+    for (std::size_t c = 0; c < side; ++c) {
+      const auto v = static_cast<graph::VertexId>(r * side + c);
+      g.add_edge(v, static_cast<graph::VertexId>(r * side + (c + 1) % side),
+                 1.0);
+      g.add_edge(v, static_cast<graph::VertexId>((r + 1) % side * side + c),
+                 1.0);
+    }
+  }
+  Rng rng(1);
+  const Grouping grouping =
+      Sgi(SgiOptions{.group_size_limit = side}).initial_grouping(g, rng);
+  return grouping_fingerprint(g, grouping);
+}
+
+std::uint64_t inigroup_fingerprint(std::size_t switches, std::size_t tenants,
+                                   std::size_t flows, std::size_t limit) {
+  const topo::Topology topology = fabric(switches, tenants, 20, 100, 24, 1);
+  const graph::WeightedGraph history = real_like_history(topology, flows, 1);
+  EXPECT_EQ(history.vertex_count(), switches);
+  Rng rng(1);
+  const Grouping grouping =
+      Sgi(SgiOptions{.group_size_limit = limit}).initial_grouping(history,
+                                                                 rng);
+  return grouping_fingerprint(history, grouping);
+}
+
+/// A DGM round on drifting communities: IniGroup on the first hour, then
+/// a plan against the traffic monitor's estimate of the third.
+std::uint64_t regrouper_plan_fingerprint() {
+  const topo::Topology topology = fabric(192, 120, 10, 30, 12, 1);
+  Rng rng(1);
+  workload::DriftingLocalityOptions opt;
+  opt.total_flows = 200'000;
+  opt.horizon = 8 * kHour;
+  opt.community_count = 12;
+  opt.intra_community_share = 0.7;
+  const workload::Trace trace =
+      workload::generate_drifting_locality(topology, opt, rng);
+
+  const graph::WeightedGraph history =
+      workload::build_intensity_graph(trace, topology, 0, kHour);
+  const Grouping current =
+      Sgi(SgiOptions{.group_size_limit = 20}).initial_grouping(history, rng);
+
+  dgm::TrafficMonitor monitor(topology.switch_count(),
+                              dgm::TrafficMonitorOptions{.window = kHour});
+  for (const workload::Flow& flow : trace.flows) {
+    if (flow.start < 2 * kHour || flow.start >= 3 * kHour) continue;
+    monitor.record_flow(topology.host_info(flow.src).attached_switch,
+                        topology.host_info(flow.dst).attached_switch);
+  }
+  monitor.roll_window();
+  const graph::WeightedGraph recent = monitor.intensity_graph();
+  const dgm::MigrationPlan plan =
+      dgm::IncrementalRegrouper(dgm::RegrouperOptions{.group_size_limit = 20})
+          .plan(current, recent, rng);
+  EXPECT_FALSE(plan.empty());
+
+  Fingerprint f;
+  f.mix(grouping_fingerprint(history, current));
+  f.mix(grouping_fingerprint(recent, plan.after));
+  f.mix(plan.inter_after);
+  for (const dgm::SwitchMove& m : plan.moves) {
+    f.mix(static_cast<std::uint64_t>(m.sw.value()));
+    f.mix(static_cast<std::uint64_t>(m.to.value()));
+    f.mix(m.gain);
+  }
+  f.mix(static_cast<std::uint64_t>(plan.merges.size()));
+  for (const dgm::GroupSplit& split : plan.splits) f.mix(split.cut_after);
+  return f.value();
+}
+
+std::uint64_t bisection_fingerprint() {
+  const topo::Topology topology = fabric(272, 110, 20, 100, 24, 2);
+  const graph::WeightedGraph history =
+      real_like_history(topology, 100'000, 2);
+  Rng rng(2);
+  const graph::BisectionResult split =
+      graph::min_bisection(history, 150.0, rng);
+  Fingerprint f;
+  f.mix(split.side);
+  f.mix(split.cut_weight);
+  return f.value();
+}
+
+TEST(GroupingFingerprintTest, SetUpAndMaintenanceGroupingsAreUnchanged) {
+  const struct {
+    const char* name;
+    std::uint64_t got;
+    std::uint64_t want;
+  } cases[] = {
+      {"inigroup_272", inigroup_fingerprint(272, 110, 100'000, 34),
+       0xd6b37fd2f1160d20ULL},
+      {"inigroup_2713", inigroup_fingerprint(2713, 1100, 150'000, 46),
+       0xb437b5396518a2a5ULL},
+      {"regrouper_plan", regrouper_plan_fingerprint(), 0x601415d6ef96d994ULL},
+      {"min_bisection", bisection_fingerprint(), 0x72294e8a190a8f38ULL},
+      {"inigroup_torus", torus_inigroup_fingerprint(24), 0x27d64ced7118e4aaULL},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.got, c.want) << c.name << " fingerprint is 0x" << std::hex
+                             << c.got;
+  }
 }
 
 }  // namespace

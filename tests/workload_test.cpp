@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -695,6 +697,132 @@ TEST(SurgeTraceTest, MatchesReferenceForLvalueAndMovedBase) {
       EXPECT_EQ(moved_rng.state(), ref_rng.state());
     }
   }
+}
+
+}  // namespace
+}  // namespace lazyctrl::workload
+
+// --- build_intensity_graph against the per-flow builder it replaced ---
+namespace lazyctrl::workload {
+namespace {
+
+/// The first build_intensity_graph: every flow of the trace is tested
+/// against [from, to) and counted into a hash map per flow, and the map's
+/// iteration order is the graph's adjacency order.
+graph::WeightedGraph reference_intensity_graph(const Trace& trace,
+                                               const topo::Topology& topology,
+                                               SimTime from, SimTime to) {
+  graph::WeightedGraph g(topology.switch_count());
+  const double window_sec = to_seconds(to - from);
+  std::unordered_map<std::uint64_t, double> switch_pair_flows;
+  for (const Flow& f : trace.flows) {
+    if (f.start < from || f.start >= to) continue;
+    const std::uint32_t a = topology.host_info(f.src).attached_switch.value();
+    const std::uint32_t b = topology.host_info(f.dst).attached_switch.value();
+    if (a == b) continue;
+    const std::uint64_t key =
+        a < b ? (static_cast<std::uint64_t>(b) << 32) | a
+              : (static_cast<std::uint64_t>(a) << 32) | b;
+    switch_pair_flows[key] += 1.0;
+  }
+  for (const auto& [key, flows] : switch_pair_flows) {
+    g.add_edge(static_cast<graph::VertexId>(key & 0xFFFFFFFF),
+               static_cast<graph::VertexId>(key >> 32), flows / window_sec);
+  }
+  return g;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Builds the window's graph both ways and compares them bit for bit:
+/// every adjacency entry in order, the edge count and the total weight.
+void expect_matches_reference(const Trace& trace,
+                              const topo::Topology& topology, SimTime from,
+                              SimTime to) {
+  SCOPED_TRACE(testing::Message() << "window [" << from << ", " << to << ")");
+  const graph::WeightedGraph got =
+      build_intensity_graph(trace, topology, from, to);
+  const graph::WeightedGraph want =
+      reference_intensity_graph(trace, topology, from, to);
+  ASSERT_EQ(got.vertex_count(), want.vertex_count());
+  EXPECT_EQ(got.edge_count(), want.edge_count());
+  EXPECT_EQ(bits(got.total_edge_weight()), bits(want.total_edge_weight()));
+  for (graph::VertexId v = 0; v < want.vertex_count(); ++v) {
+    const auto g = got.neighbors(v);
+    const auto w = want.neighbors(v);
+    ASSERT_EQ(g.size(), w.size()) << "vertex " << v;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      ASSERT_EQ(g[i].vertex, w[i].vertex) << "vertex " << v << " entry " << i;
+      ASSERT_EQ(bits(g[i].weight), bits(w[i].weight))
+          << "vertex " << v << " entry " << i;
+    }
+  }
+}
+
+TEST(IntensityGraphTest, MatchesPerFlowHashMapReference) {
+  // Seeded traces, over windows whose bounds fall on flow starts.
+  for (std::uint64_t seed : {1, 2}) {
+    const topo::Topology topology = small_topology(seed);
+    for (const Trace& t : {golden_real_like(seed), golden_drifting(seed)}) {
+      ASSERT_GT(t.flow_count(), 100u);
+      const std::size_t n = t.flow_count();
+      expect_matches_reference(t, topology, 0, t.horizon);
+      expect_matches_reference(t, topology, 0, kHour);
+      expect_matches_reference(t, topology, 7 * kHour, 13 * kHour);
+      expect_matches_reference(t, topology, t.flows[n / 4].start,
+                               t.flows[3 * n / 4].start);
+      expect_matches_reference(t, topology, t.flows[n / 3].start,
+                               t.flows[n / 3].start + 1);
+      expect_matches_reference(t, topology, t.flows.back().start,
+                               t.flows.back().start + kSecond);
+      expect_matches_reference(t, topology, t.horizon, t.horizon + kHour);
+    }
+  }
+
+  // Hand-made: two hosts on each of four switches, flows one tick either
+  // side of and exactly at each bound, and same-switch flows.
+  topo::Topology topology;
+  std::vector<HostId> host;
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    const SwitchId sw = topology.add_switch();
+    host.push_back(topology.add_host(TenantId{0}, sw));
+    host.push_back(topology.add_host(TenantId{0}, sw));
+  }
+  const SimTime from = 10 * kSecond, to = 20 * kSecond;
+  Trace t;
+  t.horizon = 30 * kSecond;
+  const auto add = [&](std::size_t src, std::size_t dst, SimTime start) {
+    Flow f;
+    f.src = host[src];
+    f.dst = host[dst];
+    f.start = start;
+    t.flows.push_back(f);
+  };
+  add(0, 2, from - 1);
+  add(2, 4, from);
+  add(5, 3, from);
+  add(0, 1, from);  // same switch
+  add(6, 0, from + kSecond);
+  add(1, 7, 15 * kSecond);
+  add(4, 5, 15 * kSecond);  // same switch
+  add(3, 6, to - 1);
+  add(4, 2, to - 1);
+  add(7, 1, to);
+  add(1, 6, to);
+  add(0, 4, to + 1);
+  finalize_trace(t);
+  expect_matches_reference(t, topology, from, to);
+  expect_matches_reference(t, topology, from - 1, to + 1);
+  expect_matches_reference(t, topology, from + 1, to - 1);
+  expect_matches_reference(t, topology, from, from + 1);
+  expect_matches_reference(t, topology, to - 1, to);
+  expect_matches_reference(t, topology, 16 * kSecond, 17 * kSecond);  // empty
+  expect_matches_reference(t, topology, 0, t.horizon);
+  expect_matches_reference(t, topology, t.horizon, 2 * t.horizon);
+  const graph::WeightedGraph g = build_intensity_graph(t, topology, from, to);
+  // Switch pairs {1,2} x3, {0,3} x2 and {1,3} x1; same-switch flows none.
+  EXPECT_EQ(g.edge_count(), 3u);
+  EXPECT_DOUBLE_EQ(g.total_edge_weight(), 6.0 / 10.0);
 }
 
 }  // namespace
