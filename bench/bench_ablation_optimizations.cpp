@@ -48,7 +48,7 @@ int body(benchx::BenchReport& report) {
     core::Config cfg;
     cfg.mode = core::ControlMode::kLazyCtrl;
     cfg.grouping.group_size_limit = 46;
-    cfg.grouping.dynamic_regrouping = true;
+    cfg.dgm.mode = core::DgmMode::kControllerLoad;
     cfg.grouping.transition_window = 30 * kSecond;  // visible windows
 
     cfg.grouping.preload_on_update = true;
@@ -85,7 +85,7 @@ int body(benchx::BenchReport& report) {
     core::Config cfg;
     cfg.mode = core::ControlMode::kLazyCtrl;
     cfg.grouping.group_size_limit = 46;
-    cfg.grouping.dynamic_regrouping = false;
+    cfg.dgm.mode = core::DgmMode::kOff;
 
     cfg.grouping.host_exclusion_tenant_threshold = 0;
     const RunResult off = run(topo, real, history, cfg);

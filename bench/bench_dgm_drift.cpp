@@ -37,7 +37,7 @@ core::Config base_config() {
   // 96 switches / 6 communities with some slack above the ideal 16, so the
   // regrouper can use cheap single-switch moves, not only merge-and-splits.
   cfg.grouping.group_size_limit = 18;
-  cfg.grouping.dynamic_regrouping = false;
+  cfg.dgm.mode = core::DgmMode::kOff;
   return cfg;
 }
 
@@ -103,7 +103,7 @@ int body(benchx::BenchReport& report) {
   }
   {
     core::Config cfg = base_config();
-    cfg.grouping.dynamic_regrouping = true;
+    cfg.dgm.mode = core::DgmMode::kControllerLoad;
     all.push_back(run(topo, trace, cfg, "legacy IncUpdate"));
   }
   {

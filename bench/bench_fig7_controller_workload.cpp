@@ -28,7 +28,8 @@ Series run(const topo::Topology& topo, const workload::Trace& trace,
   core::Config cfg;
   cfg.mode = mode;
   cfg.grouping.group_size_limit = 46;
-  cfg.grouping.dynamic_regrouping = dynamic;
+  cfg.dgm.mode =
+      dynamic ? core::DgmMode::kControllerLoad : core::DgmMode::kOff;
   core::Network net(topo, cfg);
   // Initial grouping from the first-hour traffic (as in the paper §V-D).
   net.bootstrap(workload::build_intensity_graph(trace, topo, 0, kHour));

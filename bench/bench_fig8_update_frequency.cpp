@@ -20,7 +20,7 @@ std::vector<double> run_updates(const topo::Topology& topo,
   core::Config cfg;
   cfg.mode = core::ControlMode::kLazyCtrl;
   cfg.grouping.group_size_limit = 46;
-  cfg.grouping.dynamic_regrouping = true;
+  cfg.dgm.mode = core::DgmMode::kControllerLoad;
   core::Network net(topo, cfg);
   net.bootstrap(workload::build_intensity_graph(trace, topo, 0, kHour));
   net.replay(trace);

@@ -35,7 +35,7 @@ int body(benchx::BenchReport& report) {
     core::Config cfg;
     cfg.mode = core::ControlMode::kLazyCtrl;
     cfg.grouping.group_size_limit = limit;
-    cfg.grouping.dynamic_regrouping = false;
+    cfg.dgm.mode = core::DgmMode::kOff;
     core::Network net(topo, cfg);
     net.bootstrap(history);
     net.replay(trace);

@@ -29,7 +29,7 @@ int main() {
   core::Config cfg;
   cfg.mode = core::ControlMode::kLazyCtrl;
   cfg.grouping.group_size_limit = 46;
-  cfg.grouping.dynamic_regrouping = true;
+  cfg.dgm.mode = core::DgmMode::kControllerLoad;
 
   core::Network net(topo, cfg);
   net.bootstrap(workload::build_intensity_graph(trace, topo, 0, kHour));

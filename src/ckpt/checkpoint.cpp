@@ -594,7 +594,6 @@ struct StateAccess::Walk {
     if (!present || !io.ok()) return;
     dgm::Maintainer& m = *net.dgm_;
     io.u64(m.rng_);
-    io.i64(m.last_applied_at_);
     io.f64(m.detector_.baseline_fraction_);
     io.i64(m.detector_.last_regroup_at_);
     io.u64(m.stats_.rounds);

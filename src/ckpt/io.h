@@ -33,7 +33,7 @@ constexpr std::uint32_t kMagic = 0x4B435A4CU;
 /// Bumped on any incompatible layout change; readers reject other
 /// versions outright (no cross-version migration — snapshots are
 /// build-local artifacts, see docs/SCENARIOS.md "Checkpoint & resume").
-constexpr std::uint32_t kFormatVersion = 5;
+constexpr std::uint32_t kFormatVersion = 6;
 
 /// Section tag from a 4-character literal, e.g. fourcc("SIMU").
 constexpr std::uint32_t fourcc(const char (&tag)[5]) noexcept {

@@ -67,12 +67,9 @@ struct ControllerConfig {
 struct GroupingConfig {
   /// Hard cap on switches per local control group.
   std::size_t group_size_limit = 46;
-  /// Adapt grouping at runtime (IncUpdate); false = static initial grouping.
-  bool dynamic_regrouping = true;
-  /// Trigger: accumulated controller-workload growth since the last update.
+  /// IncUpdate trigger (dgm.mode = controller_load): accumulated
+  /// controller-workload growth since the last update.
   double workload_growth_trigger = 0.30;
-  /// Minimum interval between grouping updates (anti-oscillation).
-  SimDuration min_update_interval = 2 * kMinute;
   /// Window over which workload/traffic statistics are accumulated.
   SimDuration stats_window = 1 * kMinute;
   /// EWMA decay for the recent intensity estimate: each closed window
@@ -80,9 +77,6 @@ struct GroupingConfig {
   /// stats_window / (1 - decay). Smooths out scaled-trace noise so
   /// IncUpdate follows traffic structure rather than per-window jitter.
   double intensity_ewma_decay = 0.85;
-  /// IncUpdate is skipped when the recent intensity estimate carries fewer
-  /// flows than this — regrouping on no evidence only churns state.
-  double min_update_flow_evidence = 200.0;
   /// Max merge-split iterations per IncUpdate invocation.
   int max_incupdate_iterations = 4;
   /// Appendix B: process several disjoint group pairs per iteration.
@@ -99,17 +93,21 @@ struct GroupingConfig {
   bool operator==(const GroupingConfig&) const = default;
 };
 
-/// Dynamic Group Maintenance (the src/dgm subsystem): keeps switch groups
-/// tracking traffic drift online, without rerunning the full multilevel
-/// partitioner on the hot path.
+/// The regroup policy after IniGroup. kControllerLoad is the paper's
+/// IncUpdate (§III-C2); the two maintenance modes run Dynamic Group
+/// Maintenance (the src/dgm subsystem), which keeps switch groups tracking
+/// traffic drift online without rerunning the full multilevel partitioner
+/// on the hot path.
 enum class DgmMode {
-  kOff,             ///< groups frozen after IniGroup (or legacy IncUpdate)
-  kPeriodic,        ///< regroup attempt every `maintenance_period`
-  kDriftTriggered,  ///< regroup only when the drift detector fires
+  kOff,             ///< groups frozen after IniGroup
+  kControllerLoad,  ///< IncUpdate when a stats window's controller workload
+                    ///< grew past `workload_growth_trigger`
+  kPeriodic,        ///< DGM regroup attempt every `maintenance_period`
+  kDriftTriggered,  ///< DGM regroup only when the drift detector fires
 };
 
 struct DgmConfig {
-  DgmMode mode = DgmMode::kOff;
+  DgmMode mode = DgmMode::kControllerLoad;
   /// Cadence of maintenance rounds. In kDriftTriggered mode this is how
   /// often the drift detector is evaluated; regrouping itself only happens
   /// on a triggered verdict.
@@ -126,10 +124,12 @@ struct DgmConfig {
   /// Group-size skew trigger: (max - min group size) / group_size_limit
   /// above this fires. Skewed groups concentrate designated-switch load.
   double size_skew_limit = 0.75;
-  /// Rounds are skipped while the decayed intensity estimate carries fewer
-  /// flows than this — regrouping on no evidence only churns state.
+  /// Regrouping (IncUpdate or a DGM round) is skipped while the decayed
+  /// intensity estimate carries fewer flows than this — regrouping on no
+  /// evidence only churns state.
   double min_flow_evidence = 200.0;
-  /// Minimum time between applied plans (anti-oscillation).
+  /// Anti-oscillation spacing: the minimum time between applied DGM plans,
+  /// or between IncUpdate attempts.
   SimDuration cooldown = 2 * kMinute;
   /// Migration-cost bounds per maintenance round.
   std::size_t max_moves_per_round = 8;
@@ -207,7 +207,7 @@ struct Config {
   ControllerConfig controller;
   /// LCG sizing, IncUpdate triggers and transition handling.
   GroupingConfig grouping;
-  /// Dynamic Group Maintenance (off unless dgm.mode is set).
+  /// The regroup policy (IncUpdate by default) and its DGM knobs.
   DgmConfig dgm;
   /// G-FIB Bloom-filter geometry and mis-forward reporting.
   FibConfig fib;

@@ -69,10 +69,7 @@ std::uint64_t CentralController::roll_window(SimTime /*now*/) {
 }
 
 bool CentralController::should_regroup(SimTime now) const {
-  if (!config_.grouping.dynamic_regrouping) return false;
-  if (now - last_update_at_ < config_.grouping.min_update_interval) {
-    return false;
-  }
+  if (now - last_update_at_ < config_.dgm.cooldown) return false;
   if (baseline_window_requests_ < 0) return false;
   // Accumulated growth of >= trigger (default 30%) since the last update.
   const double floor = std::max(baseline_window_requests_, 1.0);

@@ -115,12 +115,14 @@ class CentralController {
   /// Closes the current stats window at `now`; returns requests in it.
   std::uint64_t roll_window(SimTime now);
 
-  /// True when the accumulated workload growth since the last grouping
-  /// update exceeds the trigger and the minimum interval has elapsed.
+  /// IncUpdate's trigger (dgm.mode = controller_load): true when the
+  /// accumulated workload growth since the last grouping update exceeds
+  /// the trigger and `dgm.cooldown` has elapsed since it.
   [[nodiscard]] bool should_regroup(SimTime now) const;
 
-  /// Records that a grouping update happened; resets the growth baseline
-  /// to the most recent window's workload.
+  /// Records a grouping update (an IncUpdate attempt or an applied DGM
+  /// plan): restarts the cooldown and resets the growth baseline to the
+  /// most recent window's workload.
   void note_regrouped(SimTime now);
 
   [[nodiscard]] double baseline_window_requests() const noexcept {

@@ -91,7 +91,8 @@ Network::Network(topo::Topology topology, Config config)
                                  config_.grouping.intensity_ewma_decay,
                                  1e-3});
   if (config_.mode == ControlMode::kLazyCtrl &&
-      config_.dgm.mode != DgmMode::kOff) {
+      (config_.dgm.mode == DgmMode::kPeriodic ||
+       config_.dgm.mode == DgmMode::kDriftTriggered)) {
     dgm_ = std::make_unique<dgm::Maintainer>(
         config_.dgm, config_.grouping.group_size_limit,
         static_cast<dgm::GroupingHost&>(*this), config_.seed);
@@ -745,41 +746,44 @@ void Network::roll_stats_window() {
   // regrouping reacts to persistent shifts.
   traffic_monitor_->roll_window();
 
-  if (config_.mode != ControlMode::kLazyCtrl) return;
-  if (dgm_) return;  // DGM owns regrouping; legacy IncUpdate stands down
-  if (traffic_monitor_->flow_mass() <
-      config_.grouping.min_update_flow_evidence) {
-    return;
+  if (config_.mode == ControlMode::kLazyCtrl &&
+      config_.dgm.mode == DgmMode::kControllerLoad) {
+    run_incupdate(/*forced=*/false);
   }
-  if (!controller_.should_regroup(now)) return;
-  run_legacy_incupdate();
 }
 
-bool Network::run_legacy_incupdate() {
+bool Network::run_incupdate(bool forced) {
   const SimTime now = simulator_.now();
+  if (traffic_monitor_->flow_mass() < config_.dgm.min_flow_evidence) {
+    return false;
+  }
+  if (!forced && !controller_.should_regroup(now)) return false;
   Grouping grouping = controller_.grouping();  // copy for in-place update
   const Sgi::UpdateResult result = sgi_.incremental_update(
       grouping, traffic_monitor_->intensity_graph(), rng_);
-  controller_.note_regrouped(now);
-  if (result.touched_groups.empty()) return false;  // no profitable move
-
+  if (result.touched_groups.empty()) {
+    // No profitable move; the attempt still restarts the growth baseline.
+    controller_.note_regrouped(now);
+    return false;
+  }
   LOG_DEBUG("grouping update at t=" << to_seconds(now)
                                     << "s, Winter " << result.inter_group_before
                                     << " -> " << result.inter_group_after);
-  apply_grouping(std::move(grouping), /*initial=*/false);
-  ++metrics_->grouping_update_count;
-  metrics_->grouping_updates.add_event(now);
+  commit_grouping(std::move(grouping), result.touched_groups);
   return true;
 }
 
 void Network::commit_grouping(Grouping grouping,
                               const std::vector<GroupId>& /*touched*/) {
-  // Same staged semantics as a legacy IncUpdate apply: targeted G-FIB
-  // resync, preload + transition windows, failure-wheel rebuild. The
-  // planner's touched list is numbered against the pre-compact grouping,
-  // so apply_grouping derives the rebuild set itself (see network.h).
+  // Staged semantics: targeted G-FIB resync, preload + transition windows,
+  // failure-wheel rebuild. The planner's touched list is numbered against
+  // the pre-compact grouping, so apply_grouping derives the rebuild set
+  // itself (see network.h).
+  const SimTime now = simulator_.now();
   apply_grouping(std::move(grouping), /*initial=*/false);
-  controller_.note_regrouped(simulator_.now());
+  controller_.note_regrouped(now);
+  ++metrics_->grouping_update_count;
+  metrics_->grouping_updates.add_event(now);
 }
 
 bool Network::run_dgm_maintenance() {
@@ -796,8 +800,6 @@ bool Network::run_dgm_maintenance() {
   metrics_->dgm_group_merges += round.merges;
   metrics_->dgm_group_splits += round.splits;
   metrics_->dgm_flow_mods += round.flow_mods;
-  ++metrics_->grouping_update_count;
-  metrics_->grouping_updates.add_event(round.at);
   return true;
 }
 
@@ -1035,11 +1037,7 @@ bool Network::force_regroup() {
     return false;
   }
   if (dgm_) return run_dgm_maintenance();
-  if (traffic_monitor_->flow_mass() <
-      config_.grouping.min_update_flow_evidence) {
-    return false;
-  }
-  return run_legacy_incupdate();
+  return run_incupdate(/*forced=*/true);
 }
 
 void Network::begin_replay(const workload::Trace& trace) {

@@ -189,7 +189,7 @@ class Network : private dgm::GroupingHost {
     return runtime_obs_;
   }
 
-  // --- dynamic group maintenance (active when config.dgm.mode != kOff) ---
+  // --- dynamic group maintenance (dgm.mode periodic or drift_triggered) ---
   /// Runs one DGM maintenance round now. Normally driven by the periodic
   /// event `replay` schedules; exposed so tests and benches can step it.
   /// Returns true when a migration plan was applied.
@@ -268,10 +268,10 @@ class Network : private dgm::GroupingHost {
   [[nodiscard]] std::size_t failover_event_count() const;
 
   /// Forces a regrouping attempt now, bypassing the periodic cadence: a
-  /// DGM maintenance round when DGM is on, otherwise a legacy IncUpdate
-  /// renegotiation on the current intensity estimate (ignoring the
-  /// workload-growth trigger but honouring the evidence floor). Returns
-  /// true when a plan was applied.
+  /// DGM maintenance round in the DGM modes, otherwise (controller_load
+  /// and off alike) an IncUpdate on the current intensity estimate that
+  /// skips the workload-growth trigger but keeps the evidence floor.
+  /// Returns true when a new grouping was committed.
   bool force_regroup();
 
   // --- failover (active when config.failover_enabled) ---
@@ -454,10 +454,10 @@ class Network : private dgm::GroupingHost {
   void select_designated(const std::vector<SwitchId>& members);
   void compute_excluded_hosts();
   void rebuild_failure_wheels();
-  /// Shared tail of the legacy IncUpdate path (roll_stats_window and
-  /// force_regroup): plans on the monitor's intensity estimate, applies
-  /// touched groups, accounts metrics. Caller gates evidence/cadence.
-  bool run_legacy_incupdate();
+  /// One IncUpdate round on the monitor's intensity estimate, above the
+  /// `dgm.min_flow_evidence` floor and, unless `forced`, only when the
+  /// controller's growth trigger fires. Returns true on a commit.
+  bool run_incupdate(bool forced);
   /// Resyncs the G-FIBs of every group containing a `changed` switch,
   /// marking those switches dirty (their host sets just changed).
   void resync_changed_members(const std::vector<SwitchId>& changed);
@@ -475,6 +475,9 @@ class Network : private dgm::GroupingHost {
   void state_report_tick();
 
   // dgm::GroupingHost (the seam the MigrationExecutor commits through).
+  // commit_grouping is also IncUpdate's commit: the one tail that applies
+  // a new grouping, restarts the controller's cooldown and counts the
+  // grouping update.
   [[nodiscard]] const Grouping& current_grouping() const override {
     return controller_.grouping();
   }
@@ -503,9 +506,10 @@ class Network : private dgm::GroupingHost {
   /// Switch-pair traffic: on_flow counts every cross-switch flow into its
   /// current window (the aggregate the state advertisements report), and
   /// each stats window folds into its decayed intensity estimate. Feeds
-  /// both the legacy IncUpdate trigger and the DGM maintainer.
+  /// both IncUpdate and the DGM maintainer.
   std::unique_ptr<dgm::TrafficMonitor> traffic_monitor_;
-  /// The DGM control loop (null unless config.dgm.mode != kOff).
+  /// The DGM control loop (null unless dgm.mode is periodic or
+  /// drift_triggered).
   std::unique_ptr<dgm::Maintainer> dgm_;
 
   struct PendingMigration {

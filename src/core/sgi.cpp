@@ -1,7 +1,6 @@
 #include "core/sgi.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <unordered_map>
 
@@ -66,11 +65,8 @@ Grouping Sgi::initial_grouping(const graph::WeightedGraph& w, Rng& rng) const {
   return grouping;
 }
 
-namespace {
-
-/// Inter-group weight per group pair, from the recent intensity graph.
-std::map<std::pair<std::uint32_t, std::uint32_t>, double> pair_weights(
-    const graph::WeightedGraph& w, const Grouping& g) {
+RankedGroupPairs ranked_group_pairs(const graph::WeightedGraph& w,
+                                    const Grouping& g) {
   std::map<std::pair<std::uint32_t, std::uint32_t>, double> weights;
   for (graph::VertexId u = 0; u < w.vertex_count(); ++u) {
     for (const graph::Neighbor& n : w.neighbors(u)) {
@@ -81,14 +77,23 @@ std::map<std::pair<std::uint32_t, std::uint32_t>, double> pair_weights(
       weights[{std::min(ga, gb), std::max(ga, gb)}] += n.weight;
     }
   }
-  return weights;
+  RankedGroupPairs ranked;
+  ranked.pairs.reserve(weights.size());
+  for (const auto& [pair, weight] : weights) {
+    ranked.pairs.push_back({pair.first, pair.second, weight});
+    ranked.total += weight;
+  }
+  std::stable_sort(ranked.pairs.begin(), ranked.pairs.end(),
+                   [](const GroupPair& x, const GroupPair& y) {
+                     return x.weight > y.weight;
+                   });
+  return ranked;
 }
 
-}  // namespace
-
-double Sgi::merge_and_split(Grouping& grouping, std::uint32_t a,
-                            std::uint32_t b, const graph::WeightedGraph& recent,
-                            Rng& rng) const {
+MergeSplit merge_and_split(Grouping& grouping, std::uint32_t a,
+                           std::uint32_t b, const graph::WeightedGraph& w,
+                           std::size_t size_limit, double min_gain_fraction,
+                           Rng& rng) {
   // Collect the union's vertices and index them densely.
   std::vector<graph::VertexId> vertices;
   for (graph::VertexId v = 0; v < grouping.switch_to_group.size(); ++v) {
@@ -96,7 +101,8 @@ double Sgi::merge_and_split(Grouping& grouping, std::uint32_t a,
       vertices.push_back(v);
     }
   }
-  if (vertices.size() < 2) return 0.0;
+  MergeSplit result;
+  if (vertices.size() < 2) return result;
 
   std::unordered_map<graph::VertexId, graph::VertexId> to_local;
   to_local.reserve(vertices.size());
@@ -106,36 +112,36 @@ double Sgi::merge_and_split(Grouping& grouping, std::uint32_t a,
 
   // Current cut between the two groups (within the union subgraph).
   graph::WeightedGraph sub(vertices.size());
-  double current_cut = 0;
   for (graph::VertexId v : vertices) {
-    for (const graph::Neighbor& n : recent.neighbors(v)) {
+    for (const graph::Neighbor& n : w.neighbors(v)) {
       auto it = to_local.find(n.vertex);
       if (it == to_local.end() || n.vertex <= v) continue;
       sub.add_unique_edge(to_local[v], it->second, n.weight);
       if (grouping.switch_to_group[v] != grouping.switch_to_group[n.vertex]) {
-        current_cut += n.weight;
+        result.cut_before += n.weight;
       }
     }
   }
+  result.cut_after = result.cut_before;
 
-  const auto limit = static_cast<double>(options_.group_size_limit);
-  graph::BisectionResult split = graph::min_bisection(sub, limit, rng);
-  const double required =
-      current_cut * (1.0 - options_.min_improvement_fraction);
-  if (split.cut_weight >= required - 1e-12) return 0.0;  // not significant
+  const auto limit = static_cast<double>(size_limit);
+  const graph::BisectionResult split = graph::min_bisection(sub, limit, rng);
+  const double required = result.cut_before * (1.0 - min_gain_fraction);
+  if (split.cut_weight >= required - 1e-12) return result;  // not significant
 
   // Verify feasibility: both sides within the size limit.
   double side_w[2] = {0, 0};
   for (graph::VertexId i = 0; i < vertices.size(); ++i) {
     side_w[split.side[i]] += sub.vertex_weight(i);
   }
-  if (side_w[0] > limit + 1e-9 || side_w[1] > limit + 1e-9) return 0.0;
+  if (side_w[0] > limit + 1e-9 || side_w[1] > limit + 1e-9) return result;
 
-  // Commit: side 0 keeps id `a`, side 1 becomes id `b`.
   for (graph::VertexId i = 0; i < vertices.size(); ++i) {
     grouping.switch_to_group[vertices[i]] = split.side[i] == 0 ? a : b;
   }
-  return current_cut - split.cut_weight;
+  result.committed = true;
+  result.cut_after = split.cut_weight;
+  return result;
 }
 
 Sgi::UpdateResult Sgi::incremental_update(Grouping& grouping,
@@ -147,43 +153,32 @@ Sgi::UpdateResult Sgi::incremental_update(Grouping& grouping,
   if (grouping.group_count < 2) return result;
 
   std::vector<bool> touched(grouping.group_count, false);
-
+  const int batch = options_.parallel ? options_.parallel_batch : 1;
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    auto weights = pair_weights(recent, grouping);
-    if (weights.empty()) break;
-
-    // Rank group pairs by inter-group weight, heaviest first.
-    std::vector<std::pair<double, std::pair<std::uint32_t, std::uint32_t>>>
-        ranked;
-    ranked.reserve(weights.size());
-    for (const auto& [pair, w] : weights) ranked.push_back({w, pair});
-    std::sort(ranked.begin(), ranked.end(),
-              [](const auto& x, const auto& y) { return x.first > y.first; });
+    const RankedGroupPairs ranked = ranked_group_pairs(recent, grouping);
+    if (ranked.pairs.empty()) break;
 
     // Work down the ranked list until `batch` successful merge/splits (the
     // heaviest pair is not always improvable — its cut can be inherent).
     // Disjointness keeps batched pairs independent (appendix B).
-    const int batch = options_.parallel ? options_.parallel_batch : 1;
-    const int max_attempts = 4 * batch;
     std::vector<bool> used(grouping.group_count, false);
-    double improvement = 0;
     int successes = 0;
     int attempts = 0;
-    for (const auto& [w, pair] : ranked) {
-      if (successes >= batch || attempts >= max_attempts) break;
-      if (used[pair.first] || used[pair.second]) continue;
-      used[pair.first] = used[pair.second] = true;
+    for (const GroupPair& pair : ranked.pairs) {
+      if (successes >= batch || attempts >= 4 * batch) break;
+      if (used[pair.a] || used[pair.b]) continue;
+      used[pair.a] = used[pair.b] = true;
       ++attempts;
-      const double delta =
-          merge_and_split(grouping, pair.first, pair.second, recent, rng);
-      if (delta > 0) {
-        touched[pair.first] = touched[pair.second] = true;
-        improvement += delta;
+      if (merge_and_split(grouping, pair.a, pair.b, recent,
+                          options_.group_size_limit,
+                          options_.min_improvement_fraction, rng)
+              .committed) {
+        touched[pair.a] = touched[pair.b] = true;
         ++successes;
       }
     }
     ++result.iterations;
-    if (improvement <= 0) break;  // controller load can no longer be reduced
+    if (successes == 0) break;  // controller load can no longer be reduced
   }
 
   result.inter_group_after = inter_group_intensity(recent, grouping);

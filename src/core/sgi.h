@@ -7,7 +7,8 @@
 //  * IncUpdate — while the controller is overloaded, repeatedly finds the
 //    two groups with the most significant (recent) mutual traffic, merges
 //    them and re-splits with a minimum bisection so both halves respect the
-//    size limit.
+//    size limit. Its pair ranking and operator are free functions, which
+//    DGM's incremental regrouper (src/dgm) calls too.
 #pragma once
 
 #include <cstddef>
@@ -53,6 +54,43 @@ struct SgiOptions {
 [[nodiscard]] double inter_group_intensity(const graph::WeightedGraph& w,
                                            const Grouping& g);
 
+/// Two groups (a < b) that exchange traffic, and the weight between them.
+struct GroupPair {
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
+  double weight = 0;
+};
+
+struct RankedGroupPairs {
+  /// Every group pair joined by an edge, heaviest first; equal weights
+  /// keep (a, b) order.
+  std::vector<GroupPair> pairs;
+  /// Sum of the weights, added in (a, b) order (not ranked order, whose
+  /// rounding differs).
+  double total = 0;
+};
+
+/// Inter-group weight per group pair of `g` on `w`, ranked.
+[[nodiscard]] RankedGroupPairs ranked_group_pairs(const graph::WeightedGraph& w,
+                                                  const Grouping& g);
+
+struct MergeSplit {
+  bool committed = false;
+  double cut_before = 0;  ///< weight between the two groups before...
+  double cut_after = 0;   ///< ...and after (== cut_before unless committed)
+};
+
+/// IncUpdate's operator (§III-C2): merges groups a and b and min-bisects
+/// the union under `size_limit`. Commits (side 0 keeps id a, side 1 takes
+/// id b) only when the new cut is below cut_before x (1 -
+/// `min_gain_fraction`) — a marginal gain on a sampled estimate is usually
+/// noise — and both halves fit the limit. Draws from `rng` once, in the
+/// bisection, unless the union has fewer than two switches.
+MergeSplit merge_and_split(Grouping& grouping, std::uint32_t a,
+                           std::uint32_t b, const graph::WeightedGraph& w,
+                           std::size_t size_limit, double min_gain_fraction,
+                           Rng& rng);
+
 class Sgi {
  public:
   explicit Sgi(SgiOptions options) : options_(options) {}
@@ -79,11 +117,6 @@ class Sgi {
   [[nodiscard]] const SgiOptions& options() const noexcept { return options_; }
 
  private:
-  /// Merges groups a and b then min-bisects the union; commits only if the
-  /// new cut between the two halves is smaller. Returns improvement (>= 0).
-  double merge_and_split(Grouping& grouping, std::uint32_t a, std::uint32_t b,
-                         const graph::WeightedGraph& recent, Rng& rng) const;
-
   SgiOptions options_;
 };
 

@@ -43,9 +43,7 @@ DriftVerdict DriftDetector::evaluate(const TrafficMonitor& monitor,
 
   if (grouping.group_count < 2) return v;  // nothing to regroup
   if (v.evidence < config_.min_flow_evidence) return v;
-  if (last_regroup_at_ >= 0 && now - last_regroup_at_ < config_.cooldown) {
-    return v;
-  }
+  if (!cooled_down(now)) return v;
 
   if (v.inter_fraction > config_.inter_fraction_limit) {
     v.kind = DriftKind::kInterGroupAbsolute;

@@ -64,6 +64,12 @@ class DriftDetector {
   /// degradation baseline and the cooldown restarts.
   void note_regrouped(double achieved_inter_fraction, SimTime now);
 
+  /// True once `cooldown` has passed since the last applied plan (or none
+  /// was ever applied): the DGM cooldown clock, in every mode.
+  [[nodiscard]] bool cooled_down(SimTime now) const noexcept {
+    return last_regroup_at_ < 0 || now - last_regroup_at_ >= config_.cooldown;
+  }
+
   [[nodiscard]] double baseline_fraction() const noexcept {
     return baseline_fraction_;
   }

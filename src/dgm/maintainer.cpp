@@ -53,11 +53,9 @@ MaintenanceRound Maintainer::maintenance_round(const TrafficMonitor& monitor,
   // Periodic mode bypasses the detector's verdict but not its
   // anti-oscillation contract: the cooldown bounds applied-plan spacing in
   // every mode.
-  const bool cooled_down =
-      last_applied_at_ < 0 || now - last_applied_at_ >= config_.cooldown;
   const bool should_plan =
       config_.mode == core::DgmMode::kPeriodic
-          ? evidence_ok && cooled_down
+          ? evidence_ok && detector_.cooled_down(now)
           : round.verdict.triggered();
   if (!should_plan) {
     stats_.history.push_back(round);
@@ -80,7 +78,6 @@ MaintenanceRound Maintainer::maintenance_round(const TrafficMonitor& monitor,
       round.inter_after =
           monitor.split(host_->current_grouping()).inter_fraction();
       detector_.note_regrouped(round.inter_after, now);
-      last_applied_at_ = now;
       obs::trace_instant(obs::TraceEventType::kDgmPlanApply, now, round.moves,
                          round.flow_mods);
 

@@ -72,7 +72,7 @@ class Maintainer {
 
  private:
   /// Snapshot codec (src/ckpt): restores the rng stream position, the
-  /// round history/stats, the cooldown clock and the detector baseline.
+  /// round history/stats and the detector's baseline and cooldown clock.
   friend class lazyctrl::ckpt::StateAccess;
 
   core::DgmConfig config_;
@@ -83,9 +83,6 @@ class Maintainer {
   MigrationExecutor executor_;
   Rng rng_;
   MaintainerStats stats_;
-  /// When the last plan was applied (-1 = never); enforces the cooldown in
-  /// kPeriodic mode, where the detector's verdict is not consulted.
-  SimTime last_applied_at_ = -1;
 };
 
 }  // namespace lazyctrl::dgm

@@ -6,8 +6,8 @@
 // every member gets a preloaded temporary rule and a fresh G-FIB, and the
 // controller rewrites one SGI record — and commits through the
 // GroupingHost seam. The host (core::Network) performs the actual staged
-// LFIB/GFIB rebuilds, transition windows and failure-wheel resync with the
-// exact semantics of a legacy IncUpdate apply, so forwarding stays correct
+// LFIB/GFIB rebuilds, transition windows and failure-wheel resync through
+// the same commit as an IncUpdate, so forwarding stays correct
 // mid-migration.
 #pragma once
 

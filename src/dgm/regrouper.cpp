@@ -1,11 +1,7 @@
 #include "dgm/regrouper.h"
 
-#include <algorithm>
-#include <map>
-#include <unordered_map>
 #include <utility>
 
-#include "graph/bisection.h"
 #include "graph/fm_refinement.h"
 #include "graph/partition.h"
 
@@ -13,40 +9,10 @@ namespace lazyctrl::dgm {
 
 namespace {
 
-using GroupPair = std::pair<std::uint32_t, std::uint32_t>;
-
-/// Inter-group weight per group pair (ordered map for determinism).
-std::map<GroupPair, double> group_pair_weights(
-    const graph::WeightedGraph& w, const core::Grouping& g) {
-  std::map<GroupPair, double> weights;
-  for (graph::VertexId u = 0; u < w.vertex_count(); ++u) {
-    for (const graph::Neighbor& n : w.neighbors(u)) {
-      if (n.vertex <= u) continue;
-      const std::uint32_t ga = g.switch_to_group[u];
-      const std::uint32_t gb = g.switch_to_group[n.vertex];
-      if (ga == gb) continue;
-      weights[{std::min(ga, gb), std::max(ga, gb)}] += n.weight;
-    }
-  }
-  return weights;
-}
-
 std::vector<std::size_t> group_sizes(const core::Grouping& g) {
   std::vector<std::size_t> sizes(g.group_count, 0);
   for (std::uint32_t x : g.switch_to_group) ++sizes[x];
   return sizes;
-}
-
-/// Ranked (weight, pair) list, heaviest first; deterministic order.
-std::vector<std::pair<double, GroupPair>> ranked_pairs(
-    const std::map<GroupPair, double>& weights) {
-  std::vector<std::pair<double, GroupPair>> ranked;
-  ranked.reserve(weights.size());
-  for (const auto& [pair, w] : weights) ranked.push_back({w, pair});
-  std::stable_sort(
-      ranked.begin(), ranked.end(),
-      [](const auto& x, const auto& y) { return x.first > y.first; });
-  return ranked;
 }
 
 }  // namespace
@@ -96,27 +62,26 @@ MigrationPlan IncrementalRegrouper::plan(const core::Grouping& current,
   // --- Phase 2: merges of under-full groups with significant mutual
   // traffic (zero-cut absorption). ---
   {
-    auto weights = group_pair_weights(intensity, work);
-    double inter_total = 0;
-    for (const auto& [pair, w] : weights) inter_total += w;
-    const double merge_floor = options_.min_gain_fraction * inter_total;
+    const core::RankedGroupPairs ranked =
+        core::ranked_group_pairs(intensity, work);
+    const double merge_floor = options_.min_gain_fraction * ranked.total;
     auto sizes = group_sizes(work);
     std::size_t merges = 0;
-    for (const auto& [w, pair] : ranked_pairs(weights)) {
+    for (const core::GroupPair& pair : ranked.pairs) {
       if (merges >= options_.max_merges) break;
-      if (w < merge_floor || w <= 0) break;  // ranked: the rest is lighter
-      if (used[pair.first] || used[pair.second]) continue;
-      if (static_cast<double>(sizes[pair.first] + sizes[pair.second]) >
-          limit) {
+      // Ranked: the rest is lighter.
+      if (pair.weight < merge_floor || pair.weight <= 0) break;
+      if (used[pair.a] || used[pair.b]) continue;
+      if (static_cast<double>(sizes[pair.a] + sizes[pair.b]) > limit) {
         continue;
       }
       for (std::uint32_t& g : work.switch_to_group) {
-        if (g == pair.second) g = pair.first;
+        if (g == pair.b) g = pair.a;
       }
-      sizes[pair.first] += sizes[pair.second];
-      sizes[pair.second] = 0;
-      used[pair.first] = used[pair.second] = true;
-      plan.merges.push_back({GroupId{pair.first}, GroupId{pair.second}, w});
+      sizes[pair.a] += sizes[pair.b];
+      sizes[pair.b] = 0;
+      used[pair.a] = used[pair.b] = true;
+      plan.merges.push_back({GroupId{pair.a}, GroupId{pair.b}, pair.weight});
       ++merges;
     }
   }
@@ -124,64 +89,25 @@ MigrationPlan IncrementalRegrouper::plan(const core::Grouping& current,
   // --- Phase 3: merge-and-split of heavy pairs too big to merge (SGI
   // IncUpdate's operator, §III-C2). ---
   {
-    const auto weights = group_pair_weights(intensity, work);
     const auto sizes = group_sizes(work);
     std::size_t splits = 0, attempts = 0;
     const std::size_t max_attempts = 4 * options_.max_splits;
-    for (const auto& [w, pair] : ranked_pairs(weights)) {
+    for (const core::GroupPair& pair :
+         core::ranked_group_pairs(intensity, work).pairs) {
       if (splits >= options_.max_splits || attempts >= max_attempts) break;
-      if (w <= 0) break;
-      if (used[pair.first] || used[pair.second]) continue;
-      if (static_cast<double>(sizes[pair.first] + sizes[pair.second]) <=
-          limit) {
+      if (pair.weight <= 0) break;
+      if (used[pair.a] || used[pair.b]) continue;
+      if (static_cast<double>(sizes[pair.a] + sizes[pair.b]) <= limit) {
         continue;  // phase 2 already judged plain merges
       }
       ++attempts;
-
-      // Union subgraph with dense local ids.
-      std::vector<graph::VertexId> vertices;
-      for (graph::VertexId v = 0; v < work.switch_to_group.size(); ++v) {
-        if (work.switch_to_group[v] == pair.first ||
-            work.switch_to_group[v] == pair.second) {
-          vertices.push_back(v);
-        }
-      }
-      std::unordered_map<graph::VertexId, graph::VertexId> to_local;
-      to_local.reserve(vertices.size());
-      for (graph::VertexId i = 0; i < vertices.size(); ++i) {
-        to_local[vertices[i]] = i;
-      }
-      graph::WeightedGraph sub(vertices.size());
-      double cut_before = 0;
-      for (graph::VertexId v : vertices) {
-        for (const graph::Neighbor& n : intensity.neighbors(v)) {
-          auto it = to_local.find(n.vertex);
-          if (it == to_local.end() || n.vertex <= v) continue;
-          sub.add_unique_edge(to_local[v], it->second, n.weight);
-          if (work.switch_to_group[v] != work.switch_to_group[n.vertex]) {
-            cut_before += n.weight;
-          }
-        }
-      }
-
-      const graph::BisectionResult split =
-          graph::min_bisection(sub, limit, rng);
-      const double required =
-          cut_before * (1.0 - options_.min_gain_fraction);
-      if (split.cut_weight >= required - 1e-12) continue;
-      double side_w[2] = {0, 0};
-      for (graph::VertexId i = 0; i < vertices.size(); ++i) {
-        side_w[split.side[i]] += sub.vertex_weight(i);
-      }
-      if (side_w[0] > limit + 1e-9 || side_w[1] > limit + 1e-9) continue;
-
-      for (graph::VertexId i = 0; i < vertices.size(); ++i) {
-        work.switch_to_group[vertices[i]] =
-            split.side[i] == 0 ? pair.first : pair.second;
-      }
-      used[pair.first] = used[pair.second] = true;
-      plan.splits.push_back({GroupId{pair.first}, GroupId{pair.second},
-                             cut_before, split.cut_weight});
+      const core::MergeSplit split = core::merge_and_split(
+          work, pair.a, pair.b, intensity, options_.group_size_limit,
+          options_.min_gain_fraction, rng);
+      if (!split.committed) continue;
+      used[pair.a] = used[pair.b] = true;
+      plan.splits.push_back({GroupId{pair.a}, GroupId{pair.b},
+                             split.cut_before, split.cut_after});
       ++splits;
     }
   }

@@ -11,8 +11,10 @@
 //   2. group merges — two under-full groups with significant mutual traffic
 //      and combined size within the limit become one;
 //   3. merge-and-splits — a heavy inter-group pair too big to merge is
-//      unioned and re-cut with a minimum bisection (SGI IncUpdate's core
-//      operator, §III-C2).
+//      unioned and re-cut with a minimum bisection (core::merge_and_split,
+//      SGI IncUpdate's operator, §III-C2).
+//
+// Phases 2 and 3 walk core::ranked_group_pairs, the ranking IncUpdate uses.
 //
 // The output is a MigrationPlan: before/after groupings, the action list,
 // and the touched groups whose G-FIBs must be resynced. The plan is pure

@@ -88,19 +88,24 @@ ScenarioSpec generate_scenario(std::uint64_t seed, const FuzzOptions& opt) {
   s.config.failover_enabled = lazy && rng.next_bool(0.8);
   s.config.grouping.group_size_limit =
       static_cast<std::size_t>(rng.next_between(4, 12));
-  s.config.grouping.dynamic_regrouping = rng.next_bool(0.75);
+  // The regroup policy comes from two draws, as when IncUpdate had its own
+  // flag beside dgm.mode: load-triggered IncUpdate here, and a DGM mode
+  // below that overrides it, so every seed keeps its RNG stream.
+  s.config.dgm.mode = rng.next_bool(0.75) ? core::DgmMode::kControllerLoad
+                                          : core::DgmMode::kOff;
   s.config.grouping.stats_window =
       pick(rng, {30 * kSecond, 1 * kMinute, 2 * kMinute});
-  s.config.grouping.min_update_flow_evidence = pick(rng, {50.0, 200.0});
+  s.config.dgm.min_flow_evidence = pick(rng, {50.0, 200.0});
   s.config.grouping.preload_on_update = rng.next_bool(0.5);
   s.config.grouping.transition_window =
       pick(rng, {100 * kMillisecond, 200 * kMillisecond, 1 * kSecond});
   s.config.grouping.host_exclusion_tenant_threshold =
       rng.next_bool(0.25) ? 3 : 0;
   if (lazy) {
-    s.config.dgm.mode =
+    const core::DgmMode maintenance =
         pick(rng, {core::DgmMode::kOff, core::DgmMode::kOff,
                    core::DgmMode::kPeriodic, core::DgmMode::kDriftTriggered});
+    if (maintenance != core::DgmMode::kOff) s.config.dgm.mode = maintenance;
     s.config.dgm.maintenance_period = pick(rng, {2 * kMinute, 5 * kMinute});
   }
   s.config.fib.layout = rng.next_bool(0.5) ? core::GFibLayout::kSliced

@@ -210,7 +210,8 @@ constexpr const char* kWorkloadKinds[] = {"real_like", "synthetic",
 constexpr const char* kProfiles[] = {"business_day", "flat"};  // flat_profile
 constexpr const char* kBootstraps[] = {"index", "history"};
 constexpr const char* kControlModes[] = {"openflow", "lazyctrl"};
-constexpr const char* kDgmModes[] = {"off", "periodic", "drift_triggered"};
+constexpr const char* kDgmModes[] = {"off", "controller_load", "periodic",
+                                     "drift_triggered"};
 constexpr const char* kFibLayouts[] = {"linear", "sliced"};
 
 /// The spelling of enum value `v` in its table, "?" outside it.
@@ -272,12 +273,9 @@ void for_each_key(Spec& s, Fn&& fn) {
   fn(Key{C, "mode", kChoice, kControlModes}, c.mode);
   fn(Key{C, "bootstrap", kChoice, kBootstraps}, s.bootstrap_history);
   fn(Key{C, "group_size_limit", kPositive}, g.group_size_limit);
-  fn(Key{C, "dynamic_regrouping", kFlag}, g.dynamic_regrouping);
   fn(Key{C, "workload_growth_trigger", kNumber}, g.workload_growth_trigger);
-  fn(Key{C, "min_update_interval", kDuration}, g.min_update_interval);
   fn(Key{C, "stats_window", kPositiveDuration}, g.stats_window);
-  fn(Key{C, "intensity_ewma_decay", kNumber}, g.intensity_ewma_decay);
-  fn(Key{C, "min_update_flow_evidence", kNumber}, g.min_update_flow_evidence);
+  fn(Key{C, "intensity_ewma_decay", kProbability}, g.intensity_ewma_decay);
   fn(Key{C, "max_incupdate_iterations", kInt}, g.max_incupdate_iterations);
   fn(Key{C, "parallel_incupdate", kFlag}, g.parallel_incupdate);
   fn(Key{C, "preload_on_update", kFlag}, g.preload_on_update);
@@ -286,16 +284,17 @@ void for_each_key(Spec& s, Fn&& fn) {
      g.host_exclusion_tenant_threshold);
   fn(Key{C, "dgm.mode", kChoice, kDgmModes}, dgm.mode);
   fn(Key{C, "dgm.maintenance_period", kDuration}, dgm.maintenance_period);
-  fn(Key{C, "dgm.inter_fraction_limit", kNumber}, dgm.inter_fraction_limit);
+  fn(Key{C, "dgm.inter_fraction_limit", kProbability},
+     dgm.inter_fraction_limit);
   fn(Key{C, "dgm.degradation_factor", kNumber}, dgm.degradation_factor);
-  fn(Key{C, "dgm.degradation_floor", kNumber}, dgm.degradation_floor);
+  fn(Key{C, "dgm.degradation_floor", kProbability}, dgm.degradation_floor);
   fn(Key{C, "dgm.size_skew_limit", kNumber}, dgm.size_skew_limit);
   fn(Key{C, "dgm.min_flow_evidence", kNumber}, dgm.min_flow_evidence);
   fn(Key{C, "dgm.cooldown", kDuration}, dgm.cooldown);
   fn(Key{C, "dgm.max_moves_per_round", kInt}, dgm.max_moves_per_round);
   fn(Key{C, "dgm.max_merges_per_round", kInt}, dgm.max_merges_per_round);
   fn(Key{C, "dgm.max_splits_per_round", kInt}, dgm.max_splits_per_round);
-  fn(Key{C, "dgm.min_gain_fraction", kNumber}, dgm.min_gain_fraction);
+  fn(Key{C, "dgm.min_gain_fraction", kProbability}, dgm.min_gain_fraction);
   fn(Key{C, "fib.layout", kChoice, kFibLayouts}, c.fib.layout);
   fn(Key{C, "fib.bloom_bits", kPositive}, c.fib.bloom_bits);
   fn(Key{C, "fib.bloom_hashes", kPositive}, c.fib.bloom_hashes);

@@ -443,10 +443,12 @@ TEST(CkptRobustnessTest, VersionSkew) {
 TEST(CkptRobustnessTest, PreviousFormatVersionIsRejected) {
   // Each version bump so far removed a key from the embedded canonical
   // spec text (2: runtime.mode, 3: runtime.sync_window,
-  // 4: batching.flow_batch_size) or moved state between sections (5: the
-  // stats window's traffic counts, from SWCH to DGMS), so an older
-  // snapshot would not even parse; the version gate must reject it up
-  // front.
+  // 4: batching.flow_batch_size, 6: dynamic_regrouping,
+  // min_update_interval and min_update_flow_evidence) or moved state
+  // between sections (5: the stats window's traffic counts, from SWCH to
+  // DGMS; 6 also drops the maintainer's copy of the DGM cooldown clock
+  // from DGMS), so an older snapshot would not even parse; the version
+  // gate must reject it up front.
   auto bytes = valid_snapshot();
   const std::uint32_t previous = kFormatVersion - 1;
   std::memcpy(bytes.data() + 4, &previous, 4);

@@ -130,20 +130,9 @@ TEST(ControllerAdmissionTest, ResetOutageQueuePeakRebases) {
   EXPECT_EQ(ctrl.outage_queue_peak(), 0u);
 }
 
-TEST(ControllerTriggerTest, NoRegroupWhenStatic) {
-  Config cfg;
-  cfg.grouping.dynamic_regrouping = false;
-  CentralController ctrl(cfg);
-  for (int i = 0; i < 100; ++i) ctrl.admit_request(i);
-  ctrl.roll_window(kMinute);
-  ctrl.roll_window(2 * kMinute);
-  EXPECT_FALSE(ctrl.should_regroup(10 * kMinute));
-}
-
 TEST(ControllerTriggerTest, FiresOnThirtyPercentGrowth) {
   Config cfg;
-  cfg.grouping.dynamic_regrouping = true;
-  cfg.grouping.min_update_interval = 2 * kMinute;
+  cfg.dgm.cooldown = 2 * kMinute;
   CentralController ctrl(cfg);
 
   // Window 1: 100 requests -> baseline.
@@ -162,10 +151,9 @@ TEST(ControllerTriggerTest, FiresOnThirtyPercentGrowth) {
   EXPECT_TRUE(ctrl.should_regroup(3 * kMinute));
 }
 
-TEST(ControllerTriggerTest, MinIntervalSuppresses) {
+TEST(ControllerTriggerTest, CooldownSuppresses) {
   Config cfg;
-  cfg.grouping.dynamic_regrouping = true;
-  cfg.grouping.min_update_interval = 2 * kMinute;
+  cfg.dgm.cooldown = 2 * kMinute;
   CentralController ctrl(cfg);
   for (int i = 0; i < 100; ++i) ctrl.admit_request(i);
   ctrl.roll_window(kMinute);
@@ -179,8 +167,7 @@ TEST(ControllerTriggerTest, MinIntervalSuppresses) {
 
 TEST(ControllerTriggerTest, RegroupResetsBaseline) {
   Config cfg;
-  cfg.grouping.dynamic_regrouping = true;
-  cfg.grouping.min_update_interval = 0;
+  cfg.dgm.cooldown = 0;
   CentralController ctrl(cfg);
   for (int i = 0; i < 100; ++i) ctrl.admit_request(i);
   ctrl.roll_window(kMinute);

@@ -567,7 +567,6 @@ core::Config dgm_config(core::DgmMode mode) {
   core::Config cfg;
   cfg.mode = core::ControlMode::kLazyCtrl;
   cfg.grouping.group_size_limit = 7;
-  cfg.grouping.dynamic_regrouping = false;
   cfg.dgm.mode = mode;
   cfg.dgm.maintenance_period = 2 * kMinute;
   cfg.dgm.cooldown = 1 * kMinute;

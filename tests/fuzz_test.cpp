@@ -150,7 +150,7 @@ TEST(InvariantCheckerTest, CleanMigrationRunPasses) {
   // no-false-negative check must report. No regrouping, so nothing else
   // rebuilds a bank behind the migrations' back.
   const ParseResult r = parse_scenario(std::string(kTinySpec) + R"(
-dynamic_regrouping = false
+dgm.mode = off
 
 [events]
 at=2m migration_burst hosts=10 spread=4m

@@ -365,8 +365,8 @@ TEST(NetworkTest, DynamicRegroupingTriggersUnderDrift) {
   workload::finalize_trace(trace);
 
   Config cfg = lazy_config(7);
-  cfg.grouping.dynamic_regrouping = true;
-  cfg.grouping.min_update_interval = 2 * kMinute;
+  cfg.dgm.mode = DgmMode::kControllerLoad;
+  cfg.dgm.cooldown = 2 * kMinute;
   Network net(topo, cfg);
   net.bootstrap(workload::build_intensity_graph(trace, topo, 0, kHour));
   net.replay(trace);
@@ -377,7 +377,7 @@ TEST(NetworkTest, StaticModeNeverRegroups) {
   auto topo = test_topology(13, 20, 10);
   auto trace = test_trace(topo, 20000, 14);
   Config cfg = lazy_config(7);
-  cfg.grouping.dynamic_regrouping = false;
+  cfg.dgm.mode = DgmMode::kOff;
   Network net(topo, cfg);
   net.bootstrap(workload::build_intensity_graph(trace, topo));
   net.replay(trace);
@@ -507,10 +507,10 @@ TEST(NetworkSpanTest, SpansIdenticalToOneFlowSpans) {
   auto trace = test_trace(topo, 8000, 22);
   const auto history = workload::build_intensity_graph(trace, topo);
 
-  for (const bool dynamic : {false, true}) {
-    SCOPED_TRACE(dynamic);
+  for (const DgmMode mode : {DgmMode::kOff, DgmMode::kControllerLoad}) {
+    SCOPED_TRACE(static_cast<int>(mode));
     Config cfg = lazy_config(6);
-    cfg.grouping.dynamic_regrouping = dynamic;
+    cfg.dgm.mode = mode;
     expect_span_independent(topo, trace, cfg, &history);
   }
 }

@@ -97,7 +97,7 @@ TEST_P(GroupingInvariantProperty, CoverAndLimitAndGfibAgree) {
   core::Config cfg;
   cfg.mode = core::ControlMode::kLazyCtrl;
   cfg.grouping.group_size_limit = limit;
-  cfg.grouping.dynamic_regrouping = true;
+  cfg.dgm.mode = core::DgmMode::kControllerLoad;
   core::Network net(topo, cfg);
   net.bootstrap(workload::build_intensity_graph(trace, topo));
   net.replay(trace);

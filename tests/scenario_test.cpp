@@ -153,10 +153,14 @@ TEST(ScenarioSpecTest, UnknownKeyReportsLineNumber) {
 
 TEST(ScenarioSpecTest, RemovedShardModeKeyIsAnUnknownKey) {
   // The sharded runtime has one mode and no sync window, and replay has
-  // no flow batch size (one span rule for any shard count); the old keys
-  // are not silently accepted but diagnosed like any other unknown key.
-  for (const std::string key : {"runtime.mode", "runtime.sync_window",
-                                "batching.flow_batch_size"}) {
+  // no flow batch size (one span rule for any shard count); IncUpdate's
+  // flag, spacing and evidence floor folded into dgm.mode, dgm.cooldown
+  // and dgm.min_flow_evidence. The old keys are not silently accepted but
+  // diagnosed like any other unknown key.
+  for (const std::string key :
+       {"runtime.mode", "runtime.sync_window", "batching.flow_batch_size",
+        "dynamic_regrouping", "min_update_interval",
+        "min_update_flow_evidence"}) {
     SCOPED_TRACE(key);
     const std::string text =
         "[scenario]\n"                 // 1
@@ -175,8 +179,10 @@ TEST(ScenarioSpecTest, RemovedShardModeKeyIsAnUnknownKey) {
 
 TEST(ScenarioSpecTest, RemovedShardModeOverrideIsRejected) {
   // --set config.<key>=... goes through the same key dispatch.
-  for (const std::string key : {"runtime.mode", "runtime.sync_window",
-                                "batching.flow_batch_size"}) {
+  for (const std::string key :
+       {"runtime.mode", "runtime.sync_window", "batching.flow_batch_size",
+        "dynamic_regrouping", "min_update_interval",
+        "min_update_flow_evidence"}) {
     SCOPED_TRACE(key);
     ScenarioSpec spec;
     std::string err;
@@ -185,6 +191,60 @@ TEST(ScenarioSpecTest, RemovedShardModeOverrideIsRejected) {
               std::string::npos)
         << err;
   }
+}
+
+TEST(ScenarioSpecTest, RegroupFractionsMustBeInUnitRange) {
+  // A negative dgm.min_gain_fraction lets DGM apply plans that cut
+  // nothing, and the traffic monitor clamps a decay outside [0, 1].
+  for (const std::string key :
+       {"dgm.min_gain_fraction", "dgm.inter_fraction_limit",
+        "dgm.degradation_floor", "intensity_ewma_decay"}) {
+    for (const std::string value : {"-3", "-0.01", "1.5"}) {
+      SCOPED_TRACE(key + " = " + value);
+      const std::string text =
+          "[scenario]\n"     // 1
+          "name = x\n"       // 2
+          "[config]\n"       // 3
+          "mode = lazyctrl\n"  // 4
+          + key + " = " + value + "\n";  // 5
+      const ParseResult r = parse_scenario(text);
+      ASSERT_EQ(r.errors.size(), 1u) << r.error_text();
+      EXPECT_EQ(r.errors[0].line, 5);
+      EXPECT_NE(r.errors[0].message.find("a number in [0, 1]"),
+                std::string::npos)
+          << r.errors[0].message;
+
+      ScenarioSpec spec;
+      const ScenarioSpec before = spec;
+      std::string err;
+      EXPECT_FALSE(apply_override(spec, "config." + key + "=" + value, &err));
+      EXPECT_NE(err.find("a number in [0, 1]"), std::string::npos) << err;
+      EXPECT_TRUE(spec == before);
+    }
+    for (const std::string value : {"0", "1"}) {
+      ScenarioSpec spec;
+      std::string err;
+      EXPECT_TRUE(apply_override(spec, "config." + key + "=" + value, &err))
+          << key << " = " << value << ": " << err;
+    }
+  }
+}
+
+TEST(ScenarioSpecTest, EveryRegroupModeRoundTrips) {
+  for (const char* mode :
+       {"off", "controller_load", "periodic", "drift_triggered"}) {
+    SCOPED_TRACE(mode);
+    const ParseResult r =
+        parse_scenario(std::string("[config]\ndgm.mode = ") + mode + "\n");
+    ASSERT_TRUE(r.ok()) << r.error_text();
+    const std::string canonical = serialize_scenario(r.spec);
+    EXPECT_NE(canonical.find(std::string("\ndgm.mode = ") + mode + "\n"),
+              std::string::npos);
+    const ParseResult rt = parse_scenario(canonical);
+    ASSERT_TRUE(rt.ok()) << rt.error_text();
+    EXPECT_TRUE(r.spec == rt.spec);
+  }
+  EXPECT_EQ(ScenarioSpec{}.config.dgm.mode, core::DgmMode::kControllerLoad);
 }
 
 TEST(ScenarioSpecTest, CollectsMultipleDiagnostics) {
@@ -447,12 +507,9 @@ drift_fraction = 0.25
 mode = lazyctrl
 bootstrap = history
 group_size_limit = 6
-dynamic_regrouping = true
 workload_growth_trigger = 0.3
-min_update_interval = 2m
 stats_window = 30s
 intensity_ewma_decay = 0.85
-min_update_flow_evidence = 200
 max_incupdate_iterations = 4
 parallel_incupdate = false
 preload_on_update = true
@@ -534,18 +591,15 @@ drift_fraction = 0.25
 mode = lazyctrl
 bootstrap = history
 group_size_limit = 46
-dynamic_regrouping = true
 workload_growth_trigger = 0.3
-min_update_interval = 2m
 stats_window = 1m
 intensity_ewma_decay = 0.85
-min_update_flow_evidence = 200
 max_incupdate_iterations = 4
 parallel_incupdate = false
 preload_on_update = true
 transition_window = 200ms
 host_exclusion_tenant_threshold = 0
-dgm.mode = off
+dgm.mode = controller_load
 dgm.maintenance_period = 5m
 dgm.inter_fraction_limit = 0.15
 dgm.degradation_factor = 1.5
@@ -613,7 +667,7 @@ profile = flat
 mode = lazyctrl
 group_size_limit = 6
 stats_window = 1m
-min_update_flow_evidence = 50
+dgm.min_flow_evidence = 50
 failover = true
 
 [events]
@@ -675,7 +729,7 @@ TEST(ScenarioRunnerTest, WheelDetectionsSurviveWithoutRegrouping) {
   // regroup-free variant of the scenario.
   ScenarioSpec spec = runner_spec();
   std::string err;
-  ASSERT_TRUE(apply_override(spec, "config.dynamic_regrouping=false", &err))
+  ASSERT_TRUE(apply_override(spec, "config.dgm.mode=off", &err))
       << err;
   std::erase_if(spec.events, [](const ScenarioEvent& e) {
     return e.kind == EventKind::kForceRegroup;

@@ -188,6 +188,48 @@ TEST(IncUpdateTest, ParallelModeTouchesMultiplePairs) {
   EXPECT_LE(res_par.inter_group_after, res_seq.inter_group_after + 1e-9);
 }
 
+TEST(RankedGroupPairsTest, TiesKeepKeyOrder) {
+  // Eight singleton groups, every pair joined by a unit edge: 28 equal
+  // weights, more than the 16 below which std::sort happens to be stable.
+  graph::WeightedGraph g(8);
+  for (graph::VertexId u = 0; u < 8; ++u) {
+    for (graph::VertexId v = u + 1; v < 8; ++v) g.add_edge(u, v, 1.0);
+  }
+  Grouping grouping;
+  grouping.switch_to_group = {0, 1, 2, 3, 4, 5, 6, 7};
+  grouping.group_count = 8;
+  const RankedGroupPairs ranked = ranked_group_pairs(g, grouping);
+  ASSERT_EQ(ranked.pairs.size(), 28u);
+  std::size_t i = 0;
+  for (std::uint32_t a = 0; a < 8; ++a) {
+    for (std::uint32_t b = a + 1; b < 8; ++b, ++i) {
+      EXPECT_EQ(ranked.pairs[i].a, a) << i;
+      EXPECT_EQ(ranked.pairs[i].b, b) << i;
+    }
+  }
+  EXPECT_EQ(ranked.total, 28.0);
+}
+
+TEST(RankedGroupPairsTest, TotalIsSummedInKeyOrder) {
+  // Pairs (0,1), (0,2), (1,2) weigh 1, 1 and 1e16. In key order the sum is
+  // 1e16 + 2 exactly; in ranked order each 1 is lost to rounding against
+  // 1e16. DGM's merge floor is a fraction of this total.
+  graph::WeightedGraph g(3);
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(0, 2, 1.0);
+  g.add_edge(1, 2, 1e16);
+  Grouping grouping;
+  grouping.switch_to_group = {0, 1, 2};
+  grouping.group_count = 3;
+  const RankedGroupPairs ranked = ranked_group_pairs(g, grouping);
+  ASSERT_EQ(ranked.pairs.size(), 3u);
+  EXPECT_EQ(ranked.pairs[0].a, 1u);
+  EXPECT_EQ(ranked.pairs[0].b, 2u);
+  EXPECT_EQ(ranked.pairs[1].b, 1u);
+  EXPECT_EQ(ranked.pairs[2].b, 2u);
+  EXPECT_EQ(ranked.total, 1e16 + 2.0);
+}
+
 TEST(IncUpdateTest, DeterministicForSeed) {
   graph::WeightedGraph g = clustered(3, 8, 4.0, 0.5);
   Sgi sgi(SgiOptions{.group_size_limit = 8});
@@ -206,10 +248,11 @@ TEST(IncUpdateTest, DeterministicForSeed) {
 // graph's edge weights: refinement gives a gain tie to the first part in
 // a hash map's iteration order, and floating-point sums follow adjacency
 // order. These constants pin IniGroup on two seeded history graphs and
-// on a tie-heavy torus, one DGM plan and one bisection (libstdc++'s hash
-// tables), so a change to the graph builders or the partitioner that
-// moves a single switch fails here instead of quietly moving every
-// grouping metric downstream.
+// on a tie-heavy torus, one DGM plan, two IncUpdate runs (one pair per
+// iteration, and batches of three) and one bisection (libstdc++'s hash
+// tables), so a change to the graph builders, the partitioner or the
+// regroup operator that moves a single switch fails here instead of
+// quietly moving every grouping metric downstream.
 namespace lazyctrl::core {
 namespace {
 
@@ -348,6 +391,48 @@ std::uint64_t regrouper_plan_fingerprint() {
   return f.value();
 }
 
+/// IncUpdate on a seeded 272-switch fabric: IniGroup on the first hour of
+/// a real_like trace, then one invocation against the traffic monitor's
+/// estimate of the second, one pair per iteration or (appendix B) batches
+/// of three disjoint pairs.
+std::uint64_t incupdate_fingerprint(bool parallel) {
+  const topo::Topology topology = fabric(272, 110, 20, 100, 24, 3);
+  Rng rng(3);
+  workload::RealLikeOptions opt;
+  opt.total_flows = 100'000;
+  opt.horizon = 2 * kHour;
+  opt.profile = workload::DiurnalProfile::flat();
+  const workload::Trace trace =
+      workload::generate_real_like(topology, opt, rng);
+  const graph::WeightedGraph history =
+      workload::build_intensity_graph(trace, topology, 0, kHour);
+  const Sgi sgi(SgiOptions{.group_size_limit = 34,
+                           .max_iterations = 4,
+                           .parallel = parallel,
+                           .parallel_batch = 3});
+  Grouping grouping = sgi.initial_grouping(history, rng);
+
+  dgm::TrafficMonitor monitor(topology.switch_count(),
+                              dgm::TrafficMonitorOptions{.window = kHour});
+  for (const workload::Flow& flow : trace.flows) {
+    if (flow.start < kHour) continue;
+    monitor.record_flow(topology.host_info(flow.src).attached_switch,
+                        topology.host_info(flow.dst).attached_switch);
+  }
+  monitor.roll_window();
+  const Sgi::UpdateResult result =
+      sgi.incremental_update(grouping, monitor.intensity_graph(), rng);
+  EXPECT_FALSE(result.touched_groups.empty());
+
+  Fingerprint f;
+  f.mix(grouping.switch_to_group);
+  for (const GroupId g : result.touched_groups) {
+    f.mix(static_cast<std::uint64_t>(g.value()));
+  }
+  f.mix(result.inter_group_after);
+  return f.value();
+}
+
 std::uint64_t bisection_fingerprint() {
   const topo::Topology topology = fabric(272, 110, 20, 100, 24, 2);
   const graph::WeightedGraph history =
@@ -374,6 +459,10 @@ TEST(GroupingFingerprintTest, SetUpAndMaintenanceGroupingsAreUnchanged) {
       {"regrouper_plan", regrouper_plan_fingerprint(), 0x601415d6ef96d994ULL},
       {"min_bisection", bisection_fingerprint(), 0x72294e8a190a8f38ULL},
       {"inigroup_torus", torus_inigroup_fingerprint(24), 0x27d64ced7118e4aaULL},
+      {"incupdate_sequential", incupdate_fingerprint(false),
+       0x6981974a2b9ab6e1ULL},
+      {"incupdate_parallel", incupdate_fingerprint(true),
+       0xbb5f2de03b460a25ULL},
   };
   for (const auto& c : cases) {
     EXPECT_EQ(c.got, c.want) << c.name << " fingerprint is 0x" << std::hex

@@ -224,7 +224,6 @@ TEST(GFibLayoutReplayEquivalence, DgmReplayMetricsIdentical) {
     core::Config cfg;
     cfg.mode = core::ControlMode::kLazyCtrl;
     cfg.grouping.group_size_limit = 6;
-    cfg.grouping.dynamic_regrouping = false;
     cfg.dgm.mode = core::DgmMode::kDriftTriggered;
     cfg.dgm.maintenance_period = 2 * kMinute;
     cfg.dgm.cooldown = 1 * kMinute;
