@@ -3,63 +3,92 @@
 #include <array>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <utility>
 
 namespace lazyctrl::ckpt {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Loads a little-endian T from `src` (any alignment).
+template <typename T>
+T load_le(const void* src) {
+  const auto* p = static_cast<const unsigned char*>(src);
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      v |= static_cast<T>(p[i]) << (8 * i);
+    }
+  }
+  return v;
+}
+
+/// Stores `v` little-endian at `dst` (any alignment).
+template <typename T>
+void store_le(void* dst, T v) {
+  auto* p = static_cast<unsigned char*>(dst);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      p[i] = static_cast<unsigned char>(v >> (8 * i));
+    }
+  }
+}
+
+/// Appends `v` little-endian: one capacity check and one copy.
+template <typename T>
+void append_le(std::vector<std::uint8_t>& buf, T v) {
+  unsigned char bytes[sizeof v];
+  store_le(bytes, v);
+  buf.insert(buf.end(), bytes, bytes + sizeof v);
+}
+
+/// Slicing-by-8 tables for the reflected polynomial 0xEDB88320: table 0
+/// is the classic bytewise table, and table k advances a byte's CRC
+/// through k more zero bytes, so one step folds eight input bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
 }
 
-constexpr auto kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 /// header = magic u32 | version u32 | payload size u64 | payload crc u32.
 constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 4;
 
-void append_u32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void append_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void patch_u32(std::vector<std::uint8_t>& buf, std::size_t at,
-               std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-void patch_u64(std::vector<std::uint8_t>& buf, std::size_t at,
-               std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
-  }
-}
-
 }  // namespace
 
 std::uint32_t crc32(std::string_view bytes) {
+  const auto& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t n = bytes.size();
   std::uint32_t c = 0xFFFFFFFFU;
-  for (const char ch : bytes) {
-    c = kCrcTable[(c ^ static_cast<unsigned char>(ch)) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ load_le<std::uint32_t>(p);
+    const std::uint32_t hi = load_le<std::uint32_t>(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFU;
 }
@@ -84,10 +113,14 @@ std::string fourcc_name(std::uint32_t tag) {
 Writer::Writer() : buf_(kHeaderSize, 0) {}
 
 void Writer::u8(std::uint8_t v) { buf_.push_back(v); }
-void Writer::u32(std::uint32_t v) { append_u32(buf_, v); }
-void Writer::u64(std::uint64_t v) { append_u64(buf_, v); }
-void Writer::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+void Writer::u32(std::uint32_t v) { append_le(buf_, v); }
+void Writer::u64(std::uint64_t v) { append_le(buf_, v); }
+void Writer::i64(std::int64_t v) {
+  append_le(buf_, static_cast<std::uint64_t>(v));
+}
+void Writer::f64(double v) {
+  append_le(buf_, std::bit_cast<std::uint64_t>(v));
+}
 
 void Writer::str(std::string_view s) {
   u64(s.size());
@@ -102,7 +135,7 @@ void Writer::begin_section(std::uint32_t tag) {
 
 void Writer::end_section() {
   const std::uint64_t body = buf_.size() - section_len_at_ - 8;
-  patch_u64(buf_, section_len_at_, body);
+  store_le(buf_.data() + section_len_at_, body);
   section_len_at_ = std::string::npos;
 }
 
@@ -110,10 +143,10 @@ std::vector<std::uint8_t> Writer::finish() {
   const std::string_view payload(
       reinterpret_cast<const char*>(buf_.data()) + kHeaderSize,
       buf_.size() - kHeaderSize);
-  patch_u32(buf_, 0, kMagic);
-  patch_u32(buf_, 4, kFormatVersion);
-  patch_u64(buf_, 8, payload.size());
-  patch_u32(buf_, 16, crc32(payload));
+  store_le(buf_.data(), kMagic);
+  store_le(buf_.data() + 4, kFormatVersion);
+  store_le(buf_.data() + 8, std::uint64_t{payload.size()});
+  store_le(buf_.data() + 16, crc32(payload));
   return std::move(buf_);
 }
 
@@ -127,22 +160,7 @@ Reader::Reader(std::string_view bytes) : bytes_(bytes) {
   }
   // Header reads bypass need(): the size check above covers them.
   const auto raw_u32 = [&](std::size_t at) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes_[at + static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
-    return v;
-  };
-  const auto raw_u64 = [&](std::size_t at) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes_[at + static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
-    return v;
+    return load_le<std::uint32_t>(bytes_.data() + at);
   };
   if (raw_u32(0) != kMagic) {
     error_ = "offset 0: bad magic " + fourcc_name(raw_u32(0)) +
@@ -157,7 +175,7 @@ Reader::Reader(std::string_view bytes) : bytes_(bytes) {
              " (re-create the snapshot with this build)";
     return;
   }
-  const std::uint64_t payload = raw_u64(8);
+  const std::uint64_t payload = load_le<std::uint64_t>(bytes_.data() + 8);
   if (payload != bytes_.size() - kHeaderSize) {
     error_ = "offset 8: declared payload size " + std::to_string(payload) +
              " but file carries " +
@@ -200,21 +218,15 @@ std::uint8_t Reader::u8() {
 
 std::uint32_t Reader::u32() {
   if (!need(4, "u32")) return 0;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes_[pos_++]))
-         << (8 * i);
-  }
+  const auto v = load_le<std::uint32_t>(bytes_.data() + pos_);
+  pos_ += 4;
   return v;
 }
 
 std::uint64_t Reader::u64() {
   if (!need(8, "u64")) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes_[pos_++]))
-         << (8 * i);
-  }
+  const auto v = load_le<std::uint64_t>(bytes_.data() + pos_);
+  pos_ += 8;
   return v;
 }
 

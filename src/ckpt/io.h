@@ -8,12 +8,15 @@
 //   payload  = section*
 //   section  = fourcc (u32) | body length (u64) | body bytes
 //
-// All integers are little-endian; doubles travel as their IEEE-754 bit
-// pattern (bit-identity is the whole point of the format). The Writer
-// builds the snapshot in one buffer behind a reserved header and stamps
-// the header in place in finish(), so a save never copies the (tens of
-// MB) snapshot; the Reader validates magic/version/size/CRC up front and
-// then serves typed reads with hard bounds checks. Any malformed input —
+// All integers are little-endian whatever the host; doubles travel as
+// their IEEE-754 bit pattern (bit-identity is the whole point of the
+// format). The Writer builds the snapshot in one buffer behind a reserved
+// header, appends each word with one copy, and stamps the header in place
+// in finish(), so a save never copies the snapshot (0.45-3.3 MB for the
+// bench/e2e workloads); the Reader validates magic/version/size/CRC up
+// front and then serves typed reads with hard bounds checks. The CRC-32
+// runs slicing-by-8 (eight bytes per table step) on every save and every
+// restore. Any malformed input —
 // truncation, a bad CRC, a version skew, a wrong section tag, an
 // oversized length — turns the Reader into a sticky failed state carrying
 // a byte-offset-diagnosed error string. It never throws and never reads out of bounds, so a

@@ -4,9 +4,10 @@
 #include <cassert>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
+
+#include "workload/pair_key_set.h"
 
 namespace lazyctrl::workload {
 
@@ -29,9 +30,7 @@ struct HostPair {
 /// Samples a flow start time from the diurnal profile.
 SimTime sample_start(const std::array<double, 24>& cdf, SimDuration horizon,
                      Rng& rng) {
-  const double u = rng.next_double();
-  std::size_t hour = 0;
-  while (hour < 23 && cdf[hour] < u) ++hour;
+  const std::size_t hour = hour_of(cdf, rng.next_double());
   const SimDuration hour_len = horizon / 24;
   return static_cast<SimTime>(hour) * hour_len +
          static_cast<SimTime>(rng.next_below(
@@ -102,7 +101,9 @@ Trace generate_real_like(const Topology& topology,
 
   // --- Build the communicating-pair set. ---
   // Intra-tenant: each host talks to a few random peers inside its tenant.
-  std::unordered_set<std::uint64_t> seen;
+  // The set is sized for at most `partners_per_host` such pairs per host
+  // plus the cross-tenant and hub pairs, about a fifth more.
+  PairKeySet seen(topology.host_count() * (options.partners_per_host + 1));
   std::vector<HostPair> pairs;
   for (const auto& members : hosts_by_tenant(topology)) {
     if (members.size() < 2) continue;
@@ -111,7 +112,7 @@ Trace generate_real_like(const Topology& topology,
         const HostId peer =
             members[rng.next_below(members.size())];
         if (peer == h) continue;
-        if (seen.insert(pair_key(h, peer)).second) {
+        if (seen.insert(pair_key(h, peer))) {
           pairs.push_back({h, peer});
         }
       }
@@ -122,7 +123,7 @@ Trace generate_real_like(const Topology& topology,
       options.cross_tenant_pair_fraction * static_cast<double>(pairs.size()));
   for (std::size_t added = 0; added < cross_target;) {
     HostPair p = random_cross_tenant_pair(topology, rng);
-    if (seen.insert(pair_key(p.a, p.b)).second) {
+    if (seen.insert(pair_key(p.a, p.b))) {
       pairs.push_back(p);
       ++added;
     }
@@ -149,7 +150,7 @@ Trace generate_real_like(const Topology& topology,
       const HostId client{static_cast<std::uint32_t>(
           rng.next_below(topology.host_count()))};
       if (client == hub) continue;
-      if (seen.insert(pair_key(hub, client)).second) {
+      if (seen.insert(pair_key(hub, client))) {
         hub_pairs.push_back({hub, client});
         ++added;
       }
@@ -362,8 +363,7 @@ Trace expand_trace(const Trace& base, const Topology& topology,
   out.flows.reserve(base.flows.size() + extra);
   out.flows.assign(base.flows.begin(), base.flows.end());
 
-  std::unordered_set<std::uint64_t> communicated;
-  communicated.reserve(base.flows.size());
+  PairKeySet communicated(base.flows.size());
   for (const Flow& f : base.flows) {
     communicated.insert(pair_key(f.src, f.dst));
   }
@@ -383,7 +383,7 @@ Trace expand_trace(const Trace& base, const Topology& topology,
   const std::size_t max_attempts = pair_target * 100 + 1000;
   while (new_pairs.size() < pair_target && attempts++ < max_attempts) {
     HostPair p = random_pair(topology, rng);
-    if (!communicated.insert(pair_key(p.a, p.b)).second) continue;
+    if (!communicated.insert(pair_key(p.a, p.b))) continue;
     new_pairs.push_back(p);
   }
   if (new_pairs.empty()) {

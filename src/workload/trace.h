@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -50,6 +51,18 @@ struct DiurnalProfile {
   /// Normalised cumulative distribution over the 24 hours.
   [[nodiscard]] std::array<double, 24> cumulative() const;
 };
+
+/// The hour a uniform draw `u` falls in under `cdf`, a
+/// DiurnalProfile::cumulative(): the number of hours h < 23 with
+/// cdf[h] < u. Because `cdf` never decreases, that is the first h with
+/// u <= cdf[h], or 23 if there is none. Counting has no data-dependent
+/// exit, so every draw costs the same.
+[[nodiscard]] inline std::size_t hour_of(const std::array<double, 24>& cdf,
+                                         double u) noexcept {
+  std::size_t hour = 0;
+  for (std::size_t h = 0; h < 23; ++h) hour += cdf[h] < u ? 1 : 0;
+  return hour;
+}
 
 /// Sorts flows by start time, stable for equal starts, and reassigns
 /// dense ids. Generators and every trace-shaping pass call this before

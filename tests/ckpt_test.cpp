@@ -5,15 +5,19 @@
 // fence-purity guarantee over every committed example scenario, and the
 // robustness contract: corrupt, truncated or version-skewed snapshots
 // fail with an offset-diagnosed error, never a crash or a silent
-// partial restore.
+// partial restore. The codec's own values (CRC-32 known answers, the
+// Writer's byte layout) are pinned to literals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -740,6 +744,112 @@ at=9m checkpoint_at
   std::uint64_t len = 0;
   std::memcpy(&len, bytes.data() + at + 4, 8);
   EXPECT_LT(len, 1'000'000u) << "SWCH section of 600 switches";
+}
+
+// ------------------------------------------------------------- codec
+//
+// The robustness tests above restamp every edit with crc32() itself, so
+// only these pin the CRC and the word layout to fixed values.
+
+/// CRC-32 one bit at a time, straight from the reflected polynomial.
+std::uint32_t crc32_reference(const unsigned char* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFU;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(crc32(""), 0x00000000U);
+  EXPECT_EQ(crc32("a"), 0xE8B7BE43U);
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926U);
+  EXPECT_EQ(crc32("The quick brown fox jumps over the lazy dog"),
+            0x414FA339U);
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  std::mt19937_64 gen(27);
+  std::vector<unsigned char> buf(300 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(gen());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* p = buf.data() + offset;
+    for (std::size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(crc32(std::string_view(reinterpret_cast<const char*>(p), len)),
+                crc32_reference(p, len))
+          << "length " << len << " at offset " << offset;
+    }
+  }
+}
+
+/// Two sections holding every write kind, as Writer must lay them out:
+/// header (magic, version, payload size 93, payload CRC 0xDC5542F0 from
+/// an independent CRC-32), then [fourcc | u64 body length | body] twice.
+constexpr std::uint8_t kWriterGolden[] = {
+    0x4C, 0x5A, 0x43, 0x4B, 0x06, 0x00, 0x00, 0x00, 0x5D, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0xF0, 0x42, 0x55, 0xDC, 0x41, 0x41, 0x41, 0x41,
+    0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xA5, 0x04, 0x03, 0x02,
+    0x01, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, 0xFE, 0xFF, 0xFF,
+    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF8,
+    0xBF, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x68, 0x69,
+    0x42, 0x42, 0x42, 0x42, 0x1D, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x80, 0x9A, 0x99, 0x99, 0x99, 0x99, 0x99, 0xB9, 0x3F, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00,
+};
+
+TEST(WriterTest, GoldenBytesAndReadBack) {
+  Writer w;
+  w.begin_section(fourcc("AAAA"));
+  w.u8(0xA5);
+  w.u32(0x01020304U);
+  w.u64(0x1122334455667788ULL);
+  w.i64(-2);
+  w.f64(-1.5);
+  w.boolean(true);
+  w.str("hi");
+  w.end_section();
+  w.begin_section(fourcc("BBBB"));
+  w.boolean(false);
+  w.u32(0xFFFFFFFFU);
+  w.i64(std::numeric_limits<std::int64_t>::min());
+  w.f64(0.1);
+  w.str("");
+  w.end_section();
+  const std::vector<std::uint8_t> bytes = w.finish();
+
+  // The version field follows kFormatVersion; every other byte is fixed.
+  std::vector<std::uint8_t> want(std::begin(kWriterGolden),
+                                 std::end(kWriterGolden));
+  for (int i = 0; i < 4; ++i) {
+    want[4 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(kFormatVersion >> (8 * i));
+  }
+  EXPECT_EQ(bytes, want);
+
+  Reader r(std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                            bytes.size()));
+  ASSERT_TRUE(r.ok()) << r.error();
+  ASSERT_TRUE(r.enter_section(fourcc("AAAA"))) << r.error();
+  EXPECT_EQ(r.u8(), 0xA5);
+  EXPECT_EQ(r.u32(), 0x01020304U);
+  EXPECT_EQ(r.u64(), 0x1122334455667788ULL);
+  EXPECT_EQ(r.i64(), -2);
+  EXPECT_EQ(r.f64(), -1.5);
+  EXPECT_TRUE(r.boolean());
+  EXPECT_EQ(r.str(), "hi");
+  r.leave_section();
+  ASSERT_TRUE(r.enter_section(fourcc("BBBB"))) << r.error();
+  EXPECT_FALSE(r.boolean());
+  EXPECT_EQ(r.u32(), 0xFFFFFFFFU);
+  EXPECT_EQ(r.i64(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()),
+            std::bit_cast<std::uint64_t>(0.1));
+  EXPECT_EQ(r.str(), "");
+  r.leave_section();
+  EXPECT_TRUE(r.ok()) << r.error();
+  EXPECT_EQ(r.offset(), bytes.size());
 }
 
 // ------------------------------------------------------- file helpers

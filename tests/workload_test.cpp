@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
@@ -14,6 +16,7 @@
 #include "topo/builder.h"
 #include "workload/generators.h"
 #include "workload/intensity.h"
+#include "workload/pair_key_set.h"
 #include "workload/stats.h"
 #include "workload/trace.h"
 
@@ -38,6 +41,27 @@ TEST(DiurnalProfileTest, CumulativeIsMonotoneAndEndsAtOne) {
     prev = x;
   }
   EXPECT_DOUBLE_EQ(cdf[23], 1.0);
+}
+
+TEST(DiurnalProfileTest, HourOfMatchesLinearSearch) {
+  const auto linear = [](const std::array<double, 24>& cdf, double u) {
+    std::size_t hour = 0;
+    while (hour < 23 && cdf[hour] < u) ++hour;
+    return hour;
+  };
+  for (const DiurnalProfile& profile :
+       {DiurnalProfile::business_day(), DiurnalProfile::flat()}) {
+    const auto cdf = profile.cumulative();
+    std::vector<double> draws = {0.0, std::nextafter(1.0, 0.0)};
+    for (const double c : cdf) {
+      draws.push_back(c);
+      draws.push_back(std::nextafter(c, 0.0));
+      draws.push_back(std::nextafter(c, 2.0));
+    }
+    for (const double u : draws) {
+      EXPECT_EQ(hour_of(cdf, u), linear(cdf, u)) << "u = " << u;
+    }
+  }
 }
 
 TEST(DiurnalProfileTest, BusinessDayPeaksInAfternoon) {
@@ -190,6 +214,44 @@ TEST(ExpandTraceTest, AddsOnlyNewPairsInWindow) {
   EXPECT_NEAR(static_cast<double>(extra),
               static_cast<double>(base.flow_count()) * 0.30,
               base.flow_count() * 0.02);
+}
+
+TEST(PairKeySetTest, MatchesUnorderedSetReference) {
+  PairKeySet set;
+  std::unordered_set<std::uint64_t> reference;
+  const std::size_t min_capacity = set.capacity();
+  EXPECT_EQ(min_capacity, std::size_t{1} << PairKeySet::kMinBits);
+  Rng rng(5);
+  std::vector<std::uint64_t> stream = {0, 1, 0};
+  for (int i = 0; i < 20000; ++i) {
+    // Host-pair-shaped keys from a small universe, so most repeat; key 0
+    // is the self-pair of host 0.
+    const auto lo = static_cast<std::uint32_t>(rng.next_below(120));
+    const auto hi = static_cast<std::uint32_t>(rng.next_below(120));
+    stream.push_back((static_cast<std::uint64_t>(std::max(lo, hi)) << 32) |
+                     std::min(lo, hi));
+  }
+  for (const std::uint64_t key : stream) {
+    ASSERT_EQ(set.insert(key), reference.insert(key).second) << key;
+    ASSERT_EQ(set.size(), reference.size());
+    ASSERT_LE(set.size() * 4, set.capacity() * 3 + 4);  // 3/4 load + key 0
+  }
+  EXPECT_GT(set.capacity(), min_capacity * 64);  // grew from the minimum
+  EXPECT_TRUE(std::has_single_bit(set.capacity()));
+  for (std::uint64_t lo = 0; lo < 130; ++lo) {
+    for (std::uint64_t hi = lo; hi < 130; ++hi) {
+      const std::uint64_t key = (hi << 32) | lo;
+      EXPECT_EQ(set.insert(key), reference.insert(key).second) << key;
+    }
+  }
+  EXPECT_EQ(set.size(), reference.size());
+
+  // Pre-sizing: the expected count fits without growing.
+  PairKeySet sized(1000);
+  const std::size_t capacity = sized.capacity();
+  for (std::uint64_t k = 0; k < 1000; ++k) EXPECT_TRUE(sized.insert(k * 7919));
+  EXPECT_EQ(sized.capacity(), capacity);
+  EXPECT_EQ(sized.size(), 1000u);
 }
 
 TEST(TraceStatsTest, EmptyTrace) {
@@ -500,6 +562,41 @@ TEST(TraceFingerprintTest, GeneratorsAndShapingPassesAreUnchanged) {
       EXPECT_EQ(fingerprint(t), c.want[seed - 1])
           << c.name << " at seed " << seed;
     }
+  }
+}
+
+// The x10 fabric of bench/e2e's lazy_x10 (2713 switches, ~66k hosts),
+// where the generators' pair sets hold ~10^5 keys instead of under a
+// thousand.
+topo::Topology x10_topology(std::uint64_t seed) {
+  Rng rng(seed);
+  topo::MultiTenantOptions opt;
+  opt.switch_count = 2713;
+  opt.tenant_count = 1100;
+  opt.min_vms_per_tenant = 20;
+  opt.max_vms_per_tenant = 100;
+  opt.vms_per_switch = 24;
+  return topo::build_multi_tenant(opt, rng);
+}
+
+TEST(TraceFingerprintTest, RealLikeAndExpandOnTheX10Fabric) {
+  const std::uint64_t want_real_like[2] = {0x92a7e1d1d79d3d5dULL,
+                                           0x6170350f7bed6daeULL};
+  const std::uint64_t want_expand[2] = {0x7e5bc8f59ace8c94ULL,
+                                        0xa206cd5668b67c59ULL};
+  for (std::uint64_t seed : {1, 2}) {
+    const topo::Topology topology = x10_topology(seed);
+    Rng rng(seed);
+    RealLikeOptions opt;
+    opt.total_flows = 200'000;
+    const Trace base = generate_real_like(topology, opt, rng);
+    EXPECT_EQ(fingerprint(base), want_real_like[seed - 1])
+        << "real_like at seed " << seed;
+    Rng expand_rng(seed + 200);
+    const Trace expanded = expand_trace(base, topology, 0.30, 8 * kHour,
+                                        24 * kHour, expand_rng);
+    EXPECT_EQ(fingerprint(expanded), want_expand[seed - 1])
+        << "expand_trace at seed " << seed;
   }
 }
 
