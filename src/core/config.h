@@ -38,9 +38,10 @@ struct ControllerConfig {
 
   // --- unreliable control plane (all defaults are behavior-preserving) ---
   /// Per-message control-channel loss probability in [0, 1]. Decided by a
-  /// splitmix64 hash of (flow id, attempt, direction, seed) — never the
-  /// run RNG — so lossy runs stay bit-identical across reps and shard
-  /// counts, and rate 0 is a true no-op.
+  /// splitmix64 hash of (the flow's position in the trace, attempt,
+  /// direction, seed) — never the run RNG — so lossy runs stay
+  /// bit-identical across reps and shard counts, and rate 0 is a true
+  /// no-op.
   double loss_rate = 0.0;
   /// Per-message control-channel duplication probability in [0, 1]. A
   /// duplicate consumes control-link bandwidth (message counters) but is

@@ -109,9 +109,9 @@ class EdgeSwitch {
   /// Deterministic punt retry schedule (unreliable control plane): the
   /// wait before re-sending a punt whose attempt `attempt` (0-based) got
   /// no reply — exponential backoff doubling from ctrl.punt_retry_base
-  /// plus a jitter in [0, base/2] keyed on splitmix64(flow id, attempt,
-  /// seed), never the run RNG, so the schedule is bit-identical across
-  /// reps and shard counts.
+  /// plus a jitter in [0, base/2] keyed on splitmix64(the flow's position
+  /// in the trace, attempt, seed), never the run RNG, so the schedule is
+  /// bit-identical across reps and shard counts.
   [[nodiscard]] static SimDuration punt_retry_delay(
       std::uint64_t flow_id, std::uint32_t attempt,
       const ControllerConfig& ctrl, std::uint64_t seed) noexcept;

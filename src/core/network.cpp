@@ -22,12 +22,14 @@ namespace {
 // pipeline); controller-path flows add the round-trip breakdown; the
 // remainder up to e2e is delivery (datapath + egress), derived by the
 // reader rather than stored. Callers gate on flow_attribution_enabled().
+// `flow_id` is the flow's position in the trace.
 void record_flow_attribution(
-    const workload::Flow& flow, SwitchId src_sw, SwitchId dst_sw,
-    obs::FlowPathKind path, const LatencyModel& lat, SimDuration e2e,
+    const workload::Flow& flow, std::uint64_t flow_id, SwitchId src_sw,
+    SwitchId dst_sw, obs::FlowPathKind path, const LatencyModel& lat,
+    SimDuration e2e,
     const Network::ControllerTripBreakdown* trip = nullptr) {
   obs::FlowRecord rec;
-  rec.flow_id = flow.id;
+  rec.flow_id = flow_id;
   rec.start = flow.start;
   rec.src_sw = src_sw.value();
   rec.dst_sw = dst_sw.value();
@@ -52,7 +54,8 @@ constexpr std::uint64_t kSaltDownlinkLoss = 0x6E14'8FA2'D35B'70C8ull;
 constexpr std::uint64_t kSaltDownlinkDup = 0xB90D'417E'268C'F5A1ull;
 
 // Deterministic fault predicate for one control-plane message leg: the
-// decision is a pure function of (config seed, flow id, attempt, salt)
+// decision is a pure function of (config seed, the flow's position in the
+// trace, attempt, salt)
 // through the splitmix64 finalizer — the run RNG is never consulted, so
 // fault injection is bit-identical across shard counts, across reps,
 // and a rate of 0 never perturbs a run (same discipline as the flow
@@ -365,7 +368,8 @@ Network::PuntOutcome Network::controller_punt_with_retry(
     if (attempt > 0) {
       // The previous attempt failed: the edge switch detects the missing
       // reply after a deterministic exponential backoff (+ jitter keyed
-      // on the flow id, not the run RNG) and re-sends the punt.
+      // on the flow's position in the trace, not the run RNG) and
+      // re-sends the punt.
       elapsed += EdgeSwitch::punt_retry_delay(flow_id, attempt - 1, ctrl,
                                               seed);
       ++m.punt_retries;
@@ -484,12 +488,11 @@ net::Packet Network::make_flow_packet(const topo::HostInfo& src,
   pkt.dst_mac = dst.mac;
   pkt.tenant = src.tenant;
   pkt.payload_bytes = flow.avg_packet_bytes;
-  pkt.flow_id = flow.id;
   pkt.created_at = flow.start;
   return pkt;
 }
 
-void Network::on_flow(const workload::Flow& flow,
+void Network::on_flow(const workload::Flow& flow, std::uint64_t flow_id,
                       const EdgeSwitch::Decision* pre) {
   ++metrics_->flows_seen;
   metrics_->flow_arrivals.add_event(flow.start);
@@ -505,17 +508,20 @@ void Network::on_flow(const workload::Flow& flow,
 
   const net::Packet pkt = make_flow_packet(src, dst, flow);
   // Grouping transition window (appendix B preload): no decision.
-  if (lazy && handle_transition_flow(flow, src_sw, dst_sw, pkt)) return;
+  if (lazy && handle_transition_flow(flow, flow_id, src_sw, dst_sw, pkt)) {
+    return;
+  }
   const EdgeSwitch::Decision d =
       pre != nullptr ? *pre : sw.decide(pkt, flow.start, config_.mode);
   if (lazy) {
-    process_lazyctrl_decision(flow, src_sw, dst_sw, pkt, d);
+    process_lazyctrl_decision(flow, flow_id, src_sw, dst_sw, pkt, d);
   } else {
-    process_openflow_decision(flow, src_sw, dst_sw, pkt, d);
+    process_openflow_decision(flow, flow_id, src_sw, dst_sw, pkt, d);
   }
 }
 
 void Network::process_openflow_decision(const workload::Flow& flow,
+                                        std::uint64_t flow_id,
                                         SwitchId src_sw, SwitchId dst_sw,
                                         const net::Packet& pkt,
                                         const EdgeSwitch::Decision& d) {
@@ -525,7 +531,7 @@ void Network::process_openflow_decision(const workload::Flow& flow,
     ++metrics_->flows_flow_table_hit;
     account_flow_latency(flow, steady, steady);
     if (obs::flow_attribution_enabled()) {
-      record_flow_attribution(flow, src_sw, dst_sw,
+      record_flow_attribution(flow, flow_id, src_sw, dst_sw,
                               obs::FlowPathKind::kFlowTableHit,
                               config_.latency, steady);
     }
@@ -533,11 +539,12 @@ void Network::process_openflow_decision(const workload::Flow& flow,
   }
   // Every miss is a PacketIn; the controller resolves via C-LIB and
   // installs an exact-match rule (Floodlight learning-switch behaviour).
-  finish_controller_flow(flow, src_sw, dst_sw, pkt,
+  finish_controller_flow(flow, flow_id, src_sw, dst_sw, pkt,
                          ControllerPathReason::kOpenFlowMiss);
 }
 
 bool Network::handle_transition_flow(const workload::Flow& flow,
+                                     std::uint64_t flow_id,
                                      SwitchId src_sw, SwitchId dst_sw,
                                      const net::Packet& pkt) {
   EdgeSwitch& sw = *switches_[src_sw.value()];
@@ -550,18 +557,19 @@ bool Network::handle_transition_flow(const workload::Flow& flow,
     ++metrics_->flows_flow_table_hit;
     account_flow_latency(flow, steady, steady);
     if (obs::flow_attribution_enabled()) {
-      record_flow_attribution(flow, src_sw, dst_sw,
+      record_flow_attribution(flow, flow_id, src_sw, dst_sw,
                               obs::FlowPathKind::kFlowTableHit,
                               config_.latency, steady);
     }
     return true;
   }
-  finish_controller_flow(flow, src_sw, dst_sw, pkt,
+  finish_controller_flow(flow, flow_id, src_sw, dst_sw, pkt,
                          ControllerPathReason::kTransitionPunt);
   return true;
 }
 
 void Network::process_lazyctrl_decision(const workload::Flow& flow,
+                                        std::uint64_t flow_id,
                                         SwitchId src_sw, SwitchId dst_sw,
                                         const net::Packet& pkt,
                                         const EdgeSwitch::Decision& d) {
@@ -574,7 +582,7 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
   if (host_pair_excluded(flow) &&
       d.kind != EdgeSwitch::DecisionKind::kFlowTableHit &&
       d.kind != EdgeSwitch::DecisionKind::kLocalDeliver) {
-    finish_controller_flow(flow, src_sw, dst_sw, pkt,
+    finish_controller_flow(flow, flow_id, src_sw, dst_sw, pkt,
                            ControllerPathReason::kExcludedHosts);
     return;
   }
@@ -585,7 +593,7 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
       ++m.flows_flow_table_hit;
       account_flow_latency(flow, steady, steady);
       if (attr) {
-        record_flow_attribution(flow, src_sw, dst_sw,
+        record_flow_attribution(flow, flow_id, src_sw, dst_sw,
                                 obs::FlowPathKind::kFlowTableHit,
                                 config_.latency, steady);
       }
@@ -595,7 +603,7 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
       ++m.flows_local_delivery;
       account_flow_latency(flow, paths.local, paths.local);
       if (attr) {
-        record_flow_attribution(flow, src_sw, dst_sw,
+        record_flow_attribution(flow, flow_id, src_sw, dst_sw,
                                 obs::FlowPathKind::kLocalDeliver,
                                 config_.latency, paths.local);
       }
@@ -613,7 +621,7 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
         m.bf_misforward_drops += extras * flow.packets;
         account_flow_latency(flow, paths.cross, paths.cross);
         if (attr) {
-          record_flow_attribution(flow, src_sw, dst_sw,
+          record_flow_attribution(flow, flow_id, src_sw, dst_sw,
                                   obs::FlowPathKind::kIntraGroup,
                                   config_.latency, paths.cross);
         }
@@ -625,13 +633,13 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
       // controller installs an exact rule and forwards the packet.
       m.bf_false_positive_copies += d.candidates.size();
       m.bf_misforward_drops += d.candidates.size();
-      finish_controller_flow(flow, src_sw, dst_sw, pkt,
+      finish_controller_flow(flow, flow_id, src_sw, dst_sw, pkt,
                              ControllerPathReason::kPureFalsePositive);
       return;
     }
     case EdgeSwitch::DecisionKind::kToController: {
       // Inter-group flow: PacketIn, coarse (tenant, dst) rule installed.
-      finish_controller_flow(flow, src_sw, dst_sw, pkt,
+      finish_controller_flow(flow, flow_id, src_sw, dst_sw, pkt,
                              ControllerPathReason::kInterGroupPunt);
       return;
     }
@@ -639,6 +647,7 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
 }
 
 void Network::finish_controller_flow(const workload::Flow& flow,
+                                     std::uint64_t flow_id,
                                      SwitchId src_sw, SwitchId dst_sw,
                                      const net::Packet& pkt,
                                      ControllerPathReason reason) {
@@ -665,7 +674,7 @@ void Network::finish_controller_flow(const workload::Flow& flow,
   const SwitchId via = pure_fp ? SwitchId::invalid() : src_sw;
 
   const PuntOutcome out =
-      controller_punt_with_retry(flow.id, now + report_at, via, bdp);
+      controller_punt_with_retry(flow_id, now + report_at, via, bdp);
 
   if (!out.delivered) {
     // The punt exhausted every retry. LazyCtrl degrades gracefully: the
@@ -687,7 +696,8 @@ void Network::finish_controller_flow(const workload::Flow& flow,
       path = obs::FlowPathKind::kPuntDropped;
     }
     if (attr) {
-      record_flow_attribution(flow, src_sw, dst_sw, path, lat, e2e, &bd);
+      record_flow_attribution(flow, flow_id, src_sw, dst_sw, path, lat, e2e,
+                              &bd);
     }
     return;
   }
@@ -732,7 +742,8 @@ void Network::finish_controller_flow(const workload::Flow& flow,
     }
   }
   if (attr) {
-    record_flow_attribution(flow, src_sw, dst_sw, path, lat, e2e, &bd);
+    record_flow_attribution(flow, flow_id, src_sw, dst_sw, path, lat, e2e,
+                            &bd);
   }
 }
 
@@ -1149,7 +1160,7 @@ sim::CursorStep Network::span_step(const std::vector<workload::Flow>& flows,
     if (sharded != nullptr) {
       sharded->process_span(flows, i, end);
     } else {
-      for (std::size_t k = i; k < end; ++k) on_flow(flows[k]);
+      for (std::size_t k = i; k < end; ++k) on_flow(flows[k], k);
     }
     if (end == flows.size()) return std::nullopt;
     return {{end, flows[end].start}};

@@ -228,9 +228,10 @@ class Network : private dgm::GroupingHost {
 
   // --- unreliable control plane (scenario seams) ---
   /// Runtime overrides of the control-channel fault model. Fault
-  /// decisions are keyed on splitmix64(flow id, attempt, seed) — never
-  /// the run RNG — so runs stay bit-identical across shard counts and
-  /// rate changes only affect the messages they price.
+  /// decisions are keyed on splitmix64(the flow's position in the trace,
+  /// attempt, seed) — never the run RNG — so runs stay bit-identical
+  /// across shard counts and rate changes only affect the messages they
+  /// price.
   void set_control_loss(double rate) noexcept {
     config_.controller.loss_rate = rate;
   }
@@ -361,21 +362,27 @@ class Network : private dgm::GroupingHost {
   /// The per-flow datapath and its one entry point: ingress bookkeeping,
   /// the grouping transition window, then `pre` (a sharded worker's
   /// still-valid pre-decision) or a fresh decide(), then handling.
-  void on_flow(const workload::Flow& flow,
+  /// `flow_id` is the flow's position in the trace; the fault rolls, the
+  /// retry jitter and latency attribution key on it.
+  void on_flow(const workload::Flow& flow, std::uint64_t flow_id,
                const EdgeSwitch::Decision* pre = nullptr);
   /// The appendix-B transition-window path. Returns true when the flow
   /// was fully handled (preload hit or transition punt).
-  bool handle_transition_flow(const workload::Flow& flow, SwitchId src_sw,
+  bool handle_transition_flow(const workload::Flow& flow,
+                              std::uint64_t flow_id, SwitchId src_sw,
                               SwitchId dst_sw, const net::Packet& pkt);
-  void process_openflow_decision(const workload::Flow& flow, SwitchId src_sw,
+  void process_openflow_decision(const workload::Flow& flow,
+                                 std::uint64_t flow_id, SwitchId src_sw,
                                  SwitchId dst_sw, const net::Packet& pkt,
                                  const EdgeSwitch::Decision& d);
-  void process_lazyctrl_decision(const workload::Flow& flow, SwitchId src_sw,
+  void process_lazyctrl_decision(const workload::Flow& flow,
+                                 std::uint64_t flow_id, SwitchId src_sw,
                                  SwitchId dst_sw, const net::Packet& pkt,
                                  const EdgeSwitch::Decision& d);
   /// Executes the controller path for a `reason`-classified flow:
   /// PacketIn round trip, reactive rule install, metric accounting.
-  void finish_controller_flow(const workload::Flow& flow, SwitchId src_sw,
+  void finish_controller_flow(const workload::Flow& flow,
+                              std::uint64_t flow_id, SwitchId src_sw,
                               SwitchId dst_sw, const net::Packet& pkt,
                               ControllerPathReason reason);
   [[nodiscard]] bool host_pair_excluded(const workload::Flow& flow) const {

@@ -31,8 +31,6 @@ struct Packet {
   TenantId tenant;  ///< VLAN-equivalent isolation tag.
   std::uint32_t payload_bytes = 0;
 
-  /// Identity of the flow this packet belongs to (workload bookkeeping).
-  std::uint64_t flow_id = 0;
   /// Creation timestamp for end-to-end latency accounting.
   SimTime created_at = 0;
 

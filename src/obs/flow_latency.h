@@ -23,9 +23,9 @@
 //     runner calls it at every script event);
 //   * the flight-recorder ring — full per-stage records for a
 //     deterministic 1-in-N sample of flows, keyed on a mix of the flow
-//     id (NOT the run RNG), so the same flows are sampled on every run
-//     and across shard counts, and a run is bit-identical with sampling
-//     on or off (tested in tests/obs_test.cpp).
+//     id, its position in the trace (NOT the run RNG), so the same flows
+//     are sampled on every run and across shard counts, and a run is
+//     bit-identical with sampling on or off (tested in tests/obs_test.cpp).
 //
 // Discipline mirrors TraceRecorder (obs/trace.h): compiled in but OFF
 // by default; the entire disabled cost at every emission site is one
@@ -100,7 +100,7 @@ struct FlowStageLatency {
 };
 
 struct FlowRecord {
-  std::uint64_t flow_id = 0;
+  std::uint64_t flow_id = 0;  ///< the flow's position in the trace
   SimTime start = 0;
   std::uint32_t src_sw = 0;
   std::uint32_t dst_sw = 0;

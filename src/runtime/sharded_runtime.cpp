@@ -158,7 +158,7 @@ void ShardedRuntime::merge(const std::vector<workload::Flow>& flows,
   for (std::size_t k = 0; k < n; ++k) {
     const workload::Flow& flow = flows[begin + k];
     if (pos_[k] == kUnassigned) {
-      net_.on_flow(flow);  // transition window: no decision to reuse
+      net_.on_flow(flow, begin + k);  // transition window: no decision
       continue;
     }
 
@@ -194,7 +194,7 @@ void ShardedRuntime::merge(const std::vector<workload::Flow>& flows,
 
     if (stale) {
       ++net_.runtime_obs_.redecided_flows;
-      net_.on_flow(flow);
+      net_.on_flow(flow, begin + k);
       continue;
     }
     const PreDecision& d = shard.decisions[pos_[k]];
@@ -202,7 +202,7 @@ void ShardedRuntime::merge(const std::vector<workload::Flow>& flows,
         d.kind, nullptr,
         std::span<const SwitchId>(shard.candidates)
             .subspan(d.cand_begin, d.cand_end - d.cand_begin)};
-    net_.on_flow(flow, &pre);
+    net_.on_flow(flow, begin + k, &pre);
   }
 
   // Installs only ever land at span ingress switches; clearing by offset

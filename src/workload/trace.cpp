@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <utility>
+#include <vector>
 
 namespace lazyctrl::workload {
 
@@ -41,23 +42,25 @@ namespace {
 
 bool start_before(const Flow& a, const Flow& b) { return a.start < b.start; }
 
-/// Flows whose `id` holds their arrival index, ordered by (start, id).
-bool key_less(const Flow& a, const Flow& b) {
-  return a.start < b.start || (a.start == b.start && a.id < b.id);
-}
-
-/// In-place MSD radix sort (American flag sort) on (start, id), read as one
-/// number: `start - min_start` in the high bits, `id` in the low `id_bits`.
-/// Each level keeps its bucket cursors on the stack and at most 127 key
-/// bits recurse at most 16 levels deep, so no heap memory is touched.
+/// In-place MSD radix sort (American flag sort) of a flow range and its
+/// arrival positions, moved together, on (start, position) read as one
+/// number: `start - min_start` in the high bits, the position in the low
+/// `position_bits`. Each level keeps its bucket cursors on the stack and
+/// at most 127 key bits recurse at most 16 levels deep, so the sort
+/// itself touches no heap memory.
+template <class Position>
 class FlowRadixSort {
  public:
-  FlowRadixSort(std::uint64_t min_start, int id_bits)
-      : min_start_(min_start), id_bits_(id_bits) {}
+  FlowRadixSort(Flow* flows, Position* positions, std::uint64_t min_start,
+                int position_bits)
+      : flows_(flows),
+        positions_(positions),
+        min_start_(min_start),
+        position_bits_(position_bits) {}
 
   /// Sorts [first, last), whose keys agree on every bit above `bits`.
-  void sort(Flow* first, Flow* last, int bits) const {
-    const auto n = static_cast<std::size_t>(last - first);
+  void sort(std::size_t first, std::size_t last, int bits) const {
+    const std::size_t n = last - first;
     if (n <= kSmallRange || bits == 0) {
       insertion_sort(first, last);
       return;
@@ -65,17 +68,17 @@ class FlowRadixSort {
     const int width = std::min(bits, 8);
     bits -= width;
     std::array<std::size_t, 256> count{};
-    for (const Flow* f = first; f != last; ++f) {
-      ++count[digit(*f, bits, width)];
+    for (std::size_t i = first; i != last; ++i) {
+      ++count[digit(flows_[i], positions_[i], bits, width)];
     }
     // All flows share this digit: go down a level without moving any.
     if (std::find(count.begin(), count.end(), n) != count.end()) {
       sort(first, last, bits);
       return;
     }
-    std::array<Flow*, 256> head;
-    std::array<Flow*, 256> end;
-    Flow* p = first;
+    std::array<std::size_t, 256> head;
+    std::array<std::size_t, 256> end;
+    std::size_t p = first;
     for (std::size_t b = 0; b < count.size(); ++b) {
       head[b] = p;
       p += count[b];
@@ -86,18 +89,24 @@ class FlowRadixSort {
         // Carry the flow under the cursor along its cycle: drop it at its
         // bucket's cursor, pick up the flow that was there, until one
         // belongs back here.
-        Flow carried = *head[b];
-        unsigned d = digit(carried, bits, width);
+        Flow carried = flows_[head[b]];
+        Position carried_position = positions_[head[b]];
+        unsigned d = digit(carried, carried_position, bits, width);
         while (d != b) {
-          Flow* const slot = head[d]++;
+          const std::size_t slot = head[d]++;
           // Each step lands on another bucket's cursor, too many streams
-          // for the hardware prefetcher: fetch the slot this cursor
+          // for the hardware prefetcher: fetch the slots this cursor
           // reaches eight drops from now, if its bucket gets that far.
-          if (end[d] - slot > 8) __builtin_prefetch(slot + 8, 1);
-          std::swap(carried, *slot);
-          d = digit(carried, bits, width);
+          if (end[d] - slot > 8) {
+            __builtin_prefetch(flows_ + slot + 8, 1);
+            __builtin_prefetch(positions_ + slot + 8, 1);
+          }
+          std::swap(carried, flows_[slot]);
+          std::swap(carried_position, positions_[slot]);
+          d = digit(carried, carried_position, bits, width);
         }
-        *head[b]++ = carried;
+        flows_[head[b]] = carried;
+        positions_[head[b]++] = carried_position;
       }
     }
     for (std::size_t b = 0; b < count.size(); ++b) {
@@ -108,61 +117,97 @@ class FlowRadixSort {
  private:
   static constexpr std::size_t kSmallRange = 32;
 
-  static void insertion_sort(Flow* first, Flow* last) {
-    for (Flow* i = first + 1; i < last; ++i) {
-      const Flow f = *i;
-      Flow* j = i;
-      for (; j != first && key_less(f, j[-1]); --j) *j = j[-1];
-      *j = f;
+  void insertion_sort(std::size_t first, std::size_t last) const {
+    for (std::size_t i = first + 1; i < last; ++i) {
+      const Flow f = flows_[i];
+      const Position position = positions_[i];
+      std::size_t j = i;
+      for (; j != first && key_less(f, position, j - 1); --j) {
+        flows_[j] = flows_[j - 1];
+        positions_[j] = positions_[j - 1];
+      }
+      flows_[j] = f;
+      positions_[j] = position;
     }
   }
 
+  /// Whether (f, position) orders before the flow at slot j.
+  [[nodiscard]] bool key_less(const Flow& f, Position position,
+                              std::size_t j) const {
+    return f.start < flows_[j].start ||
+           (f.start == flows_[j].start && position < positions_[j]);
+  }
+
   /// Key bits [lo, lo + width), width <= 8.
-  [[nodiscard]] unsigned digit(const Flow& f, int lo, int width) const {
+  [[nodiscard]] unsigned digit(const Flow& f, Position position, int lo,
+                               int width) const {
     const std::uint64_t rel = static_cast<std::uint64_t>(f.start) - min_start_;
-    // id_bits_ < 64 (a vector holds fewer than 2^63 flows), so the shift
-    // below is defined.
-    const std::uint64_t v = lo >= id_bits_
-                                ? rel >> (lo - id_bits_)
-                                : (f.id >> lo) | (rel << (id_bits_ - lo));
+    // position_bits_ < 64 (a vector holds fewer than 2^63 flows), so the
+    // shift below is defined.
+    const std::uint64_t v =
+        lo >= position_bits_
+            ? rel >> (lo - position_bits_)
+            : (std::uint64_t{position} >> lo) |
+                  (rel << (position_bits_ - lo));
     return static_cast<unsigned>(v & ((1u << width) - 1));
   }
 
+  Flow* flows_;
+  Position* positions_;
   std::uint64_t min_start_;
-  int id_bits_;
+  int position_bits_;
 };
 
-/// Sorts [first, last) by (start, position) in place. Positions go into
-/// `id`, which finalize_trace overwrites afterwards.
+}  // namespace
+
+namespace detail {
+
+template <class Position>
 void sort_by_arrival(Flow* first, Flow* last) {
   if (std::is_sorted(first, last, start_before)) return;
+  const auto n = static_cast<std::size_t>(last - first);
   SimTime lo = first->start;
   SimTime hi = lo;
-  std::uint64_t position = 0;
-  for (Flow* f = first; f != last; ++f) {
-    f->id = position++;
+  // Freed on return, before finalize_trace's merge allocates its buffer.
+  std::vector<Position> positions;
+  positions.reserve(n);
+  for (const Flow* f = first; f != last; ++f) {
+    positions.push_back(static_cast<Position>(f - first));
     lo = std::min(lo, f->start);
     hi = std::max(hi, f->start);
   }
   // Unsigned difference: negative starts and a full int64 span both work.
   const auto span = static_cast<std::uint64_t>(hi) -
                     static_cast<std::uint64_t>(lo);
-  const auto id_bits = static_cast<int>(std::bit_width(position - 1));
-  FlowRadixSort(static_cast<std::uint64_t>(lo), id_bits)
-      .sort(first, last, static_cast<int>(std::bit_width(span)) + id_bits);
+  const auto position_bits =
+      static_cast<int>(std::bit_width(std::uint64_t{n} - 1));
+  FlowRadixSort<Position>(first, positions.data(),
+                          static_cast<std::uint64_t>(lo), position_bits)
+      .sort(0, n, static_cast<int>(std::bit_width(span)) + position_bits);
 }
 
-}  // namespace
+template void sort_by_arrival<std::uint32_t>(Flow*, Flow*);
+template void sort_by_arrival<std::uint64_t>(Flow*, Flow*);
+
+}  // namespace detail
 
 void finalize_trace(Trace& trace) {
+  // Positions as wide as the sorted range needs.
+  const auto sort_range = [](Flow* from, Flow* to) {
+    if (detail::wide_positions(static_cast<std::size_t>(to - from))) {
+      detail::sort_by_arrival<std::uint64_t>(from, to);
+    } else {
+      detail::sort_by_arrival<std::uint32_t>(from, to);
+    }
+  };
   Flow* const first = trace.flows.data();
   Flow* const last = first + trace.flows.size();
   Flow* const mid = std::is_sorted_until(first, last, start_before);
   if (mid - first < last - mid) {
     // A sorted prefix shorter than the rest is not worth merging into.
-    sort_by_arrival(first, last);
+    sort_range(first, last);
   } else if (mid != last) {
-    sort_by_arrival(mid, last);
+    sort_range(mid, last);
     // Every prefix flow arrived before every tail flow, so a merge that
     // keeps the prefix first on ties is the stable order. Prefix flows no
     // later than the tail's first stay put, those after its last rotate
@@ -172,8 +217,6 @@ void finalize_trace(Trace& trace) {
     Flow* const tail_end = std::rotate(hi, mid, last);
     std::inplace_merge(lo, hi, tail_end, start_before);
   }
-  std::uint64_t id = 0;
-  for (Flow& f : trace.flows) f.id = id++;
 }
 
 Trace slice_trace(const Trace& trace, SimTime from, SimTime to) {

@@ -5,7 +5,9 @@
 // each flow (the event that can reach the controller) and accounts for the
 // remaining packets analytically, which preserves every metric the paper
 // reports (controller requests/s, setup latency, average per-packet
-// latency) at a fraction of the event cost.
+// latency) at a fraction of the event cost. A flow's id is its position
+// in the finalized trace: the replay passes it along with the flow, so a
+// record stores no id of its own.
 #pragma once
 
 #include <array>
@@ -19,7 +21,6 @@
 namespace lazyctrl::workload {
 
 struct Flow {
-  std::uint64_t id = 0;
   HostId src;
   HostId dst;
   SimTime start = 0;
@@ -27,6 +28,10 @@ struct Flow {
   std::uint32_t packets = 1;
   std::uint32_t avg_packet_bytes = 512;
 };
+// The trace is every run's largest allocation, and each shaping pass
+// copies it: a field added here costs its size per flow several times
+// over.
+static_assert(sizeof(Flow) == 24);
 
 struct Trace {
   std::vector<Flow> flows;  ///< sorted by `start`
@@ -64,14 +69,34 @@ struct DiurnalProfile {
   return hour;
 }
 
-/// Sorts flows by start time, stable for equal starts, and reassigns
-/// dense ids. Generators and every trace-shaping pass call this before
-/// returning. Adaptive and in place: an already sorted trace costs one
-/// read pass and moves nothing; otherwise the out-of-order tail is radix
-/// sorted in place and merged into the sorted prefix, with a scratch
-/// buffer no larger than the overlap of the two (never the n/2 buffer of
-/// std::stable_sort).
+/// Sorts flows by start time, stable for equal starts, which fixes every
+/// flow's id (its position). Generators, the CSV reader and every
+/// trace-shaping pass call this before returning. Adaptive: an already
+/// sorted trace costs one read pass and allocates nothing. Otherwise the
+/// out-of-order tail is radix sorted in place on (start, arrival
+/// position), with the positions in a transient array of 4 bytes per
+/// sorted flow, and then merged into the sorted prefix with a buffer no
+/// larger than the smaller of the overlap and the tail (never the
+/// n/2-flow buffer of std::stable_sort). The position array is freed
+/// before the merge.
 void finalize_trace(Trace& trace);
+
+namespace detail {
+
+/// Whether finalize_trace keys a range of `n` flows on 64-bit arrival
+/// positions: 32 bits would wrap at 2^32 flows.
+[[nodiscard]] constexpr bool wide_positions(std::size_t n) noexcept {
+  return n > std::size_t{0xFFFF'FFFF};
+}
+
+/// finalize_trace's in-place sort of [first, last) by (start, arrival
+/// position), with positions of type `Position` (std::uint32_t or
+/// std::uint64_t). Exposed so tests can run the 64-bit instance without
+/// a 2^32-flow trace.
+template <class Position>
+void sort_by_arrival(Flow* first, Flow* last);
+
+}  // namespace detail
 
 /// The flows of `trace` starting in [from, to), rebased so the slice
 /// starts at time 0 and its horizon is (to - from). Useful for warming up

@@ -24,7 +24,7 @@ bool save_trace_csv(const Trace& trace, const std::string& path);
 /// diagnostic is reported through the optional `error` out-param as
 /// "line N: <field> ..." in the `.scn` parser's style (malformed,
 /// negative or zero fields name the offending field and value). Flows
-/// are re-finalized (sorted, dense ids).
+/// are re-finalized (sorted by start, so a flow's id is its position).
 ///
 /// Horizon: when `min_horizon` > 0 it is the DECLARED horizon — the
 /// loaded trace gets exactly that horizon, and a flow whose start_ns

@@ -9,8 +9,9 @@
 // change that sneaks an allocation back in (a vector copy, a std::function
 // capture, a map insert) fails loudly instead of showing up only as a
 // perf regression. The same counters pin workload::finalize_trace's
-// memory bound: it sorts in place, so a trace of n flows never pays
-// std::stable_sort's n/2-flow scratch buffer, the traffic monitor's
+// memory bound: it sorts in place with one 4-byte arrival position per
+// sorted flow, so a trace of n flows never pays std::stable_sort's
+// n/2-flow scratch buffer, the traffic monitor's
 // per-flow recording, which allocates nothing once a roll has left its
 // window table sized, the flow table's install/expire/compact churn,
 // which reuses its slots once warm, and partition refinement, whose
@@ -328,22 +329,47 @@ namespace {
 
 constexpr std::size_t kTraceFlows = 100'000;
 
-/// Heap bytes finalize_trace requests while ordering `trace`.
-std::uint64_t finalize_bytes(Trace& trace) {
-  const std::uint64_t before = g_alloc_bytes.load();
-  finalize_trace(trace);
-  return g_alloc_bytes.load() - before;
+/// Heap requests made while `fn` runs.
+struct Allocated {
+  std::uint64_t bytes = 0;
+  std::uint64_t count = 0;
+};
+
+template <class Fn>
+Allocated allocated_by(Fn fn) {
+  const std::uint64_t bytes = g_alloc_bytes.load();
+  const std::uint64_t count = g_alloc_count.load();
+  fn();
+  return {g_alloc_bytes.load() - bytes, g_alloc_count.load() - count};
 }
 
+/// Heap bytes finalize_trace requests while ordering `trace`.
+std::uint64_t finalize_bytes(Trace& trace) {
+  return allocated_by([&] { finalize_trace(trace); }).bytes;
+}
+
+/// `n` flows with random starts in [0, horizon), each tagged with its
+/// arrival index in `packets` so a reordering of equal starts shows.
 Trace random_trace(std::size_t n, SimTime horizon, std::uint64_t seed) {
   Rng rng(seed);
   Trace t;
   t.flows.resize(n);
+  std::uint32_t arrival = 0;
   for (Flow& f : t.flows) {
     f.start = static_cast<SimTime>(
         rng.next_below(static_cast<std::uint64_t>(horizon)));
+    f.packets = ++arrival;
   }
   return t;
+}
+
+bool start_before(const Flow& a, const Flow& b) { return a.start < b.start; }
+
+bool same_order(const Trace& a, const Trace& b) {
+  return std::equal(a.flows.begin(), a.flows.end(), b.flows.begin(),
+                    b.flows.end(), [](const Flow& x, const Flow& y) {
+                      return x.start == y.start && x.packets == y.packets;
+                    });
 }
 
 TEST(FinalizeTraceAllocTest, SortedTraceIsAllocationFree) {
@@ -355,12 +381,15 @@ TEST(FinalizeTraceAllocTest, SortedTraceIsAllocationFree) {
   EXPECT_EQ(finalize_bytes(t), 0u);
 }
 
-TEST(FinalizeTraceAllocTest, ShuffledTraceIsAllocationFree) {
+TEST(FinalizeTraceAllocTest, ShuffledTraceAllocatesOnePositionPerFlowOnce) {
+  // The radix sort's only heap memory is the arrival positions, 4 bytes
+  // per flow in one array: the 8-byte id each record used to carry is
+  // gone, so 28n bytes are live at the sort where 32n were.
   Trace t = random_trace(kTraceFlows, kHour, 1);
-  EXPECT_EQ(finalize_bytes(t), 0u);
-  ASSERT_TRUE(std::is_sorted(
-      t.flows.begin(), t.flows.end(),
-      [](const Flow& a, const Flow& b) { return a.start < b.start; }));
+  const Allocated a = allocated_by([&] { finalize_trace(t); });
+  EXPECT_EQ(a.bytes, kTraceFlows * sizeof(std::uint32_t));
+  EXPECT_EQ(a.count, 1u);
+  ASSERT_TRUE(std::is_sorted(t.flows.begin(), t.flows.end(), start_before));
 }
 
 TEST(FinalizeTraceAllocTest, PrefixPlusTailBuffersAtMostTheSmallerRun) {
@@ -383,8 +412,37 @@ TEST(FinalizeTraceAllocTest, PrefixPlusTailBuffersAtMostTheSmallerRun) {
   }
   const std::size_t n = t.flows.size();
   const std::uint64_t bytes = finalize_bytes(t);
-  EXPECT_LE(bytes, std::min(overlap, tail.flows.size()) * sizeof(Flow));
+  // The tail's positions, freed before the merge, then the merge buffer.
+  EXPECT_LE(bytes, tail.flows.size() * sizeof(std::uint32_t) +
+                       std::min(overlap, tail.flows.size()) * sizeof(Flow));
   EXPECT_LT(bytes, n / 2 * sizeof(Flow));  // std::stable_sort's buffer
+}
+
+// Positions never wrap: a range of 2^32 or more flows sorts on 64-bit
+// positions. Checked at the boundary and on a small range forced onto
+// the 64-bit instance, without a 2^32-flow trace.
+static_assert(!detail::wide_positions(0));
+static_assert(!detail::wide_positions(std::size_t{0xFFFF'FFFF}));
+static_assert(detail::wide_positions(std::size_t{1} << 32));
+
+TEST(FinalizeTraceAllocTest, WidePositionsSortTheSameWithEightBytesPerFlow) {
+  // Starts in [0, 1000): most of the key is the arrival position.
+  const Trace shuffled = random_trace(kTraceFlows, 1000, 3);
+  Trace want = shuffled;
+  std::stable_sort(want.flows.begin(), want.flows.end(), start_before);
+
+  Trace narrow = shuffled;
+  finalize_trace(narrow);
+  EXPECT_TRUE(same_order(narrow, want));
+
+  Trace wide = shuffled;
+  Flow* const first = wide.flows.data();
+  const Allocated a = allocated_by([&] {
+    detail::sort_by_arrival<std::uint64_t>(first, first + wide.flows.size());
+  });
+  EXPECT_EQ(a.bytes, kTraceFlows * sizeof(std::uint64_t));
+  EXPECT_EQ(a.count, 1u);
+  EXPECT_TRUE(same_order(wide, want));
 }
 
 }  // namespace

@@ -13,7 +13,6 @@ Packet sample_data_packet() {
   p.dst_mac = MacAddress::for_host(2);
   p.tenant = TenantId{7};
   p.payload_bytes = 900;
-  p.flow_id = 33;
   p.created_at = 12345;
   return p;
 }
@@ -29,7 +28,9 @@ TEST(PacketTest, EncapsulateAddsTunnelHeader) {
   EXPECT_EQ(e.src_mac, p.src_mac);
   EXPECT_EQ(e.dst_mac, p.dst_mac);
   EXPECT_EQ(e.tenant, p.tenant);
-  EXPECT_EQ(e.flow_id, p.flow_id);
+  EXPECT_EQ(e.kind, p.kind);
+  EXPECT_EQ(e.payload_bytes, p.payload_bytes);
+  EXPECT_EQ(e.created_at, p.created_at);
 }
 
 TEST(PacketTest, WireBytesIncludesOverheadOnlyWhenEncapsulated) {

@@ -502,6 +502,73 @@ TEST(FlowLatencyAttributionTest, OutageBacklogLandsInCtrlQueue) {
       << "outage-phase p99 flows not dominated by controller queueing";
 }
 
+// ---- A flow's id is its position in the trace ----
+
+// 3,000 flows over 20 minutes with a snapshot fence at 8 minutes, so the
+// replay cuts many spans and a resume starts mid trace.
+scenario::ScenarioSpec flow_id_spec(unsigned shards) {
+  scenario::ScenarioSpec spec;
+  spec.name = "flow_id_test";
+  spec.seed = 31;
+  spec.topology.switches = 12;
+  spec.topology.tenants = 6;
+  spec.topology.min_vms_per_tenant = 8;
+  spec.topology.max_vms_per_tenant = 16;
+  spec.workload.flows = 3000;
+  spec.workload.horizon = 20 * kMinute;
+  spec.workload.flat_profile = true;
+  spec.config.runtime.num_shards = shards;
+  scenario::ScenarioEvent fence;
+  fence.at = 8 * kMinute;
+  fence.kind = scenario::EventKind::kCheckpoint;
+  spec.events.push_back(fence);
+  return spec;
+}
+
+/// Records every flow into a ring that holds them all.
+void record_every_flow(std::size_t flows) {
+  obs::flow_recorder().enable(/*sample_every_n=*/1, /*ring_capacity=*/flows);
+}
+
+/// The ring holds the last flows of an `n`-flow trace, one record per
+/// flow in trace order, and each names its position.
+void expect_records_name_positions(std::size_t n) {
+  const auto& rec = obs::flow_recorder();
+  ASSERT_EQ(rec.dropped(), 0u);
+  ASSERT_GT(rec.size(), 0u);
+  ASSERT_LE(rec.size(), n);
+  const std::size_t first = n - rec.size();
+  for (std::size_t j = 0; j < rec.size(); ++j) {
+    ASSERT_EQ(rec.record_at(j).flow_id, first + j) << "record " << j;
+  }
+}
+
+TEST(FlowIdTest, ReplayRecordsEachFlowUnderItsTracePosition) {
+  FlowRecorderGuard guard;
+  for (const unsigned shards : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << shards << " shard(s)");
+    scenario::ScenarioRunner runner(flow_id_spec(shards));
+    record_every_flow(3000);
+    std::string err;
+    ASSERT_TRUE(runner.run(&err)) << err;
+    const std::size_t n = runner.trace().flows.size();
+    ASSERT_EQ(n, 3000u);
+    EXPECT_EQ(obs::flow_recorder().size(), n);
+    expect_records_name_positions(n);
+
+    // A resume replays the rest of the same trace: its first flow keeps
+    // its position, not 0.
+    ASSERT_EQ(runner.snapshots().size(), 1u);
+    auto resumed =
+        scenario::ScenarioRunner::restore(runner.snapshots()[0].bytes, &err);
+    ASSERT_NE(resumed, nullptr) << err;
+    record_every_flow(n);
+    ASSERT_TRUE(resumed->finish(&err)) << err;
+    EXPECT_LT(obs::flow_recorder().size(), n);
+    expect_records_name_positions(n);
+  }
+}
+
 // ---- Log-level parsing ----
 
 TEST(LogLevelTest, ParseAcceptsNamesAndDigits) {

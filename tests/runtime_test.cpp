@@ -315,7 +315,6 @@ workload::Trace install_burst_trace(const topo::Topology& topo, SwitchId sw,
   trace.horizon = 2 * kMinute;
   for (std::size_t i = 0; i < order.size(); ++i) {
     workload::Flow f;
-    f.id = i;
     f.src = src;
     f.dst = order[i];
     f.start = kSecond + static_cast<SimTime>(i) * kMicrosecond;
@@ -393,7 +392,6 @@ workload::Trace spaced_trace(const topo::Topology& topo, std::size_t count,
   trace.horizon = horizon;
   for (std::size_t i = 0; i < count; ++i) {
     workload::Flow f;
-    f.id = i;
     const auto hosts = static_cast<std::uint32_t>(topo.host_count());
     const auto src = static_cast<std::uint32_t>(rng.next_below(hosts));
     const auto hop = static_cast<std::uint32_t>(rng.next_below(hosts - 1));
@@ -448,7 +446,6 @@ TEST(ShardedRuntimeTest, SpanNarrowerThanRuleTtlKeepsRefreshedRules) {
   trace.horizon = kMinute;
   const auto add = [&](HostId dst, SimTime start) {
     workload::Flow f;
-    f.id = trace.flows.size();
     f.src = src;
     f.dst = dst;
     f.start = start;

@@ -14,8 +14,8 @@ namespace {
 Trace sample_trace() {
   Trace t;
   t.horizon = 10 * kSecond;
-  t.flows.push_back(Flow{0, HostId{1}, HostId{2}, 5 * kSecond, 3, 700});
-  t.flows.push_back(Flow{0, HostId{3}, HostId{1}, 1 * kSecond, 1, 64});
+  t.flows.push_back(Flow{HostId{1}, HostId{2}, 5 * kSecond, 3, 700});
+  t.flows.push_back(Flow{HostId{3}, HostId{1}, 1 * kSecond, 1, 64});
   finalize_trace(t);
   return t;
 }

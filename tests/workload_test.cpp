@@ -70,17 +70,20 @@ TEST(DiurnalProfileTest, BusinessDayPeaksInAfternoon) {
   EXPECT_GT(peak, 2 * night);
 }
 
-TEST(FinalizeTraceTest, SortsByStartAndAssignsDenseIds) {
+TEST(FinalizeTraceTest, SortsByStartKeepingArrivalOrderOnTies) {
   Trace t;
-  t.flows.push_back(Flow{9, HostId{0}, HostId{1}, 300, 1, 100});
-  t.flows.push_back(Flow{9, HostId{0}, HostId{1}, 100, 1, 100});
-  t.flows.push_back(Flow{9, HostId{0}, HostId{1}, 200, 1, 100});
+  t.flows.push_back(Flow{HostId{0}, HostId{1}, 300, 1, 100});
+  t.flows.push_back(Flow{HostId{0}, HostId{1}, 100, 1, 100});
+  t.flows.push_back(Flow{HostId{0}, HostId{2}, 200, 1, 100});
+  t.flows.push_back(Flow{HostId{0}, HostId{3}, 100, 1, 100});
   finalize_trace(t);
+  ASSERT_EQ(t.flows.size(), 4u);
   EXPECT_EQ(t.flows[0].start, 100);
-  EXPECT_EQ(t.flows[2].start, 300);
-  for (std::size_t i = 0; i < t.flows.size(); ++i) {
-    EXPECT_EQ(t.flows[i].id, i);
-  }
+  EXPECT_EQ(t.flows[0].dst, HostId{1});
+  EXPECT_EQ(t.flows[1].start, 100);
+  EXPECT_EQ(t.flows[1].dst, HostId{3});
+  EXPECT_EQ(t.flows[2].start, 200);
+  EXPECT_EQ(t.flows[3].start, 300);
 }
 
 TEST(RealLikeGeneratorTest, ProducesRequestedFlowCount) {
@@ -460,7 +463,9 @@ TEST(TraceUtilTest, SliceThenConcatRoundTrips) {
 namespace lazyctrl::workload {
 namespace {
 
-/// FNV-1a over the horizon and every field of every flow, in order.
+/// FNV-1a over the horizon and every flow, in order: its position (its
+/// id, mixed where the constants below once mixed a stored id, so they
+/// still hold) and every field.
 std::uint64_t fingerprint(const Trace& t) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::uint64_t v) {
@@ -470,8 +475,9 @@ std::uint64_t fingerprint(const Trace& t) {
     }
   };
   mix(static_cast<std::uint64_t>(t.horizon));
+  std::uint64_t position = 0;
   for (const Flow& f : t.flows) {
-    mix(f.id);
+    mix(position++);
     mix(f.src.value());
     mix(f.dst.value());
     mix(static_cast<std::uint64_t>(f.start));
@@ -607,14 +613,11 @@ TEST(TraceFingerprintTest, RealLikeAndExpandOnTheX10Fabric) {
 namespace lazyctrl::workload {
 namespace {
 
-/// What finalize_trace must produce: std::stable_sort by start, then
-/// dense ids.
+/// What finalize_trace must produce: std::stable_sort by start.
 Trace reference_finalize(Trace t) {
   std::stable_sort(
       t.flows.begin(), t.flows.end(),
       [](const Flow& a, const Flow& b) { return a.start < b.start; });
-  std::uint64_t id = 0;
-  for (Flow& f : t.flows) f.id = id++;
   return t;
 }
 
@@ -624,7 +627,6 @@ Trace trace_of(const std::vector<SimTime>& starts) {
   Trace t;
   for (std::size_t i = 0; i < starts.size(); ++i) {
     Flow f;
-    f.id = 7;  // finalize_trace must not trust incoming ids
     f.src = HostId{static_cast<std::uint32_t>(i % 251)};
     f.dst = HostId{static_cast<std::uint32_t>(i / 251)};
     f.start = starts[i];
@@ -635,9 +637,8 @@ Trace trace_of(const std::vector<SimTime>& starts) {
 }
 
 bool same_flow(const Flow& a, const Flow& b) {
-  return a.id == b.id && a.src == b.src && a.dst == b.dst &&
-         a.start == b.start && a.packets == b.packets &&
-         a.avg_packet_bytes == b.avg_packet_bytes;
+  return a.src == b.src && a.dst == b.dst && a.start == b.start &&
+         a.packets == b.packets && a.avg_packet_bytes == b.avg_packet_bytes;
 }
 
 void expect_same_trace(const Trace& got, const Trace& want) {

@@ -6,9 +6,9 @@
 //                            lazyctrl_run, repeatable)
 //   --scale F                multiply workload.flows by F
 //   --flow-sample N          flight-record every N-th flow (default 64;
-//                            deterministic, keyed on the flow id). The
-//                            waterfall and breakdown sections need at
-//                            least one sampled record.
+//                            deterministic, keyed on the flow's position
+//                            in the trace). The waterfall and breakdown
+//                            sections need at least one sampled record.
 //   --top K                  how many slowest sampled flows to print
 //                            (default 10)
 //   --trace FILE             also record trace events and write sampled

@@ -20,8 +20,9 @@
 //                            Chrome trace_event JSON (load in Perfetto or
 //                            chrome://tracing; see docs/OBSERVABILITY.md)
 //   --flow-sample N          flight-record every N-th flow (deterministic,
-//                            keyed on the flow id — bit-identical metrics
-//                            with any N, including 0 = off). Sampled flows
+//                            keyed on the flow's position in the trace —
+//                            bit-identical metrics with any N, including
+//                            0 = off). Sampled flows
 //                            land in --trace output as per-stage spans.
 //                            Stage latency histograms + the
 //                            latency_*_p*_ns JSON metrics are always on,
