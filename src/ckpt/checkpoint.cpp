@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -93,13 +94,16 @@ struct Clock {
 // both offer the same members:
 //   u8 u32 u64 i64 f64 boolean str   a field of that wire width; ids,
 //                                    MAC/IP addresses and RNGs travel as
-//                                    their index, bits and position
+//                                    their index, bits and position;
+//                                    restore rejects a value the field
+//                                    cannot hold
 //   kind(e, max, what)               an enum as one byte, at most `max`
 //   count(n or vector, min_bytes)    an element count, bounded on restore
 //                                    by Reader::count; a vector is
 //                                    resized to it
-//   sorted(set or map, min, each)    an unordered container as its
-//                                    key-sorted entry sequence
+//   sorted(set or map, min, what,    an unordered container as its
+//          each)                     key-sorted entry sequence; restore
+//                                    requires strictly ascending keys
 //   check(holds, message)            a restore check; nothing on save (a
 //                                    formatted message is a lambda, run
 //                                    only on failure)
@@ -132,6 +136,16 @@ struct EntryOf<C> {
 template <class C>
 using Entry = typename EntryOf<C>::type;
 
+/// The key of such an entry.
+template <class E>
+const auto& key_of(const E& e) {
+  if constexpr (requires { e.first; }) {
+    return e.first;
+  } else {
+    return e;
+  }
+}
+
 class Save {
  public:
   static constexpr bool kLoading = false;
@@ -160,15 +174,12 @@ class Save {
     w_.u64(v.size());
   }
   template <class C, class F>
-  void sorted(const C& c, std::uint64_t /*min_bytes*/, F&& each) {
+  void sorted(const C& c, std::uint64_t /*min_bytes*/, const char* /*what*/,
+              F&& each) {
     std::vector<Entry<C>> entries(c.begin(), c.end());
     std::sort(entries.begin(), entries.end(),
               [](const auto& a, const auto& b) {
-                if constexpr (requires { a.first; }) {
-                  return a.first < b.first;
-                } else {
-                  return a < b;
-                }
+                return key_of(a) < key_of(b);
               });
     w_.u64(entries.size());
     for (Entry<C>& e : entries) each(e);
@@ -192,18 +203,21 @@ class Load {
   explicit Load(Reader& r) : r_(r) {}
 
   [[nodiscard]] bool ok() const { return r_.ok(); }
-  // T(raw) converts a number and builds an id, address or RNG alike.
   template <class T>
-  void u8(T& v) { v = T(r_.u8()); }
+  void u8(T& v) { field(v, r_.u8()); }
   template <class T>
-  void u32(T& v) { v = T(r_.u32()); }
+  void u32(T& v) { field(v, r_.u32()); }
   template <class T>
-  void u64(T& v) { v = T(r_.u64()); }
+  void u64(T& v) { field(v, r_.u64()); }
   template <class T>
-  void i64(T& v) { v = T(r_.i64()); }
+  void i64(T& v) { field(v, r_.i64()); }
   void f64(double& v) { v = r_.f64(); }
   template <class T>
-  void boolean(T& v) { v = r_.boolean(); }
+  void boolean(T& v) {
+    const std::uint8_t raw = r_.u8();
+    check(raw <= 1, [&] { return "boolean byte " + std::to_string(raw); });
+    v = T(raw != 0);
+  }
   void str(std::string& s) { s = r_.str(); }
   template <class E>
   void kind(E& v, E max, const char* what) {
@@ -221,10 +235,18 @@ class Load {
     v.resize(static_cast<std::size_t>(r_.count(min_bytes)));
   }
   template <class C, class F>
-  void sorted(C& c, std::uint64_t min_bytes, F&& each) {
-    for (std::uint64_t n = r_.count(min_bytes); n > 0; --n) {
+  void sorted(C& c, std::uint64_t min_bytes, const char* what, F&& each) {
+    std::optional<typename C::key_type> previous;
+    for (std::uint64_t n = r_.count(min_bytes); n > 0 && ok(); --n) {
       Entry<C> e{};
       each(e);
+      const auto& key = key_of(e);
+      // A repeated key would be dropped by the insert, silently.
+      check(!previous || *previous < key, [&] {
+        return what + (" out of order: key " + std::to_string(key) +
+                       " after " + std::to_string(*previous));
+      });
+      previous = key;
       c.insert(std::move(e));
     }
   }
@@ -245,6 +267,18 @@ class Load {
   }
 
  private:
+  // T(raw) converts a number and builds an id, address or RNG alike. A
+  // value its type does not hold as read (a MAC above 48 bits) would
+  // restore as another value, silently, so it is diagnosed.
+  template <class T, class Raw>
+  void field(T& v, Raw raw) {
+    v = T(raw);
+    check(static_cast<Raw>(wire_value(v)) == raw, [&] {
+      return "field value " + std::to_string(raw) +
+             " does not fit its field";
+    });
+  }
+
   Reader& r_;
 };
 
@@ -336,8 +370,10 @@ struct StateAccess::Walk {
       });
     }
     io.u64(net.grouping_epoch_);
-    io.sorted(net.dormant_hosts_, 4, [&](std::uint32_t& h) { io.u32(h); });
-    io.sorted(net.excluded_hosts_, 4, [&](std::uint32_t& h) { io.u32(h); });
+    io.sorted(net.dormant_hosts_, 4, "dormant hosts",
+              [&](std::uint32_t& h) { io.u32(h); });
+    io.sorted(net.excluded_hosts_, 4, "excluded hosts",
+              [&](std::uint32_t& h) { io.u32(h); });
   }
 
   // TOPO: scheduled migrations, each flagged `completed` when its
@@ -365,15 +401,51 @@ struct StateAccess::Walk {
     }
   }
 
-  // CTRL: C-LIB + queueing model + workload-window state.
+  // CTRL: C-LIB + queueing model + workload-window state. The C-LIB
+  // travels as its live slots in host order, which is MAC order, each as
+  // (MAC, host, tenant, switch). A restored entry must be keyed by the
+  // MAC of a host of the topology and record that host, and the keys
+  // must ascend strictly.
   template <class IO>
-  static void ctrl(IO& io, core::CentralController& c) {
-    io.sorted(c.clib_, 20, [&](auto& e) {
-      io.u64(e.first);
-      io.u32(e.second.host);
-      io.u32(e.second.tenant);
-      io.u32(e.second.attached_switch);
-    });
+  static void ctrl(IO& io, core::CentralController& c, std::size_t hosts) {
+    std::uint64_t n = c.clib_size();
+    io.count(n, 20);
+    std::size_t slot = 0;  // save: the next C-LIB slot to look at
+    MacAddress previous;
+    for (std::uint64_t k = 0; k < n && io.ok(); ++k) {
+      MacAddress mac;
+      core::ClibEntry e;
+      if constexpr (!IO::kLoading) {
+        while (!c.clib_[slot].host.valid()) ++slot;
+        mac = MacAddress::for_host(static_cast<std::uint32_t>(slot));
+        e = c.clib_[slot++];
+      }
+      io.u64(mac);
+      io.u32(e.host);
+      io.u32(e.tenant);
+      io.u32(e.attached_switch);
+      const std::optional<std::uint32_t> index = mac.host_index();
+      io.check(index.has_value(), [&] {
+        return "C-LIB key " + mac.to_string() + " is not a host MAC";
+      });
+      io.check(!index || *index < hosts, [&] {
+        return "C-LIB key " + mac.to_string() + " names host " +
+               std::to_string(*index) + ", topology has " +
+               std::to_string(hosts);
+      });
+      io.check(!index || e.host.value() == *index, [&] {
+        return "C-LIB entry for host " + std::to_string(*index) +
+               " records host " + std::to_string(e.host.value());
+      });
+      io.check(k == 0 || previous < mac, [&] {
+        return "C-LIB keys out of order: " + mac.to_string() + " after " +
+               previous.to_string();
+      });
+      previous = mac;
+      if constexpr (IO::kLoading) {
+        if (io.ok()) c.clib_learn(mac, e.host, e.tenant, e.attached_switch);
+      }
+    }
     io.count(c.servers_free_at_, 8);
     io.check(!c.servers_free_at_.empty(),
              "controller needs at least one server");
@@ -513,8 +585,9 @@ struct StateAccess::Walk {
               "wheel event has unknown failure kind");
       io.str(ev.action);
     }
-    io.sorted(fw.reported_, 8, [&](std::uint64_t& key) { io.u64(key); });
-    io.sorted(fw.miss_counts_, 16, [&](auto& e) {
+    io.sorted(fw.reported_, 8, "wheel reports",
+              [&](std::uint64_t& key) { io.u64(key); });
+    io.sorted(fw.miss_counts_, 16, "wheel miss counts", [&](auto& e) {
       io.u64(e.first);
       io.i64(e.second);
     });
@@ -775,7 +848,9 @@ bool StateAccess::save(scenario::ScenarioRunner& runner, std::uint32_t index,
   io.section(kConf, [&] { Walk::conf(io, net->config_); });
   io.section(kGrpg, [&] { Walk::grpg(io, *net); });
   io.section(kTopo, [&] { Walk::topo(io, *net, completed); });
-  io.section(kCtrl, [&] { Walk::ctrl(io, net->controller_); });
+  io.section(kCtrl, [&] {
+    Walk::ctrl(io, net->controller_, net->topology_.host_count());
+  });
   io.section(kSwch, [&] { Walk::swch(io, *net); });
   io.section(kWhel, [&] {
     io.count(net->wheels_.size(), 8);
@@ -856,7 +931,9 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
                      [](const auto& a, const auto& b) { return a.at < b.at; });
     for (const auto& m : done) net->topology_.migrate_host(m.host, m.to);
   }
-  io.section(kCtrl, [&] { Walk::ctrl(io, net->controller_); });
+  io.section(kCtrl, [&] {
+    Walk::ctrl(io, net->controller_, net->topology_.host_count());
+  });
   io.section(kSwch, [&] { Walk::swch(io, *net); });
 
   // G-FIBs: derived state. Each filter is a pure function of the

@@ -2,11 +2,16 @@
 //
 // LazyCtrl's data plane is an L2 overlay over an IP underlay: hosts are
 // addressed by MAC, edge switches by underlay IP. Both types are small value
-// types with total ordering and hashing so they can key FIB tables.
+// types with total ordering so they can key FIB tables. A host's MAC is a
+// function of its index (MacAddress::for_host), and MacAddress::host_index
+// inverts it, so state kept per host (the topology's host table, the
+// controller's C-LIB) is an array indexed by host, not a hash map keyed by
+// MAC.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 namespace lazyctrl {
@@ -18,12 +23,23 @@ class MacAddress {
   constexpr explicit MacAddress(std::uint64_t bits) noexcept
       : bits_(bits & kMask) {}
 
-  /// Deterministically derives the MAC assigned to host `host_index`.
-  /// Uses a locally-administered OUI so generated MACs never collide with
-  /// the broadcast address.
+  /// Deterministically derives the MAC assigned to host `host_index`:
+  /// 0x02 (locally administered, unicast) in the first octet, 0 in the
+  /// second and the index in the low 32 bits. Generated MACs never
+  /// collide with the broadcast address or with switch management MACs
+  /// (first octet 0x06).
   static constexpr MacAddress for_host(std::uint32_t host_index) noexcept {
-    // 0x02 in the first octet = locally administered, unicast.
-    return MacAddress{(std::uint64_t{0x02} << 40) | host_index};
+    return MacAddress{(kHostPrefix << 32) | host_index};
+  }
+
+  /// The inverse of for_host: the index of the host this MAC belongs to,
+  /// or nullopt for a MAC outside the host scheme (bits above 32 other
+  /// than 0x0200: a management MAC, the broadcast MAC). Whether a host
+  /// with that index exists is the caller's question.
+  [[nodiscard]] constexpr std::optional<std::uint32_t> host_index()
+      const noexcept {
+    if ((bits_ >> 32) != kHostPrefix) return std::nullopt;
+    return static_cast<std::uint32_t>(bits_);
   }
 
   static constexpr MacAddress broadcast() noexcept {
@@ -50,6 +66,8 @@ class MacAddress {
 
  private:
   static constexpr std::uint64_t kMask = (std::uint64_t{1} << 48) - 1;
+  /// Bits 32-47 of every host MAC: first octet 0x02, second octet 0.
+  static constexpr std::uint64_t kHostPrefix = 0x0200;
   std::uint64_t bits_ = 0;
 };
 
@@ -86,12 +104,6 @@ class IpAddress {
 }  // namespace lazyctrl
 
 namespace std {
-template <>
-struct hash<lazyctrl::MacAddress> {
-  size_t operator()(lazyctrl::MacAddress m) const noexcept {
-    return std::hash<std::uint64_t>{}(m.bits());
-  }
-};
 template <>
 struct hash<lazyctrl::IpAddress> {
   size_t operator()(lazyctrl::IpAddress ip) const noexcept {

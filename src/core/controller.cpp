@@ -1,27 +1,44 @@
 #include "core/controller.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "obs/trace.h"
 
 namespace lazyctrl::core {
 
-CentralController::CentralController(const Config& config)
+CentralController::CentralController(const Config& config, std::size_t hosts)
     : config_(config),
+      clib_(hosts),
       servers_free_at_(std::max<std::size_t>(config.controller.servers, 1),
                        0) {}
 
-void CentralController::clib_learn(MacAddress mac, HostId host,
-                                   TenantId tenant, SwitchId sw) {
-  clib_.insert_or_assign(mac, ClibEntry{host, tenant, sw});
+void CentralController::clib_learn([[maybe_unused]] MacAddress mac,
+                                   HostId host, TenantId tenant, SwitchId sw) {
+  assert(host.valid() && mac == MacAddress::for_host(host.value()));
+  const std::size_t i = host.value();
+  if (i >= clib_.size()) clib_.resize(i + 1);
+  ClibEntry& slot = clib_[i];
+  if (!slot.host.valid()) ++clib_live_;
+  slot = ClibEntry{host, tenant, sw};
 }
 
-void CentralController::clib_forget(MacAddress mac) { clib_.erase(mac); }
+void CentralController::clib_forget(MacAddress mac) {
+  if (const ClibEntry* slot = clib_slot(mac)) {
+    clib_[slot->host.value()] = ClibEntry{};
+    --clib_live_;
+  }
+}
 
 std::optional<ClibEntry> CentralController::clib_lookup(MacAddress mac) const {
-  auto it = clib_.find(mac);
-  if (it == clib_.end()) return std::nullopt;
-  return it->second;
+  if (const ClibEntry* slot = clib_slot(mac)) return *slot;
+  return std::nullopt;
+}
+
+const ClibEntry* CentralController::clib_slot(MacAddress mac) const noexcept {
+  const std::optional<std::uint32_t> i = mac.host_index();
+  if (!i || *i >= clib_.size() || !clib_[*i].host.valid()) return nullptr;
+  return &clib_[*i];
 }
 
 SimTime CentralController::admit_request(SimTime arrival) {

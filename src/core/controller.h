@@ -4,11 +4,15 @@
 // model of request processing (the source of controller-load-dependent
 // latency), the per-window workload accounting that drives the regrouping
 // trigger, and the grouping state managed through SGI.
+//
+// The C-LIB is keyed by host MAC, and a host's MAC encodes its index
+// (MacAddress::for_host), so it is an array with one 12-byte slot per
+// host index rather than a hash map: a lookup decodes the MAC, and a MAC
+// outside the host scheme is never found.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -23,7 +27,8 @@ class StateAccess;
 
 namespace lazyctrl::core {
 
-/// One C-LIB record: where a host lives.
+/// One C-LIB record: where a host lives. An invalid `host` marks an
+/// empty slot.
 struct ClibEntry {
   HostId host;
   TenantId tenant;
@@ -32,15 +37,18 @@ struct ClibEntry {
 
 class CentralController {
  public:
-  explicit CentralController(const Config& config);
+  /// `hosts` sizes the C-LIB for host indices [0, hosts) up front, so
+  /// learning them allocates nothing; a larger index grows it.
+  explicit CentralController(const Config& config, std::size_t hosts = 0);
 
   // --- C-LIB ---
+  /// Records (or moves) `host`. `mac` must be the host's own MAC,
+  /// MacAddress::for_host(host) (asserted).
   void clib_learn(MacAddress mac, HostId host, TenantId tenant, SwitchId sw);
   void clib_forget(MacAddress mac);
   [[nodiscard]] std::optional<ClibEntry> clib_lookup(MacAddress mac) const;
-  [[nodiscard]] std::size_t clib_size() const noexcept {
-    return clib_.size();
-  }
+  /// Hosts currently in the C-LIB.
+  [[nodiscard]] std::size_t clib_size() const noexcept { return clib_live_; }
 
   // --- request queueing model ---
   /// Admits a request arriving (at the controller) at `arrival`; returns
@@ -138,12 +146,18 @@ class CentralController {
   void set_grouping(Grouping g) { grouping_ = std::move(g); }
 
  private:
-  /// Snapshot codec (src/ckpt): serializes the C-LIB (sorted by MAC),
-  /// server free times and all window/outage counters verbatim.
+  /// Snapshot codec (src/ckpt): serializes the C-LIB (its live slots in
+  /// host order, which is MAC order), server free times and all
+  /// window/outage counters verbatim.
   friend class lazyctrl::ckpt::StateAccess;
 
+  /// The live C-LIB slot `mac` decodes to, or nullptr.
+  [[nodiscard]] const ClibEntry* clib_slot(MacAddress mac) const noexcept;
+
   Config config_;
-  std::unordered_map<MacAddress, ClibEntry> clib_;
+  /// Indexed by host index; see ClibEntry for an empty slot.
+  std::vector<ClibEntry> clib_;
+  std::size_t clib_live_ = 0;  ///< slots holding a host
 
   // Queueing (FIFO over the cluster's servers; index = server).
   std::vector<SimTime> servers_free_at_;

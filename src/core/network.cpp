@@ -77,7 +77,7 @@ Network::Network(topo::Topology topology, Config config)
     : topology_(std::move(topology)),
       config_(config),
       rng_(config.seed),
-      controller_(config),
+      controller_(config, topology_.host_count()),
       sgi_(SgiOptions{config.grouping.group_size_limit,
                       config.grouping.max_incupdate_iterations,
                       config.grouping.parallel_incupdate, 3}) {

@@ -30,7 +30,6 @@ HostId Topology::add_host(TenantId tenant, SwitchId sw) {
   info.attached_switch = sw;
   hosts_.push_back(info);
   by_switch_[sw.value()].push_back(info.id);
-  by_mac_.emplace(info.mac, info.id);
   return info.id;
 }
 
@@ -47,8 +46,10 @@ SwitchId Topology::migrate_host(HostId host, SwitchId to) {
 }
 
 const HostInfo* Topology::find_host_by_mac(MacAddress mac) const {
-  auto it = by_mac_.find(mac);
-  return it == by_mac_.end() ? nullptr : &hosts_[it->second.value()];
+  const std::optional<std::uint32_t> index = mac.host_index();
+  if (!index || *index >= hosts_.size()) return nullptr;
+  const HostInfo& host = hosts_[*index];
+  return host.mac == mac ? &host : nullptr;
 }
 
 const std::vector<HostId>& Topology::hosts_on_switch(SwitchId sw) const {

@@ -4,12 +4,12 @@
 // underlay abstracted as one-hop any-to-any connectivity between edge
 // switches; what the topology tracks is the *edge* — which host (VM) is
 // attached to which edge switch, and which tenant owns it. VM migration
-// re-attaches a host to a different switch.
+// re-attaches a host to a different switch. Hosts and switches are dense
+// arrays indexed by id; a host's MAC encodes its id (MacAddress::for_host),
+// so no table maps MACs back to hosts.
 #pragma once
 
 #include <cstddef>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -63,7 +63,10 @@ class Topology {
     return hosts_;
   }
 
-  /// Host owning `mac`, or nullptr if unknown.
+  /// Host owning `mac`, or nullptr if unknown: the MAC decodes to a host
+  /// index (MacAddress::host_index) below host_count() whose host has
+  /// exactly that MAC. Management MACs and the broadcast MAC are never
+  /// found.
   [[nodiscard]] const HostInfo* find_host_by_mac(MacAddress mac) const;
 
   /// Hosts currently attached to `sw` (ids, unsorted but deterministic).
@@ -77,7 +80,6 @@ class Topology {
   std::vector<SwitchInfo> switches_;
   std::vector<HostInfo> hosts_;
   std::vector<std::vector<HostId>> by_switch_;
-  std::unordered_map<MacAddress, HostId> by_mac_;
 };
 
 }  // namespace lazyctrl::topo

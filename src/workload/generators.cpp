@@ -293,6 +293,7 @@ Trace generate_drifting_locality(const Topology& topology,
   for (std::size_t phase = 0; phase < options.phases; ++phase) {
     const SimTime phase_start =
         static_cast<SimTime>(phase) * phase_len;
+    const std::size_t phase_first = trace.flows.size();
     for (std::size_t i = 0; i < flows_per_phase; ++i) {
       HostId src, dst;
       SwitchId src_sw, dst_sw;
@@ -330,6 +331,11 @@ Trace generate_drifting_locality(const Topology& topology,
       sample_shape(options.shape, rng, f);
       trace.flows.push_back(f);
     }
+    // This phase's starts lie in [phase_start, phase_start + phase_len),
+    // after every earlier phase's, so sorting each phase as it closes
+    // leaves the whole trace sorted: the sort's scratch covers one phase,
+    // and finalize_trace below only reads the trace.
+    sort_flows(std::span<Flow>(trace.flows).subspan(phase_first));
 
     // Phase boundary: re-home a fraction of switches to other communities.
     if (phase + 1 == options.phases || communities < 2) continue;

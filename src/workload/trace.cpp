@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
+#include <memory>
+#include <numeric>
 #include <utility>
-#include <vector>
 
 namespace lazyctrl::workload {
 
@@ -158,66 +160,110 @@ class FlowRadixSort {
   int position_bits_;
 };
 
+/// Stable merge of the sorted runs [first, mid) and [mid, last), ties to
+/// the first run, through `buffer`, which holds the shorter run.
+void merge_runs(Flow* first, Flow* mid, Flow* last, Flow* buffer) {
+  if (mid - first <= last - mid) {
+    // The first run waits in the buffer and the merge runs forward: the
+    // write cursor never passes the second run's read cursor.
+    Flow* const buffer_end = std::copy(first, mid, buffer);
+    Flow* a = buffer;
+    Flow* b = mid;
+    Flow* out = first;
+    while (a != buffer_end && b != last) {
+      *out++ = start_before(*b, *a) ? *b++ : *a++;
+    }
+    std::copy(a, buffer_end, out);
+  } else {
+    // The second run waits in the buffer and the merge runs backward.
+    Flow* const buffer_end = std::copy(mid, last, buffer);
+    Flow* a = mid;
+    Flow* b = buffer_end;
+    Flow* out = last;
+    while (a != first && b != buffer) {
+      *--out = start_before(b[-1], a[-1]) ? *--a : *--b;
+    }
+    std::copy_backward(buffer, b, out);
+  }
+}
+
 }  // namespace
 
 namespace detail {
 
 template <class Position>
-void sort_by_arrival(Flow* first, Flow* last) {
-  if (std::is_sorted(first, last, start_before)) return;
-  const auto n = static_cast<std::size_t>(last - first);
-  SimTime lo = first->start;
-  SimTime hi = lo;
-  // Freed on return, before finalize_trace's merge allocates its buffer.
-  std::vector<Position> positions;
-  positions.reserve(n);
-  for (const Flow* f = first; f != last; ++f) {
-    positions.push_back(static_cast<Position>(f - first));
-    lo = std::min(lo, f->start);
-    hi = std::max(hi, f->start);
+void sort_flows(std::span<Flow> flows) {
+  Flow* const first = flows.data();
+  Flow* const last = first + flows.size();
+  Flow* mid = std::is_sorted_until(first, last, start_before);
+  if (mid == last) return;
+  // A sorted prefix shorter than the rest is not worth merging into.
+  if (mid - first < last - mid) mid = first;
+  const auto tail = static_cast<std::size_t>(last - mid);
+  SimTime lo_start = mid->start;
+  SimTime hi_start = lo_start;
+  bool sort_tail = false;
+  for (const Flow* f = mid + 1; f != last; ++f) {
+    sort_tail |= f->start < f[-1].start;
+    lo_start = std::min(lo_start, f->start);
+    hi_start = std::max(hi_start, f->start);
   }
-  // Unsigned difference: negative starts and a full int64 span both work.
-  const auto span = static_cast<std::uint64_t>(hi) -
-                    static_cast<std::uint64_t>(lo);
-  const auto position_bits =
-      static_cast<int>(std::bit_width(std::uint64_t{n} - 1));
-  FlowRadixSort<Position>(first, positions.data(),
-                          static_cast<std::uint64_t>(lo), position_bits)
-      .sort(0, n, static_cast<int>(std::bit_width(span)) + position_bits);
+  // Every prefix flow arrived before every tail flow, so a merge that
+  // keeps the prefix first on ties is the stable order. Prefix flows no
+  // later than the tail's first stay put, those after its last rotate
+  // behind it, and only the overlap [lo, hi) is merged.
+  const auto after = [](SimTime start, const Flow& f) {
+    return start < f.start;
+  };
+  Flow* const lo = std::upper_bound(first, mid, lo_start, after);
+  Flow* const hi = std::upper_bound(lo, mid, hi_start, after);
+  const std::size_t merged =
+      std::min(static_cast<std::size_t>(hi - lo), tail);
+
+  // One scratch allocation serves both steps: the tail's arrival
+  // positions, then the merge's copy of the shorter run. (Flow and
+  // Position are implicit-lifetime types, so the byte array provides
+  // their storage.)
+  const std::size_t bytes = std::max(sort_tail ? tail * sizeof(Position) : 0,
+                                     merged * sizeof(Flow));
+  std::unique_ptr<std::byte[]> scratch;
+  if (bytes > 0) scratch = std::make_unique_for_overwrite<std::byte[]>(bytes);
+  if (sort_tail) {
+    auto* const positions = reinterpret_cast<Position*>(scratch.get());
+    std::iota(positions, positions + tail, Position{0});
+    // Unsigned difference: negative starts and a full int64 span both work.
+    const auto span = static_cast<std::uint64_t>(hi_start) -
+                      static_cast<std::uint64_t>(lo_start);
+    const auto position_bits =
+        static_cast<int>(std::bit_width(std::uint64_t{tail} - 1));
+    FlowRadixSort<Position>(mid, positions,
+                            static_cast<std::uint64_t>(lo_start),
+                            position_bits)
+        .sort(0, tail, static_cast<int>(std::bit_width(span)) + position_bits);
+  }
+  if (mid != first) {
+    Flow* const tail_end = std::rotate(hi, mid, last);
+    if (merged > 0) {
+      merge_runs(lo, hi, tail_end, reinterpret_cast<Flow*>(scratch.get()));
+    }
+  }
 }
 
-template void sort_by_arrival<std::uint32_t>(Flow*, Flow*);
-template void sort_by_arrival<std::uint64_t>(Flow*, Flow*);
+template void sort_flows<std::uint32_t>(std::span<Flow>);
+template void sort_flows<std::uint64_t>(std::span<Flow>);
 
 }  // namespace detail
 
-void finalize_trace(Trace& trace) {
-  // Positions as wide as the sorted range needs.
-  const auto sort_range = [](Flow* from, Flow* to) {
-    if (detail::wide_positions(static_cast<std::size_t>(to - from))) {
-      detail::sort_by_arrival<std::uint64_t>(from, to);
-    } else {
-      detail::sort_by_arrival<std::uint32_t>(from, to);
-    }
-  };
-  Flow* const first = trace.flows.data();
-  Flow* const last = first + trace.flows.size();
-  Flow* const mid = std::is_sorted_until(first, last, start_before);
-  if (mid - first < last - mid) {
-    // A sorted prefix shorter than the rest is not worth merging into.
-    sort_range(first, last);
-  } else if (mid != last) {
-    sort_range(mid, last);
-    // Every prefix flow arrived before every tail flow, so a merge that
-    // keeps the prefix first on ties is the stable order. Prefix flows no
-    // later than the tail's first stay put, those after its last rotate
-    // behind it, and only the overlap is merged.
-    Flow* const lo = std::upper_bound(first, mid, *mid, start_before);
-    Flow* const hi = std::upper_bound(lo, mid, last[-1], start_before);
-    Flow* const tail_end = std::rotate(hi, mid, last);
-    std::inplace_merge(lo, hi, tail_end, start_before);
+void sort_flows(std::span<Flow> flows) {
+  // Positions as wide as the range needs.
+  if (detail::wide_positions(flows.size())) {
+    detail::sort_flows<std::uint64_t>(flows);
+  } else {
+    detail::sort_flows<std::uint32_t>(flows);
   }
 }
+
+void finalize_trace(Trace& trace) { sort_flows(trace.flows); }
 
 Trace slice_trace(const Trace& trace, SimTime from, SimTime to) {
   const auto in_slice = [&](const Flow& f) {

@@ -13,6 +13,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -71,30 +72,35 @@ struct DiurnalProfile {
 
 /// Sorts flows by start time, stable for equal starts, which fixes every
 /// flow's id (its position). Generators, the CSV reader and every
-/// trace-shaping pass call this before returning. Adaptive: an already
-/// sorted trace costs one read pass and allocates nothing. Otherwise the
-/// out-of-order tail is radix sorted in place on (start, arrival
-/// position), with the positions in a transient array of 4 bytes per
-/// sorted flow, and then merged into the sorted prefix with a buffer no
-/// larger than the smaller of the overlap and the tail (never the
-/// n/2-flow buffer of std::stable_sort). The position array is freed
-/// before the merge.
+/// trace-shaping pass call this before returning. Same as
+/// sort_flows(trace.flows).
 void finalize_trace(Trace& trace);
+
+/// finalize_trace's order on a range of flows. Adaptive: a sorted range
+/// costs one read pass and allocates nothing. Otherwise the out-of-order
+/// tail is radix sorted in place on (start, arrival position) and then
+/// merged into the sorted prefix, and the two steps share one scratch
+/// allocation of max(4 x tail, min(overlap, tail) x sizeof(Flow)) bytes:
+/// the tail's arrival positions use it first, then the merge's copy of
+/// the shorter run (never the n/2-flow buffer of std::stable_sort). A
+/// generator that emits its flows in time slices, each starting no
+/// earlier than the last ended, sorts each slice as it closes, so the
+/// scratch covers one slice and finalize_trace only reads the trace.
+void sort_flows(std::span<Flow> flows);
 
 namespace detail {
 
-/// Whether finalize_trace keys a range of `n` flows on 64-bit arrival
+/// Whether sort_flows keys a range of `n` flows on 64-bit arrival
 /// positions: 32 bits would wrap at 2^32 flows.
 [[nodiscard]] constexpr bool wide_positions(std::size_t n) noexcept {
   return n > std::size_t{0xFFFF'FFFF};
 }
 
-/// finalize_trace's in-place sort of [first, last) by (start, arrival
-/// position), with positions of type `Position` (std::uint32_t or
-/// std::uint64_t). Exposed so tests can run the 64-bit instance without
-/// a 2^32-flow trace.
+/// sort_flows with arrival positions of type `Position` (std::uint32_t
+/// or std::uint64_t, so 4 or 8 scratch bytes per sorted flow). Exposed
+/// so tests can run the 64-bit instance without a 2^32-flow trace.
 template <class Position>
-void sort_by_arrival(Flow* first, Flow* last);
+void sort_flows(std::span<Flow> flows);
 
 }  // namespace detail
 

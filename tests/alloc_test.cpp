@@ -10,12 +10,15 @@
 // capture, a map insert) fails loudly instead of showing up only as a
 // perf regression. The same counters pin workload::finalize_trace's
 // memory bound: it sorts in place with one 4-byte arrival position per
-// sorted flow, so a trace of n flows never pays std::stable_sort's
-// n/2-flow scratch buffer, the traffic monitor's
+// sorted flow, in one scratch allocation the merge then reuses, so a
+// trace of n flows never pays std::stable_sort's n/2-flow scratch
+// buffer, the traffic monitor's
 // per-flow recording, which allocates nothing once a roll has left its
 // window table sized, the flow table's install/expire/compact churn,
-// which reuses its slots once warm, and partition refinement, whose
-// per-vertex connectivity maps live on the stack.
+// which reuses its slots once warm, partition refinement, whose
+// per-vertex connectivity maps live on the stack, and per-host state: a
+// topology copy and a C-LIB learning every host allocate as often for 16k
+// hosts as for 1k.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,16 +30,32 @@
 #include "bloom/bloom_filter.h"
 #include "common/rng.h"
 #include "core/config.h"
+#include "core/controller.h"
 #include "core/edge_switch.h"
 #include "dgm/traffic_monitor.h"
 #include "graph/fm_refinement.h"
 #include "net/packet.h"
+#include "topo/topology.h"
 #include "workload/trace.h"
 
 namespace {
 
 std::atomic<std::uint64_t> g_alloc_count{0};
 std::atomic<std::uint64_t> g_alloc_bytes{0};
+
+/// Heap requests made while `fn` runs.
+struct Allocated {
+  std::uint64_t bytes = 0;
+  std::uint64_t count = 0;
+};
+
+template <class Fn>
+Allocated allocated_by(Fn fn) {
+  const std::uint64_t bytes = g_alloc_bytes.load();
+  const std::uint64_t count = g_alloc_count.load();
+  fn();
+  return {g_alloc_bytes.load() - bytes, g_alloc_count.load() - count};
+}
 
 }  // namespace
 
@@ -55,7 +74,7 @@ std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-// std::inplace_merge's scratch buffer comes from the nothrow form. Left
+// std::stable_sort's scratch buffer comes from the nothrow form. Left
 // to the sanitizer runtime, it would not be counted and its memory would
 // reach the free() below from a foreign allocator.
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
@@ -329,25 +348,6 @@ namespace {
 
 constexpr std::size_t kTraceFlows = 100'000;
 
-/// Heap requests made while `fn` runs.
-struct Allocated {
-  std::uint64_t bytes = 0;
-  std::uint64_t count = 0;
-};
-
-template <class Fn>
-Allocated allocated_by(Fn fn) {
-  const std::uint64_t bytes = g_alloc_bytes.load();
-  const std::uint64_t count = g_alloc_count.load();
-  fn();
-  return {g_alloc_bytes.load() - bytes, g_alloc_count.load() - count};
-}
-
-/// Heap bytes finalize_trace requests while ordering `trace`.
-std::uint64_t finalize_bytes(Trace& trace) {
-  return allocated_by([&] { finalize_trace(trace); }).bytes;
-}
-
 /// `n` flows with random starts in [0, horizon), each tagged with its
 /// arrival index in `packets` so a reordering of equal starts shows.
 Trace random_trace(std::size_t n, SimTime horizon, std::uint64_t seed) {
@@ -378,7 +378,7 @@ TEST(FinalizeTraceAllocTest, SortedTraceIsAllocationFree) {
   for (std::size_t i = 0; i < t.flows.size(); ++i) {
     t.flows[i].start = static_cast<SimTime>(i / 3);  // ties included
   }
-  EXPECT_EQ(finalize_bytes(t), 0u);
+  EXPECT_EQ(allocated_by([&] { finalize_trace(t); }).count, 0u);
 }
 
 TEST(FinalizeTraceAllocTest, ShuffledTraceAllocatesOnePositionPerFlowOnce) {
@@ -411,11 +411,40 @@ TEST(FinalizeTraceAllocTest, PrefixPlusTailBuffersAtMostTheSmallerRun) {
     t.flows.push_back(f);
   }
   const std::size_t n = t.flows.size();
-  const std::uint64_t bytes = finalize_bytes(t);
-  // The tail's positions, freed before the merge, then the merge buffer.
-  EXPECT_LE(bytes, tail.flows.size() * sizeof(std::uint32_t) +
-                       std::min(overlap, tail.flows.size()) * sizeof(Flow));
-  EXPECT_LT(bytes, n / 2 * sizeof(Flow));  // std::stable_sort's buffer
+  const Allocated a = allocated_by([&] { finalize_trace(t); });
+  // One allocation serves the tail's positions, then the merge's buffer:
+  // the larger of the two, never their sum.
+  EXPECT_EQ(a.count, 1u);
+  EXPECT_LE(a.bytes,
+            std::max(tail.flows.size() * sizeof(std::uint32_t),
+                     std::min(overlap, tail.flows.size()) * sizeof(Flow)));
+  EXPECT_LT(a.bytes, n / 2 * sizeof(Flow));  // std::stable_sort's buffer
+  ASSERT_TRUE(std::is_sorted(t.flows.begin(), t.flows.end(), start_before));
+}
+
+TEST(FinalizeTraceAllocTest, PrefixPlusTailMergeKeepsArrivalOrderOnTies) {
+  // Starts on a coarse grid, so ties abound within and across the runs.
+  // A tail shorter than the overlap is merged backward from the buffer,
+  // a longer one forward; both must give std::stable_sort's order.
+  for (const std::size_t tail_flows : {2'000u, 60'000u}) {
+    SCOPED_TRACE(tail_flows);
+    Trace t = random_trace(kTraceFlows, 1000, 4);
+    std::sort(t.flows.begin(), t.flows.end(),
+              [](const Flow& a, const Flow& b) {
+                return a.start != b.start ? a.start < b.start
+                                          : a.packets < b.packets;
+              });
+    const Trace tail = random_trace(tail_flows, 500, 5);
+    for (Flow f : tail.flows) {
+      f.start += 250;
+      f.packets += kTraceFlows;  // arrival tags after the prefix's
+      t.flows.push_back(f);
+    }
+    Trace want = t;
+    std::stable_sort(want.flows.begin(), want.flows.end(), start_before);
+    finalize_trace(t);
+    EXPECT_TRUE(same_order(t, want));
+  }
 }
 
 // Positions never wrap: a range of 2^32 or more flows sorts on 64-bit
@@ -436,10 +465,8 @@ TEST(FinalizeTraceAllocTest, WidePositionsSortTheSameWithEightBytesPerFlow) {
   EXPECT_TRUE(same_order(narrow, want));
 
   Trace wide = shuffled;
-  Flow* const first = wide.flows.data();
-  const Allocated a = allocated_by([&] {
-    detail::sort_by_arrival<std::uint64_t>(first, first + wide.flows.size());
-  });
+  const Allocated a = allocated_by(
+      [&] { detail::sort_flows<std::uint64_t>(wide.flows); });
   EXPECT_EQ(a.bytes, kTraceFlows * sizeof(std::uint64_t));
   EXPECT_EQ(a.count, 1u);
   EXPECT_TRUE(same_order(wide, want));
@@ -447,3 +474,59 @@ TEST(FinalizeTraceAllocTest, WidePositionsSortTheSameWithEightBytesPerFlow) {
 
 }  // namespace
 }  // namespace lazyctrl::workload
+
+namespace lazyctrl::core {
+namespace {
+
+/// 64 switches and `hosts` hosts attached round-robin.
+topo::Topology topology_with(std::uint32_t hosts) {
+  topo::Topology t;
+  for (int s = 0; s < 64; ++s) t.add_switch();
+  for (std::uint32_t h = 0; h < hosts; ++h) {
+    t.add_host(TenantId{h % 7}, SwitchId{h % 64});
+  }
+  return t;
+}
+
+TEST(PerHostStateAllocTest, TopologyCopyAllocationsDoNotGrowWithHosts) {
+  // Every network copies its topology. Hosts live in one array and a
+  // MAC decodes to its host, so a copy allocates per switch, never per
+  // host; a MAC-keyed hash index would add a node per host.
+  const auto copy_allocations = [](const topo::Topology& t) {
+    std::size_t copied = 0;
+    const Allocated a = allocated_by([&] {
+      const topo::Topology copy = t;
+      copied = copy.host_count();
+    });
+    EXPECT_EQ(copied, t.host_count());
+    return a.count;
+  };
+  const std::uint64_t small = copy_allocations(topology_with(1'000));
+  EXPECT_EQ(copy_allocations(topology_with(16'000)), small);
+}
+
+TEST(PerHostStateAllocTest, ClibLearningAllocationsDoNotGrowWithHosts) {
+  // The C-LIB is one slot per host, sized with the controller; learning
+  // every host, in any order, allocates nothing more.
+  const auto learn_all = [](std::uint32_t hosts) {
+    std::size_t learned = 0;
+    const Allocated a = allocated_by([&] {
+      CentralController ctrl(Config{}, hosts);
+      // 7919 is prime and so coprime with both host counts: the stride
+      // visits every host once, out of order.
+      for (std::uint32_t i = 0; i < hosts; ++i) {
+        const std::uint32_t h = static_cast<std::uint32_t>(
+            std::uint64_t{i} * 7919 % hosts);
+        ctrl.clib_learn(MacAddress::for_host(h), HostId{h}, TenantId{0},
+                        SwitchId{h % 64});
+      }
+      learned = ctrl.clib_size();
+    });
+    EXPECT_EQ(learned, hosts);
+    return a.count;
+  };
+  EXPECT_EQ(learn_all(16'000), learn_all(1'000));
+}
+
+}  // namespace
+}  // namespace lazyctrl::core

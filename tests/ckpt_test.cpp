@@ -24,6 +24,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/io.h"
+#include "common/mac.h"
 #include "core/metrics.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
@@ -264,6 +265,14 @@ TEST(CkptFencePurityTest, EveryExampleScenarioFenceIsClean) {
   EXPECT_EQ(scenarios, 6u) << "expected the six committed example scenarios";
 }
 
+const std::vector<std::uint8_t>& valid_snapshot() {
+  static const std::vector<std::uint8_t> bytes = [] {
+    auto runner = run_exercise("linear", 1);
+    return runner->snapshots()[0].bytes;
+  }();
+  return bytes;
+}
+
 // A second fixture whose run regroups after its checkpoint: drift-
 // triggered DGM follows drifting switch communities, so finish() reads
 // the restored traffic estimate back into intensity graphs and inter-
@@ -331,6 +340,91 @@ TEST(CkptTest, RegroupFixtureRegroupsAfterItsFence) {
       << resumed->metrics().diff_report(full.metrics());
 }
 
+// A third fixture whose fence holds every key-sorted list a snapshot
+// carries: tenant 2 arrives after the fence, so its hosts are dormant
+// there; switches serving more than one tenant exclude the hosts of all
+// but their largest; and every switch's control link is down, so each
+// failure wheel has reported failures and missed keep-alives for several
+// members.
+std::string keys_spec_text() {
+  std::string text = R"([scenario]
+name = ckpt_keys
+description = dormant hosts and failure-wheel keys at the fence
+seed = 7
+
+[topology]
+switches = 12
+tenants = 6
+min_vms_per_tenant = 2
+max_vms_per_tenant = 5
+vms_per_switch = 6
+
+[workload]
+kind = synthetic
+flows = 1500
+horizon = 20m
+profile = flat
+
+[config]
+mode = lazyctrl
+group_size_limit = 4
+failover = true
+host_exclusion_tenant_threshold = 1
+
+[events]
+)";
+  for (int sw = 0; sw < 12; ++sw) {
+    text += "at=4m fail_control_link sw=" + std::to_string(sw) + "\n";
+  }
+  return text + "at=8m checkpoint_at\nat=12m tenant_arrival tenant=2\n";
+}
+
+const std::vector<std::uint8_t>& keys_snapshot() {
+  static const std::vector<std::uint8_t> bytes = [] {
+    ScenarioRunner runner(parse_or_die(keys_spec_text()));
+    std::string err;
+    EXPECT_TRUE(runner.run(&err)) << err;
+    EXPECT_EQ(runner.snapshots().size(), 1u);
+    return runner.snapshots().at(0).bytes;
+  }();
+  return bytes;
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(CkptTest, SnapshotBytesArePinned) {
+  // The round-trip tests compare a snapshot with itself, so a section
+  // walk that changes the bytes it writes passes them. These hashes pin
+  // two fixtures' snapshots as the format-6 codec wrote them; a change
+  // that moves them must bump ckpt::kFormatVersion.
+  struct Pinned {
+    const char* name;
+    const std::vector<std::uint8_t>* bytes;
+    std::size_t size;
+    std::uint64_t hash;
+  };
+  for (const Pinned& p :
+       {Pinned{"exercise", &valid_snapshot(), 5840, 0x2fc0ef40dc78cd9bULL},
+        Pinned{"keys", &keys_snapshot(), 6458, 0xaae1365d2dfe45ccULL}}) {
+    SCOPED_TRACE(p.name);
+    EXPECT_EQ(p.bytes->size(), p.size);
+    EXPECT_EQ(fnv1a(*p.bytes), p.hash);
+    std::string err;
+    const auto restored = ScenarioRunner::restore(*p.bytes, &err);
+    ASSERT_NE(restored, nullptr) << err;
+    std::vector<std::uint8_t> again;
+    ASSERT_TRUE(restored->save_now(&again, &err)) << err;
+    EXPECT_EQ(again, *p.bytes);
+  }
+}
+
 // ------------------------------------------------- snapshot robustness
 //
 // Every case feeds a damaged snapshot to restore() and requires a clean
@@ -339,14 +433,6 @@ TEST(CkptTest, RegroupFixtureRegroupsAfterItsFence) {
 // payload is a sequence of [fourcc u32 | len u64 | body] sections.
 
 constexpr std::size_t kHeaderSize = 20;
-
-const std::vector<std::uint8_t>& valid_snapshot() {
-  static const std::vector<std::uint8_t> bytes = [] {
-    auto runner = run_exercise("linear", 1);
-    return runner->snapshots()[0].bytes;
-  }();
-  return bytes;
-}
 
 /// Re-stamps the header's payload size + CRC after an edit, so the test
 /// reaches section-level validation instead of tripping the CRC gate.
@@ -624,6 +710,163 @@ TEST(CkptRobustnessTest, TrafficPairsOutOfOrderAreDiagnosed) {
        {(std::uint64_t{3} << 32) | 3, (std::uint64_t{2} << 32) | 5}) {
     expect_edit_diagnosed(valid, "two distinct switches", [&](auto& bytes) {
       std::memcpy(bytes.data() + first, &key, 8);
+    });
+  }
+}
+
+/// Where a snapshot list of fixed-size entries sits: its u64 count,
+/// then the entries.
+struct SortedList {
+  std::size_t count_at = 0;
+  std::uint64_t entries = 0;
+  std::size_t entry_bytes = 0;
+
+  [[nodiscard]] std::size_t at(std::uint64_t i) const {
+    return count_at + 8 + entry_bytes * i;
+  }
+};
+
+/// Reads the u64 at `pos` and moves past it.
+std::uint64_t read_u64(const std::vector<std::uint8_t>& bytes,
+                       std::size_t& pos) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + pos, 8);
+  pos += 8;
+  return v;
+}
+
+/// The C-LIB at the head of the CTRL body: per entry a u64 MAC and u32
+/// host, tenant and switch.
+SortedList clib_entries(const std::vector<std::uint8_t>& bytes) {
+  std::size_t pos = section_offset(bytes, fourcc("CTRL")) + 12;
+  SortedList list{pos, 0, 20};
+  list.entries = read_u64(bytes, pos);
+  return list;
+}
+
+TEST(CkptRobustnessTest, ClibKeyOutsideTheTopologyIsDiagnosed) {
+  // The last entry keeps the keys ascending, so only the key's meaning is
+  // wrong: a host index past the topology, or not a host MAC at all (a
+  // switch management MAC, first octet 0x06).
+  const auto& valid = valid_snapshot();
+  const SortedList clib = clib_entries(valid);
+  ASSERT_GE(clib.entries, 1u);
+  const std::size_t last = clib.at(clib.entries - 1);
+  const auto set_key = [&](std::uint64_t key) {
+    return [&, key](auto& bytes) { std::memcpy(bytes.data() + last, &key, 8); };
+  };
+  expect_edit_diagnosed(valid, "topology has",
+                        set_key(MacAddress::for_host(1'000'000).bits()));
+  expect_edit_diagnosed(valid, "is not a host MAC",
+                        set_key(0x0600'0000'0000ULL));
+}
+
+TEST(CkptRobustnessTest, ValuesOutsideTheirFieldAreDiagnosed) {
+  // A save never writes these, and a restore that took them would save
+  // other bytes: a MAC with bits above 48 (read as its low 48 bits) and
+  // a boolean byte other than 0 or 1.
+  const auto& valid = valid_snapshot();
+  const SortedList clib = clib_entries(valid);
+  ASSERT_GE(clib.entries, 1u);
+  expect_edit_diagnosed(valid, "does not fit its field", [&](auto& bytes) {
+    bytes[clib.at(0) + 7] = 0xFF;
+  });
+  // META: u32 index, i64 fence time, the extra fences (u64 count, i64
+  // each), three u64 event counts, then the invariant-checks flag.
+  std::size_t flag_at = section_offset(valid, fourcc("META")) + 12 + 12;
+  flag_at += 8 * read_u64(valid, flag_at) + 24;
+  ASSERT_EQ(valid[flag_at], 0u);
+  expect_edit_diagnosed(valid, "boolean byte 2",
+                        [&](auto& bytes) { bytes[flag_at] = 2; });
+}
+
+TEST(CkptRobustnessTest, ClibEntryForAnotherHostIsDiagnosed) {
+  // An entry records the host its MAC names; one naming a neighbour
+  // would answer lookups for the wrong host.
+  const auto& valid = valid_snapshot();
+  const SortedList clib = clib_entries(valid);
+  ASSERT_GE(clib.entries, 2u);
+  const std::size_t host_at = clib.at(0) + 8;
+  std::uint32_t host = 0;
+  std::memcpy(&host, valid.data() + host_at, 4);
+  expect_edit_diagnosed(valid, "records host", [&](auto& bytes) {
+    const std::uint32_t other = host + 1;
+    std::memcpy(bytes.data() + host_at, &other, 4);
+  });
+}
+
+/// The dormant and the excluded hosts in GRPG, u32 each: after the
+/// switch -> group map (u64 count, u32 per switch), the group count and
+/// the grouping epoch.
+std::pair<SortedList, SortedList> hidden_hosts(
+    const std::vector<std::uint8_t>& bytes) {
+  std::size_t pos = section_offset(bytes, fourcc("GRPG")) + 12;
+  pos += 4 * read_u64(bytes, pos) + 16;
+  SortedList dormant{pos, 0, 4};
+  dormant.entries = read_u64(bytes, pos);
+  pos += 4 * dormant.entries;
+  SortedList excluded{pos, 0, 4};
+  excluded.entries = read_u64(bytes, pos);
+  return {dormant, excluded};
+}
+
+/// The first failure wheel in WHEL with at least two reported failures
+/// and two miss counters: its reports (a u64 key each) and its miss
+/// counters (u64 key, i64 misses). Both are empty when no wheel has them.
+std::pair<SortedList, SortedList> wheel_keys(
+    const std::vector<std::uint8_t>& bytes) {
+  std::size_t pos = section_offset(bytes, fourcc("WHEL")) + 12;
+  for (std::uint64_t wheels = read_u64(bytes, pos); wheels > 0; --wheels) {
+    const std::uint64_t members = read_u64(bytes, pos);
+    pos += 4 * members + 4;           // members, designated
+    pos += 4 * read_u64(bytes, pos);  // backups
+    pos += 5 * members + 1 + 8;       // member flags, running, timer
+    for (std::uint64_t events = read_u64(bytes, pos); events > 0; --events) {
+      pos += 8 + 4 + 1;              // at, subject, kind
+      pos += read_u64(bytes, pos);   // action text
+    }
+    SortedList reported{pos, 0, 8};
+    reported.entries = read_u64(bytes, pos);
+    pos += 8 * reported.entries;
+    SortedList misses{pos, 0, 16};
+    misses.entries = read_u64(bytes, pos);
+    pos += 16 * misses.entries;
+    pos += 12 * read_u64(bytes, pos);  // pending reboots
+    if (reported.entries >= 2 && misses.entries >= 2) {
+      return {reported, misses};
+    }
+  }
+  return {};
+}
+
+TEST(CkptRobustnessTest, SortedKeysOutOfOrderAreDiagnosed) {
+  // A set or map travels as its entries in ascending key order, and the
+  // C-LIB in host order. A repeated key would be inserted once and its
+  // twin dropped (or overwrite its twin's C-LIB slot), silently, so a
+  // swapped pair or a repeated entry must fail the restore.
+  const auto& valid = keys_snapshot();
+  const auto [dormant, excluded] = hidden_hosts(valid);
+  const auto [reported, misses] = wheel_keys(valid);
+  const struct {
+    const char* message;
+    SortedList list;
+  } cases[] = {{"C-LIB keys out of order", clib_entries(valid)},
+               {"dormant hosts out of order", dormant},
+               {"excluded hosts out of order", excluded},
+               {"wheel reports out of order", reported},
+               {"wheel miss counts out of order", misses}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.message);
+    ASSERT_GE(c.list.entries, 2u);
+    const std::size_t e0 = c.list.at(0);
+    const std::size_t e1 = c.list.at(1);
+    const std::size_t n = c.list.entry_bytes;
+    expect_edit_diagnosed(valid, c.message, [&](auto& bytes) {
+      std::swap_ranges(bytes.begin() + e0, bytes.begin() + e0 + n,
+                       bytes.begin() + e1);
+    });
+    expect_edit_diagnosed(valid, c.message, [&](auto& bytes) {
+      std::copy_n(bytes.begin() + e0, n, bytes.begin() + e1);
     });
   }
 }

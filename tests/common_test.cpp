@@ -52,6 +52,29 @@ TEST(MacAddressTest, HostDerivationIsUniquePerIndex) {
   EXPECT_EQ(seen.size(), 1000u);
 }
 
+TEST(MacAddressTest, HostIndexInvertsForHost) {
+  for (const std::uint32_t i :
+       {0u, 1u, 255u, 256u, 65'535u, 65'536u, 0x7FFF'FFFFu, 0xFFFF'FFFFu}) {
+    const MacAddress mac = MacAddress::for_host(i);
+    EXPECT_EQ(mac.host_index(), i) << mac.to_string();
+  }
+  EXPECT_EQ(MacAddress::for_host(0).to_string(), "02:00:00:00:00:00");
+  EXPECT_EQ(MacAddress::for_host(0xFFFF'FFFF).to_string(),
+            "02:00:ff:ff:ff:ff");
+}
+
+TEST(MacAddressTest, HostIndexRejectsMacsOutsideTheHostScheme) {
+  // Switch management MACs (first octet 0x06), the broadcast MAC, and any
+  // MAC whose bits above 32 are not exactly 0x0200.
+  EXPECT_FALSE(MacAddress{0x0600'0000'0000ULL}.host_index().has_value());
+  EXPECT_FALSE(MacAddress{0x0600'0000'0007ULL}.host_index().has_value());
+  EXPECT_FALSE(MacAddress::broadcast().host_index().has_value());
+  EXPECT_FALSE(MacAddress{}.host_index().has_value());
+  EXPECT_FALSE(MacAddress{0xdeadbeef}.host_index().has_value());
+  EXPECT_FALSE(MacAddress{0x0201'0000'0000ULL}.host_index().has_value());
+  EXPECT_FALSE(MacAddress{0x0300'0000'0001ULL}.host_index().has_value());
+}
+
 TEST(MacAddressTest, BroadcastIsRecognised) {
   EXPECT_TRUE(MacAddress::broadcast().is_broadcast());
   EXPECT_FALSE(MacAddress::for_host(3).is_broadcast());

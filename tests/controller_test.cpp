@@ -35,6 +35,64 @@ TEST(ControllerClibTest, RelearnUpdatesLocation) {
   EXPECT_EQ(ctrl.clib_size(), 1u);
 }
 
+TEST(ControllerClibTest, OutOfOrderLearnForgetRelearn) {
+  CentralController ctrl(Config{}, 8);
+  const auto learn = [&](std::uint32_t h, std::uint32_t sw) {
+    ctrl.clib_learn(MacAddress::for_host(h), HostId{h}, TenantId{h % 3},
+                    SwitchId{sw});
+  };
+  for (const std::uint32_t h : {6u, 2u, 7u, 0u}) learn(h, h + 10);
+  EXPECT_EQ(ctrl.clib_size(), 4u);
+  for (std::uint32_t h = 0; h < 8; ++h) {
+    const bool learned = h == 0 || h == 2 || h == 6 || h == 7;
+    const auto entry = ctrl.clib_lookup(MacAddress::for_host(h));
+    ASSERT_EQ(entry.has_value(), learned) << h;
+    if (!learned) continue;
+    EXPECT_EQ(entry->host, HostId{h});
+    EXPECT_EQ(entry->tenant, TenantId{h % 3});
+    EXPECT_EQ(entry->attached_switch, SwitchId{h + 10});
+  }
+  // Forgetting twice, or forgetting an absent host, changes nothing.
+  ctrl.clib_forget(MacAddress::for_host(2));
+  ctrl.clib_forget(MacAddress::for_host(2));
+  ctrl.clib_forget(MacAddress::for_host(3));
+  EXPECT_EQ(ctrl.clib_size(), 3u);
+  EXPECT_FALSE(ctrl.clib_lookup(MacAddress::for_host(2)).has_value());
+  learn(2, 20);
+  EXPECT_EQ(ctrl.clib_size(), 4u);
+  EXPECT_EQ(ctrl.clib_lookup(MacAddress::for_host(2))->attached_switch,
+            SwitchId{20});
+  // A host past the sized range grows the C-LIB.
+  learn(40, 1);
+  EXPECT_EQ(ctrl.clib_size(), 5u);
+  EXPECT_EQ(ctrl.clib_lookup(MacAddress::for_host(40))->host, HostId{40});
+  EXPECT_FALSE(ctrl.clib_lookup(MacAddress::for_host(39)).has_value());
+}
+
+TEST(ControllerClibTest, MacsOutsideTheHostSchemeAreNeverFound) {
+  CentralController ctrl(Config{});
+  ctrl.clib_learn(MacAddress::for_host(0), HostId{0}, TenantId{0},
+                  SwitchId{1});
+  // Index 0 under a management OUI, and the broadcast MAC.
+  EXPECT_FALSE(ctrl.clib_lookup(MacAddress{0x0600'0000'0000ULL}).has_value());
+  EXPECT_FALSE(ctrl.clib_lookup(MacAddress::broadcast()).has_value());
+  EXPECT_FALSE(ctrl.clib_lookup(MacAddress::for_host(0xFFFF'FFFF)).has_value());
+  ctrl.clib_forget(MacAddress{0x0600'0000'0000ULL});
+  ctrl.clib_forget(MacAddress::broadcast());
+  EXPECT_EQ(ctrl.clib_size(), 1u);
+  EXPECT_TRUE(ctrl.clib_lookup(MacAddress::for_host(0)).has_value());
+}
+
+TEST(ControllerClibDeathTest, LearningUnderAnotherHostsMacAsserts) {
+  // Every caller passes a host's own MAC; a debug build (CI job `debug`)
+  // stops on any other, where a release build would file the entry
+  // under the host id and answer lookups of the MAC with nothing.
+  CentralController ctrl(Config{}, 4);
+  EXPECT_DEBUG_DEATH(ctrl.clib_learn(MacAddress::for_host(1), HostId{2},
+                                     TenantId{0}, SwitchId{0}),
+                     "");
+}
+
 TEST(ControllerQueueTest, IdleServerServesImmediately) {
   CentralController ctrl(config_with(100));
   EXPECT_EQ(ctrl.admit_request(1000), 1100);

@@ -50,6 +50,24 @@ TEST(TopologyTest, FindHostByMac) {
   EXPECT_EQ(t.find_host_by_mac(MacAddress{0xdeadbeef}), nullptr);
 }
 
+TEST(TopologyTest, FindHostByMacFindsOnlyHostsOfThisTopology) {
+  Topology t;
+  const SwitchId s = t.add_switch();
+  for (int i = 0; i < 5; ++i) t.add_host(TenantId{0}, s);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    const HostInfo* found = t.find_host_by_mac(MacAddress::for_host(i));
+    ASSERT_NE(found, nullptr) << i;
+    EXPECT_EQ(found->id, HostId{i});
+  }
+  // An index at or past the host count, a switch's management MAC and
+  // the broadcast MAC name no host.
+  EXPECT_EQ(t.find_host_by_mac(MacAddress::for_host(5)), nullptr);
+  EXPECT_EQ(t.find_host_by_mac(MacAddress::for_host(0xFFFF'FFFF)), nullptr);
+  EXPECT_EQ(t.find_host_by_mac(t.switch_info(s).management_mac), nullptr);
+  EXPECT_EQ(t.find_host_by_mac(MacAddress::broadcast()), nullptr);
+  EXPECT_EQ(Topology{}.find_host_by_mac(MacAddress::for_host(0)), nullptr);
+}
+
 TEST(TopologyTest, MigrationMovesHost) {
   Topology t;
   const SwitchId a = t.add_switch();
