@@ -498,11 +498,11 @@ struct StateAccess::Walk {
       io.u32(entry.tenant);
       if constexpr (IO::kLoading) es.lfib_.learn(mac, entry.host, entry.tenant);
     }
-    flow_table(io, es.table_);
+    flow_table(io, es.table_, es.id());
   }
 
   template <class IO>
-  static void flow_table(IO& io, openflow::FlowTable& t) {
+  static void flow_table(IO& io, openflow::FlowTable& t, SwitchId sw) {
     io.u64(t.capacity_);
     io.u64(t.evictions_);
     io.i64(t.next_expiry_);
@@ -519,6 +519,8 @@ struct StateAccess::Walk {
       openflow::FlowRule& rule = t.rules_[i];
       io.i64(rule.priority);
       // A wildcarded match field travels as a clear flag bit and a 0.
+      // Restore rejects any other flag bit, and a value under a clear
+      // one: the restored rule would save other bytes.
       openflow::Match& m = rule.match;
       auto flags = static_cast<std::uint8_t>((m.tenant ? 1 : 0) |
                                              (m.src_mac ? 2 : 0) |
@@ -530,6 +532,26 @@ struct StateAccess::Walk {
       io.u32(tenant);
       io.u64(src);
       io.u64(dst);
+      const auto rule_name = [&] {
+        return "switch " + std::to_string(sw.value()) + " flow rule " +
+               std::to_string(i);
+      };
+      io.check(flags <= 7, [&] {
+        return rule_name() + " has unknown match flags " +
+               std::to_string(flags);
+      });
+      io.check((flags & 1) || tenant == TenantId{0}, [&] {
+        return rule_name() + " wildcards the tenant but carries tenant " +
+               std::to_string(tenant.value());
+      });
+      io.check((flags & 2) || src == MacAddress{}, [&] {
+        return rule_name() + " wildcards the source MAC but carries " +
+               src.to_string();
+      });
+      io.check((flags & 4) || dst == MacAddress{}, [&] {
+        return rule_name() + " wildcards the destination MAC but carries " +
+               dst.to_string();
+      });
       if constexpr (IO::kLoading) {
         if (flags & 1) m.tenant = tenant;
         if (flags & 2) m.src_mac = src;

@@ -1,10 +1,10 @@
 #include "core/sgi.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <utility>
 
 #include "graph/bisection.h"
+#include "graph/coarsening.h"
 #include "graph/multilevel_partitioner.h"
 
 namespace lazyctrl::core {
@@ -67,22 +67,21 @@ Grouping Sgi::initial_grouping(const graph::WeightedGraph& w, Rng& rng) const {
 
 RankedGroupPairs ranked_group_pairs(const graph::WeightedGraph& w,
                                     const Grouping& g) {
-  std::map<std::pair<std::uint32_t, std::uint32_t>, double> weights;
-  for (graph::VertexId u = 0; u < w.vertex_count(); ++u) {
-    for (const graph::Neighbor& n : w.neighbors(u)) {
-      if (n.vertex <= u) continue;
-      const std::uint32_t ga = g.switch_to_group[u];
-      const std::uint32_t gb = g.switch_to_group[n.vertex];
-      if (ga == gb) continue;
-      weights[{std::min(ga, gb), std::max(ga, gb)}] += n.weight;
+  // Contracting w by groups adds each pair's edges in the order a scan of
+  // w's edges (u < v, in u's adjacency order) meets them.
+  const graph::WeightedGraph groups =
+      graph::contract(w, g.switch_to_group, g.group_count);
+  RankedGroupPairs ranked;
+  for (std::uint32_t a = 0; a < groups.vertex_count(); ++a) {
+    for (const graph::Neighbor& n : groups.neighbors(a)) {
+      if (n.vertex > a) ranked.pairs.push_back({a, n.vertex, n.weight});
     }
   }
-  RankedGroupPairs ranked;
-  ranked.pairs.reserve(weights.size());
-  for (const auto& [pair, weight] : weights) {
-    ranked.pairs.push_back({pair.first, pair.second, weight});
-    ranked.total += weight;
-  }
+  std::sort(ranked.pairs.begin(), ranked.pairs.end(),
+            [](const GroupPair& x, const GroupPair& y) {
+              return std::pair(x.a, x.b) < std::pair(y.a, y.b);
+            });
+  for (const GroupPair& pair : ranked.pairs) ranked.total += pair.weight;
   std::stable_sort(ranked.pairs.begin(), ranked.pairs.end(),
                    [](const GroupPair& x, const GroupPair& y) {
                      return x.weight > y.weight;
@@ -104,8 +103,8 @@ MergeSplit merge_and_split(Grouping& grouping, std::uint32_t a,
   MergeSplit result;
   if (vertices.size() < 2) return result;
 
-  std::unordered_map<graph::VertexId, graph::VertexId> to_local;
-  to_local.reserve(vertices.size());
+  constexpr graph::VertexId kOutside = static_cast<graph::VertexId>(-1);
+  std::vector<graph::VertexId> to_local(w.vertex_count(), kOutside);
   for (graph::VertexId i = 0; i < vertices.size(); ++i) {
     to_local[vertices[i]] = i;
   }
@@ -114,9 +113,9 @@ MergeSplit merge_and_split(Grouping& grouping, std::uint32_t a,
   graph::WeightedGraph sub(vertices.size());
   for (graph::VertexId v : vertices) {
     for (const graph::Neighbor& n : w.neighbors(v)) {
-      auto it = to_local.find(n.vertex);
-      if (it == to_local.end() || n.vertex <= v) continue;
-      sub.add_unique_edge(to_local[v], it->second, n.weight);
+      const graph::VertexId local = to_local[n.vertex];
+      if (local == kOutside || n.vertex <= v) continue;
+      sub.add_unique_edge(to_local[v], local, n.weight);
       if (grouping.switch_to_group[v] != grouping.switch_to_group[n.vertex]) {
         result.cut_before += n.weight;
       }

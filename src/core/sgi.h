@@ -70,7 +70,8 @@ struct RankedGroupPairs {
   double total = 0;
 };
 
-/// Inter-group weight per group pair of `g` on `w`, ranked.
+/// Inter-group weight per group pair of `g` on `w`, ranked. Every switch's
+/// group must be below `g.group_count`.
 [[nodiscard]] RankedGroupPairs ranked_group_pairs(const graph::WeightedGraph& w,
                                                   const Grouping& g);
 

@@ -1,9 +1,71 @@
 #include "graph/coarsening.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 namespace lazyctrl::graph {
+
+WeightedGraph contract(const WeightedGraph& g,
+                       const std::vector<VertexId>& fine_to_coarse,
+                       std::size_t coarse_count) {
+  const std::size_t n = g.vertex_count();
+  WeightedGraph coarse(coarse_count);
+  {
+    // Coarse vertex weight = sum of its constituents' weights.
+    std::vector<Weight> sums(coarse_count, 0);
+    for (VertexId v = 0; v < n; ++v) {
+      sums[fine_to_coarse[v]] += g.vertex_weight(v);
+    }
+    for (VertexId cv = 0; cv < coarse_count; ++cv) {
+      coarse.set_vertex_weight(cv, sums[cv]);
+    }
+  }
+
+  // Edges are made as add_edge would make them, in the order the fine
+  // edges are visited: a new pair is appended to both lists and a
+  // repeated one adds onto its two entries. Only the search is O(1).
+  // While fine vertex u is visited, `where[cv]` (stamped u) holds the
+  // positions of the edge {cu, cv} in cu's list and in cv's; entry i of
+  // c's list has its partner entry at twin[first[c] + i] of the
+  // neighbour's list. A coarse vertex has at most as many neighbours as
+  // its fine vertices have together, which sizes its run of `twin`.
+  std::vector<std::size_t> first(coarse_count + 1, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    first[fine_to_coarse[v] + 1] += g.neighbors(v).size();
+  }
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<std::uint32_t> twin(first[coarse_count]);
+  struct Where {
+    VertexId stamp = static_cast<VertexId>(-1);
+    std::uint32_t at_cu = 0;
+    std::uint32_t at_cv = 0;
+  };
+  std::vector<Where> where(coarse_count);
+  for (VertexId u = 0; u < n; ++u) {
+    const VertexId cu = fine_to_coarse[u];
+    const auto known = coarse.neighbors(cu);
+    for (std::uint32_t i = 0; i < known.size(); ++i) {
+      where[known[i].vertex] = {u, i, twin[first[cu] + i]};
+    }
+    for (const Neighbor& nb : g.neighbors(u)) {
+      if (nb.vertex <= u) continue;  // visit each fine edge once
+      const VertexId cv = fine_to_coarse[nb.vertex];
+      if (cv == cu) continue;
+      Where& w = where[cv];
+      if (w.stamp == u) {
+        coarse.add_to_edge(cu, w.at_cu, cv, w.at_cv, nb.weight);
+        continue;
+      }
+      w = {u, static_cast<std::uint32_t>(coarse.neighbors(cu).size()),
+           static_cast<std::uint32_t>(coarse.neighbors(cv).size())};
+      twin[first[cu] + w.at_cu] = w.at_cv;
+      twin[first[cv] + w.at_cv] = w.at_cu;
+      coarse.add_unique_edge(cu, cv, nb.weight);
+    }
+  }
+  return coarse;
+}
 
 CoarseLevel coarsen_once(const WeightedGraph& g, Rng& rng) {
   const std::size_t n = g.vertex_count();
@@ -45,28 +107,8 @@ CoarseLevel coarsen_once(const WeightedGraph& g, Rng& rng) {
     ++next;
   }
 
-  WeightedGraph coarse(next);
-  {
-    // Coarse vertex weight = sum of its constituents' weights.
-    std::vector<Weight> sums(next, 0);
-    for (VertexId v = 0; v < n; ++v) {
-      sums[fine_to_coarse[v]] += g.vertex_weight(v);
-    }
-    for (VertexId cv = 0; cv < next; ++cv) {
-      coarse.set_vertex_weight(cv, sums[cv]);
-    }
-  }
-
-  for (VertexId u = 0; u < n; ++u) {
-    for (const Neighbor& nb : g.neighbors(u)) {
-      if (nb.vertex <= u) continue;  // visit each fine edge once
-      const VertexId cu = fine_to_coarse[u];
-      const VertexId cv = fine_to_coarse[nb.vertex];
-      if (cu != cv) coarse.add_edge(cu, cv, nb.weight);
-    }
-  }
-
-  return CoarseLevel{std::move(coarse), std::move(fine_to_coarse)};
+  return CoarseLevel{contract(g, fine_to_coarse, next),
+                     std::move(fine_to_coarse)};
 }
 
 std::vector<CoarseLevel> coarsen_to(const WeightedGraph& g,

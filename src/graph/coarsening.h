@@ -24,6 +24,18 @@ struct CoarseLevel {
   std::vector<VertexId> fine_to_coarse;
 };
 
+/// `g` with each vertex v merged into coarse vertex fine_to_coarse[v]
+/// (below `coarse_count`): a coarse vertex weighs what its fine vertices
+/// weigh together, and the fine edges between two coarse vertices add up
+/// to one coarse edge. The result is what add_edge gives when called for
+/// every fine edge {u, v}, u < v, that joins two coarse vertices, in
+/// order of u and then of u's adjacency: the same adjacency order, weight
+/// bits and total. A repeated pair costs O(1) instead of add_edge's
+/// O(degree); each fine vertex also reads its coarse vertex's list once.
+WeightedGraph contract(const WeightedGraph& g,
+                       const std::vector<VertexId>& fine_to_coarse,
+                       std::size_t coarse_count);
+
 /// Collapses `g` one level via heavy-edge matching.
 CoarseLevel coarsen_once(const WeightedGraph& g, Rng& rng);
 

@@ -4,7 +4,14 @@
 // style greedy pass that moves boundary vertices to the neighbouring part
 // with the highest gain, subject to the size constraint. Gains are the
 // classic KL/FM external-minus-internal edge weights.
+//
+// A vertex visit sums the vertex's edge weight into each part in a dense
+// row reused across visits (O(degree) per visit, no allocation). The
+// functions below require every vertex assigned to a part below
+// `p.part_count`.
 #pragma once
+
+#include <cstdint>
 
 #include "common/rng.h"
 #include "graph/partition.h"
@@ -19,6 +26,9 @@ struct RefineOptions {
   /// tentative negative moves and rollback (escapes the local optima the
   /// greedy positive-gain pass stalls in). Larger graphs rely on the cheap
   /// greedy pass only, as in boundary-limited production partitioners.
+  /// Cost: each FM step rescans every unmoved vertex, O(n * degree), for
+  /// up to n steps (a pass stops early once its cumulative gain falls well
+  /// below its best), where a greedy pass visits each vertex once.
   std::size_t hill_climb_vertex_limit = 1024;
 };
 
@@ -53,5 +63,14 @@ std::vector<BoundedMove> plan_bounded_moves(const WeightedGraph& g,
 /// false only if some single vertex alone exceeds the limit.
 bool repair_overweight(const WeightedGraph& g, Partition& p,
                        const PartitionConstraints& c, Rng& rng);
+
+/// Vertex visits in this process whose move a near-tie left to the scan
+/// order: the best admissible gain beat the running best but not every
+/// other admissible gain by more than the comparison's tolerance (1e-12
+/// in the greedy pass and plan_bounded_moves, exact equality in the FM
+/// pass). Such a visit scans the vertex's parts in the iteration order of
+/// a std::unordered_map filled in neighbour order, the tie order of every
+/// pinned grouping. Tests read it to show that the rule runs.
+[[nodiscard]] std::uint64_t tie_broken_visits() noexcept;
 
 }  // namespace lazyctrl::graph

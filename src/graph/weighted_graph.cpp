@@ -42,6 +42,18 @@ void WeightedGraph::add_unique_edge(VertexId u, VertexId v, Weight w) {
   total_edge_weight_ += w;
 }
 
+void WeightedGraph::add_to_edge(VertexId u, std::size_t at_u, VertexId v,
+                                std::size_t at_v, Weight w) {
+  assert(u < vertex_count() && v < vertex_count());
+  assert(w >= 0);
+  assert(at_u < adjacency_[u].size() && adjacency_[u][at_u].vertex == v);
+  assert(at_v < adjacency_[v].size() && adjacency_[v][at_v].vertex == u);
+  if (u == v || w <= 0) return;
+  adjacency_[u][at_u].weight += w;
+  adjacency_[v][at_v].weight += w;
+  total_edge_weight_ += w;
+}
+
 void WeightedGraph::set_vertex_weight(VertexId v, Weight w) {
   assert(v < vertex_count());
   assert(w >= 0);

@@ -24,13 +24,25 @@ class WeightedGraph {
   explicit WeightedGraph(std::size_t vertex_count);
 
   /// Adds (or accumulates onto an existing) undirected edge {u, v}.
-  /// Self-loops are ignored; negative weights are invalid.
+  /// Self-loops are ignored; negative weights are invalid. Cost: O(deg u)
+  /// to look for v in u's list, plus O(deg v) to find u in v's when the
+  /// edge exists, so a builder that adds many repeated pairs pays the
+  /// degree per addition. Such builders track where each edge sits and use
+  /// add_unique_edge and add_to_edge instead (graph::contract).
   void add_edge(VertexId u, VertexId v, Weight w);
 
   /// add_edge for a builder that adds each pair at most once: appends
   /// without add_edge's O(degree) search for an existing {u, v}, which
   /// only a debug build checks for. Same result as add_edge otherwise.
+  /// The new entries sit last in u's and v's lists.
   void add_unique_edge(VertexId u, VertexId v, Weight w);
+
+  /// add_edge onto an edge {u, v} that exists, for a builder that knows
+  /// where it sits: entry `at_u` of u's list names v and entry `at_v` of
+  /// v's names u (only a debug build checks). O(1); the same weights and
+  /// total as add_edge.
+  void add_to_edge(VertexId u, std::size_t at_u, VertexId v,
+                   std::size_t at_v, Weight w);
 
   void set_vertex_weight(VertexId v, Weight w);
 

@@ -15,8 +15,8 @@
 // buffer, the traffic monitor's
 // per-flow recording, which allocates nothing once a roll has left its
 // window table sized, the flow table's install/expire/compact churn,
-// which reuses its slots once warm, partition refinement, whose
-// per-vertex connectivity maps live on the stack, and per-host state: a
+// which reuses its slots once warm, partition refinement, whose vertex
+// visits reuse one connectivity row per call, and per-host state: a
 // topology copy and a C-LIB learning every host allocate as often for 16k
 // hosts as for 1k.
 #include <gtest/gtest.h>
@@ -312,8 +312,9 @@ TEST(RefinePartitionAllocTest, VertexVisitsAreAllocationFree) {
   // over a minute (equal gains are common), dealt round-robin into ten
   // parts: every pass has moves to find. Greedy and FM passes both visit
   // vertices (FM rescans all unmoved vertices per step, so a pass makes
-  // tens of thousands of visits); a visit's connectivity map lives on
-  // the stack, so only the per-call and per-pass vectors allocate.
+  // tens of thousands of visits); a visit sums into the row the call
+  // allocates once (a near-tie's hash map lives on the stack), so only
+  // the per-call and per-pass vectors allocate.
   constexpr std::size_t kClusters = 10, kSize = 50, kN = kClusters * kSize;
   Rng rng(3);
   WeightedGraph g(kN);

@@ -795,6 +795,72 @@ TEST(CkptRobustnessTest, ClibEntryForAnotherHostIsDiagnosed) {
   });
 }
 
+/// The first flow rule in SWCH, as the offset of its match flags byte.
+/// Per switch: the group, designated peer and transition time (u32, u32,
+/// i64), the L-FIB (u64 count, 16 bytes per entry), the flow table's
+/// capacity, evictions and next expiry (8 bytes each) and its rule
+/// count. A rule starts with its i64 priority, then the flags byte, the
+/// u32 tenant and the u64 source and destination MACs.
+struct FlowRuleAt {
+  std::uint32_t sw = 0;
+  std::size_t flags = 0;
+};
+
+FlowRuleAt first_flow_rule(const std::vector<std::uint8_t>& bytes) {
+  std::size_t pos = section_offset(bytes, fourcc("SWCH")) + 12;
+  const std::uint64_t switches = read_u64(bytes, pos);
+  for (std::uint32_t sw = 0; sw < switches; ++sw) {
+    pos += 16;
+    pos += 16 * read_u64(bytes, pos);
+    pos += 24;
+    if (read_u64(bytes, pos) > 0) return {sw, pos + 8};
+  }
+  ADD_FAILURE() << "no switch holds a flow rule";
+  return {};
+}
+
+TEST(CkptRobustnessTest, UnknownFlowRuleMatchFlagsAreDiagnosed) {
+  // Bits 0-2 of a rule's flags byte say whether it matches the tenant,
+  // the source and the destination; a save sets no other bit, and a
+  // restore that ignored one would save other bytes.
+  const auto& valid = valid_snapshot();
+  const FlowRuleAt rule = first_flow_rule(valid);
+  ASSERT_LE(valid[rule.flags], 7u);
+  const std::string expected = "switch " + std::to_string(rule.sw) +
+                               " flow rule 0 has unknown match flags";
+  for (const std::uint8_t bit : {0x08, 0x10, 0x80}) {
+    SCOPED_TRACE(static_cast<int>(bit));
+    expect_edit_diagnosed(valid, expected,
+                          [&](auto& bytes) { bytes[rule.flags] |= bit; });
+  }
+}
+
+TEST(CkptRobustnessTest, FlowRuleWildcardWithValueIsDiagnosed) {
+  // A wildcarded match field travels as a clear flag bit and a 0. A
+  // value under a clear bit would restore as the wildcard and save as 0,
+  // so each field, wildcarded and given a value, must fail the restore.
+  const auto& valid = valid_snapshot();
+  const FlowRuleAt rule = first_flow_rule(valid);
+  const struct {
+    std::uint8_t bit;
+    std::size_t offset;  ///< from the flags byte
+    std::size_t width;
+    const char* message;
+  } fields[] = {{1, 1, 4, "wildcards the tenant but carries tenant 7"},
+                {2, 5, 8, "wildcards the source MAC"},
+                {4, 13, 8, "wildcards the destination MAC"}};
+  for (const auto& f : fields) {
+    SCOPED_TRACE(f.message);
+    const std::string expected = "switch " + std::to_string(rule.sw) +
+                                 " flow rule 0 " + f.message;
+    expect_edit_diagnosed(valid, expected, [&](auto& bytes) {
+      bytes[rule.flags] &= static_cast<std::uint8_t>(~f.bit);
+      const std::uint64_t value = 7;
+      std::memcpy(bytes.data() + rule.flags + f.offset, &value, f.width);
+    });
+  }
+}
+
 /// The dormant and the excluded hosts in GRPG, u32 each: after the
 /// switch -> group map (u64 count, u32 per switch), the group count and
 /// the grouping epoch.

@@ -1,6 +1,7 @@
 // Tests for the graph-partitioning substrate: WeightedGraph, coarsening,
 // FM refinement, the size-constrained MLkP partitioner, Stoer-Wagner and
-// balanced bisection.
+// balanced bisection, and every partitioning result against the map-based
+// kernels of graph_reference.h.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "graph/multilevel_partitioner.h"
 #include "graph/partition.h"
 #include "graph/weighted_graph.h"
+#include "graph_reference.h"
 
 namespace lazyctrl::graph {
 namespace {
@@ -50,6 +52,28 @@ WeightedGraph random_graph(std::size_t n, double edge_prob, Rng& rng) {
     }
   }
   return g;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Same vertices, weights, edge count, total and adjacency lists, entry
+/// by entry and bit for bit.
+void expect_same_graph(const WeightedGraph& got, const WeightedGraph& want) {
+  ASSERT_EQ(got.vertex_count(), want.vertex_count());
+  EXPECT_EQ(got.edge_count(), want.edge_count());
+  EXPECT_EQ(bits(got.total_edge_weight()), bits(want.total_edge_weight()));
+  EXPECT_EQ(bits(got.total_vertex_weight()), bits(want.total_vertex_weight()));
+  for (VertexId v = 0; v < want.vertex_count(); ++v) {
+    ASSERT_EQ(bits(got.vertex_weight(v)), bits(want.vertex_weight(v))) << v;
+    const auto g = got.neighbors(v);
+    const auto w = want.neighbors(v);
+    ASSERT_EQ(g.size(), w.size()) << "vertex " << v;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      ASSERT_EQ(g[i].vertex, w[i].vertex) << "vertex " << v << " entry " << i;
+      ASSERT_EQ(bits(g[i].weight), bits(w[i].weight))
+          << "vertex " << v << " entry " << i;
+    }
+  }
 }
 
 TEST(WeightedGraphTest, EmptyGraph) {
@@ -108,17 +132,7 @@ TEST(WeightedGraphTest, UniqueEdgeAppendMatchesAddEdge) {
     got.add_unique_edge(u, v, w);
   }
   ASSERT_GT(want.edge_count(), 100u);
-  EXPECT_EQ(got.edge_count(), want.edge_count());
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_edge_weight()),
-            std::bit_cast<std::uint64_t>(want.total_edge_weight()));
-  for (VertexId v = 0; v < 40; ++v) {
-    ASSERT_EQ(got.neighbors(v).size(), want.neighbors(v).size()) << v;
-    for (std::size_t i = 0; i < want.neighbors(v).size(); ++i) {
-      EXPECT_EQ(got.neighbors(v)[i].vertex, want.neighbors(v)[i].vertex);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.neighbors(v)[i].weight),
-                std::bit_cast<std::uint64_t>(want.neighbors(v)[i].weight));
-    }
-  }
+  expect_same_graph(got, want);
 }
 
 TEST(WeightedGraphTest, VertexWeights) {
@@ -419,6 +433,290 @@ TEST(BisectionTest, EmptyGraph) {
   const BisectionResult r = min_bisection(g, 1.0, rng);
   EXPECT_TRUE(r.side.empty());
   EXPECT_DOUBLE_EQ(r.cut_weight, 0.0);
+}
+
+// --- src/graph against the map-based kernels it replaced ---
+//
+// Refinement scans a vertex's parts in a dense row and falls back to the
+// hash map's iteration order only on a near-tie; coarsening finds
+// repeated coarse edges through a position table. Both must reproduce
+// graph_reference.h result for result and bit for bit, on graphs where
+// gains tie exactly (integer counts, unit-weight grids and tori,
+// hand-built ties), nearly (within the greedy pass's 1e-12) and never
+// (real-valued estimates, where sums in another order differ in the
+// last bits).
+
+/// Integer flow counts over an hour, as in a history graph.
+WeightedGraph counted_graph(std::size_t n, double edge_prob, Rng& rng) {
+  WeightedGraph g(n);
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) {
+      if (rng.next_bool(edge_prob)) {
+        g.add_edge(u, v, static_cast<Weight>(1 + rng.next_below(12)) / 3600);
+      }
+    }
+  }
+  return g;
+}
+
+/// Communities of `size` with integer counts, denser inside.
+WeightedGraph counted_communities(std::size_t communities, std::size_t size,
+                                  Rng& rng) {
+  const std::size_t n = communities * size;
+  WeightedGraph g(n);
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) {
+      const bool same = u / size == v / size;
+      if (rng.next_bool(same ? 0.3 : 0.02)) {
+        g.add_edge(u, v, static_cast<Weight>(1 + rng.next_below(6)) / 60);
+      }
+    }
+  }
+  return g;
+}
+
+/// DGM-like estimates: decayed sums of window counts, no two alike.
+WeightedGraph estimated_graph(std::size_t n, double edge_prob, Rng& rng) {
+  WeightedGraph g(n);
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) {
+      if (!rng.next_bool(edge_prob)) continue;
+      double estimate = 0;
+      for (int window = 0; window < 4; ++window) {
+        estimate = 0.7 * estimate +
+                   static_cast<double>(rng.next_below(40)) / 3600.0;
+      }
+      if (estimate > 0) g.add_edge(u, v, estimate);
+    }
+  }
+  return g;
+}
+
+/// A rows x cols grid of unit weights, wrapped into a torus if asked.
+WeightedGraph unit_grid(std::size_t rows, std::size_t cols, bool torus) {
+  WeightedGraph g(rows * cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const auto v = static_cast<VertexId>(r * cols + c);
+      if (c + 1 < cols || torus) {
+        g.add_edge(v, static_cast<VertexId>(r * cols + (c + 1) % cols), 1.0);
+      }
+      if (r + 1 < rows || torus) {
+        g.add_edge(v, static_cast<VertexId>((r + 1) % rows * cols + c), 1.0);
+      }
+    }
+  }
+  return g;
+}
+
+/// Tie gadgets under a fixed partition: each centre sits in part 0 with
+/// one neighbour there and two in each of parts 1 and 2, so its gains
+/// into parts 1 and 2 tie exactly (`skew` 0), differ by less than the
+/// greedy pass's 1e-12 (4e-13) or by more (2e-12). Every third gadget's
+/// inner neighbour also leans to part 2, consecutive gadgets are chained
+/// by light edges, and the last vertex sits in part 3.
+struct TieCase {
+  WeightedGraph graph;
+  Partition start;
+};
+
+TieCase tie_gadgets(std::size_t gadgets, Weight skew) {
+  constexpr std::size_t kGadget = 6;  // centre, 1 inside, 2 + 2 outside
+  TieCase t{WeightedGraph(gadgets * kGadget), {}};
+  t.start.part_count = 4;
+  for (std::size_t i = 0; i < gadgets; ++i) {
+    const auto c = static_cast<VertexId>(i * kGadget);
+    const PartId parts[kGadget] = {0, 0, 1, 1, 2, 2};
+    for (const PartId part : parts) t.start.assignment.push_back(part);
+    t.graph.add_edge(c, c + 1, 1.0);
+    t.graph.add_edge(c, c + 2, 1.0 + skew);
+    t.graph.add_edge(c, c + 3, 1.0);
+    t.graph.add_edge(c, c + 4, 1.0);
+    t.graph.add_edge(c, c + 5, 1.0);
+    if (i % 3 == 2) t.graph.add_edge(c + 1, c + 4, 0.5);
+    if (i > 0) t.graph.add_edge(c, c - kGadget + 1, 0.25);
+  }
+  t.start.assignment.back() = 3;
+  return t;
+}
+
+struct Family {
+  const char* name;
+  WeightedGraph graph;
+  std::size_t k;
+  Weight limit;
+};
+
+std::vector<Family> reference_families() {
+  Rng rng(2024);
+  std::vector<Family> f;
+  f.push_back({"counted_120", counted_graph(120, 0.08, rng), 4, 34});
+  f.push_back({"counted_300", counted_graph(300, 0.03, rng), 9, 36});
+  f.push_back({"counted_1100", counted_graph(1100, 0.008, rng), 22, 50});
+  f.push_back({"communities", counted_communities(8, 25, rng), 8, 28});
+  f.push_back({"estimated_150", estimated_graph(150, 0.08, rng), 5, 33});
+  f.push_back({"estimated_1050", estimated_graph(1050, 0.008, rng), 21, 52});
+  f.push_back({"grid_12x20", unit_grid(12, 20, false), 6, 44});
+  f.push_back({"torus_16", unit_grid(16, 16, true), 16, 16});
+  f.push_back({"torus_24", unit_grid(24, 24, true), 24, 24});
+  return f;
+}
+
+/// A start for refinement: vertices dealt to random parts.
+Partition random_start(const WeightedGraph& g, std::size_t k, Rng& rng) {
+  Partition p;
+  p.part_count = k;
+  for (VertexId v = 0; v < g.vertex_count(); ++v) {
+    p.assignment.push_back(static_cast<PartId>(rng.next_below(k)));
+  }
+  return p;
+}
+
+void expect_same_partition(const Partition& got, const Partition& want) {
+  EXPECT_EQ(got.part_count, want.part_count);
+  ASSERT_EQ(got.assignment.size(), want.assignment.size());
+  for (std::size_t v = 0; v < want.assignment.size(); ++v) {
+    ASSERT_EQ(got.assignment[v], want.assignment[v]) << "vertex " << v;
+  }
+}
+
+/// Runs `fn(graph, start, limit, seed)` over every family (two random
+/// starts each) and the tie gadgets (their own start).
+template <class Fn>
+void for_each_refinement_case(Fn&& fn) {
+  for (const Family& f : reference_families()) {
+    for (const std::uint64_t seed : {1, 2}) {
+      SCOPED_TRACE(testing::Message() << f.name << " seed " << seed);
+      Rng rng(seed);
+      fn(f.graph, random_start(f.graph, f.k, rng), f.limit, seed);
+    }
+  }
+  for (const Weight skew : {0.0, 4e-13, 2e-12}) {
+    SCOPED_TRACE(testing::Message() << "tie gadgets, skew " << skew);
+    const TieCase t = tie_gadgets(12, skew);
+    fn(t.graph, t.start, 40.0, 3);
+  }
+}
+
+TEST(ReferenceEquivalenceTest, RefinePartitionMatchesMapReference) {
+  const std::uint64_t ties_before = tie_broken_visits();
+  for_each_refinement_case([](const WeightedGraph& g, const Partition& start,
+                              Weight limit, std::uint64_t seed) {
+    const PartitionConstraints c{limit};
+    Partition got = start, want = start;
+    Rng got_rng(seed), want_rng(seed);
+    const Weight got_gain =
+        refine_partition(g, got, c, RefineOptions{}, got_rng);
+    const Weight want_gain =
+        reference::refine_partition(g, want, c, RefineOptions{}, want_rng);
+    EXPECT_EQ(bits(got_gain), bits(want_gain));
+    EXPECT_EQ(got_rng.state(), want_rng.state());
+    expect_same_partition(got, want);
+  });
+  EXPECT_GT(tie_broken_visits(), ties_before)
+      << "no visit took the near-tie rule";
+}
+
+TEST(ReferenceEquivalenceTest, PlanBoundedMovesMatchesMapReference) {
+  for_each_refinement_case([](const WeightedGraph& g, const Partition& start,
+                              Weight limit, std::uint64_t) {
+    const PartitionConstraints c{limit};
+    // No floor, and the regrouper's floor of a fraction of the mean
+    // incident weight.
+    const Weight floor = 0.05 * 2 * g.total_edge_weight() /
+                         static_cast<Weight>(g.vertex_count());
+    for (const Weight min_gain : {0.0, floor}) {
+      Partition got = start, want = start;
+      const auto got_moves = plan_bounded_moves(g, got, c, 40, min_gain);
+      const auto want_moves =
+          reference::plan_bounded_moves(g, want, c, 40, min_gain);
+      ASSERT_EQ(got_moves.size(), want_moves.size());
+      for (std::size_t i = 0; i < want_moves.size(); ++i) {
+        EXPECT_EQ(got_moves[i].vertex, want_moves[i].vertex) << i;
+        EXPECT_EQ(got_moves[i].from, want_moves[i].from) << i;
+        EXPECT_EQ(got_moves[i].to, want_moves[i].to) << i;
+        EXPECT_EQ(bits(got_moves[i].gain), bits(want_moves[i].gain)) << i;
+      }
+      expect_same_partition(got, want);
+    }
+  });
+}
+
+TEST(ReferenceEquivalenceTest, RepairOverweightMatchesMapReference) {
+  for (const Family& f : reference_families()) {
+    SCOPED_TRACE(f.name);
+    // Everything crowded into the lower half of the parts, under the
+    // family's limit and under one so tight that repair opens parts.
+    Rng rng(5);
+    Partition start = random_start(f.graph, f.k, rng);
+    for (PartId& part : start.assignment) part /= 2;
+    for (const Weight limit : {f.limit, f.limit / 3}) {
+      const PartitionConstraints c{limit};
+      Partition got = start, want = start;
+      Rng got_rng(7), want_rng(7);
+      EXPECT_EQ(repair_overweight(f.graph, got, c, got_rng),
+                reference::repair_overweight(f.graph, want, c, want_rng));
+      EXPECT_EQ(got_rng.state(), want_rng.state());
+      expect_same_partition(got, want);
+    }
+  }
+}
+
+TEST(ReferenceEquivalenceTest, PartitionerMatchesMapReference) {
+  // IniGroup's three restarts on the smaller graphs only: a restart runs
+  // the same code again.
+  for (const Family& f : reference_families()) {
+    for (const int restarts : {1, 3}) {
+      if (restarts > 1 && f.graph.vertex_count() > 200) continue;
+      SCOPED_TRACE(testing::Message() << f.name << " restarts " << restarts);
+      const MlkpOptions options{.restarts = restarts};
+      const PartitionConstraints c{f.limit};
+      Rng got_rng(11), want_rng(11);
+      const Partition got =
+          MultilevelPartitioner(options).partition(f.graph, f.k, c, got_rng);
+      const Partition want =
+          reference::partition(f.graph, f.k, c, want_rng, options);
+      EXPECT_EQ(got_rng.state(), want_rng.state());
+      expect_same_partition(got, want);
+    }
+  }
+}
+
+TEST(ReferenceEquivalenceTest, MinBisectionMatchesMapReference) {
+  for (const Family& f : reference_families()) {
+    // A tight limit, and a looser one on the smaller graphs.
+    const Weight half = f.graph.total_vertex_weight() / 2;
+    for (const Weight limit : {half + 1, half * 1.2}) {
+      if (limit > half + 1 && f.graph.vertex_count() > 600) continue;
+      SCOPED_TRACE(testing::Message() << f.name << " limit " << limit);
+      Rng got_rng(13), want_rng(13);
+      const BisectionResult got = min_bisection(f.graph, limit, got_rng);
+      const BisectionResult want =
+          reference::min_bisection(f.graph, limit, want_rng);
+      EXPECT_EQ(got_rng.state(), want_rng.state());
+      EXPECT_EQ(bits(got.cut_weight), bits(want.cut_weight));
+      EXPECT_EQ(got.side, want.side);
+    }
+  }
+}
+
+TEST(ReferenceEquivalenceTest, CoarseningMatchesAddEdgeReference) {
+  // Every level down to a handful of vertices, so repeated coarse pairs
+  // are the rule, not the exception.
+  for (const Family& f : reference_families()) {
+    SCOPED_TRACE(f.name);
+    Rng got_rng(17), want_rng(17);
+    WeightedGraph current = f.graph;
+    for (int level = 0; current.vertex_count() > 8 && level < 12; ++level) {
+      SCOPED_TRACE(testing::Message() << "level " << level);
+      CoarseLevel got = coarsen_once(current, got_rng);
+      const CoarseLevel want = reference::coarsen_once(current, want_rng);
+      EXPECT_EQ(got.fine_to_coarse, want.fine_to_coarse);
+      expect_same_graph(got.graph, want.graph);
+      if (HasFatalFailure()) return;
+      current = std::move(got.graph);
+    }
+  }
 }
 
 }  // namespace

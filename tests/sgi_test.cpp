@@ -6,6 +6,8 @@
 #include <bit>
 #include <cstdint>
 #include <ios>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -228,6 +230,59 @@ TEST(RankedGroupPairsTest, TotalIsSummedInKeyOrder) {
   EXPECT_EQ(ranked.pairs[1].b, 1u);
   EXPECT_EQ(ranked.pairs[2].b, 2u);
   EXPECT_EQ(ranked.total, 1e16 + 2.0);
+}
+
+TEST(RankedGroupPairsTest, MatchesMapReference) {
+  // The ranking as a std::map keyed by (a, b) computed it: each pair's
+  // weight added in edge-scan order, then ranked by a stable sort. On
+  // real-valued weights, a pair summed in another order differs in its
+  // last bits.
+  Rng rng(9);
+  graph::WeightedGraph g(120);
+  for (graph::VertexId u = 0; u < 120; ++u) {
+    for (graph::VertexId v = u + 1; v < 120; ++v) {
+      if (rng.next_bool(0.15)) g.add_edge(u, v, rng.next_double() * 3.0);
+    }
+  }
+  for (const std::uint32_t groups : {2u, 7u, 30u}) {
+    SCOPED_TRACE(groups);
+    Grouping grouping;
+    grouping.group_count = groups;
+    for (graph::VertexId v = 0; v < 120; ++v) {
+      grouping.switch_to_group.push_back(
+          static_cast<std::uint32_t>(rng.next_below(groups)));
+    }
+    std::map<std::pair<std::uint32_t, std::uint32_t>, double> weights;
+    for (graph::VertexId u = 0; u < 120; ++u) {
+      for (const graph::Neighbor& n : g.neighbors(u)) {
+        if (n.vertex <= u) continue;
+        const std::uint32_t ga = grouping.switch_to_group[u];
+        const std::uint32_t gb = grouping.switch_to_group[n.vertex];
+        if (ga != gb) weights[{std::min(ga, gb), std::max(ga, gb)}] += n.weight;
+      }
+    }
+    RankedGroupPairs want;
+    for (const auto& [pair, weight] : weights) {
+      want.pairs.push_back({pair.first, pair.second, weight});
+      want.total += weight;
+    }
+    std::stable_sort(want.pairs.begin(), want.pairs.end(),
+                     [](const GroupPair& x, const GroupPair& y) {
+                       return x.weight > y.weight;
+                     });
+
+    const RankedGroupPairs got = ranked_group_pairs(g, grouping);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total),
+              std::bit_cast<std::uint64_t>(want.total));
+    ASSERT_EQ(got.pairs.size(), want.pairs.size());
+    for (std::size_t i = 0; i < want.pairs.size(); ++i) {
+      EXPECT_EQ(got.pairs[i].a, want.pairs[i].a) << i;
+      EXPECT_EQ(got.pairs[i].b, want.pairs[i].b) << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.pairs[i].weight),
+                std::bit_cast<std::uint64_t>(want.pairs[i].weight))
+          << i;
+    }
+  }
 }
 
 TEST(IncUpdateTest, DeterministicForSeed) {
